@@ -7,7 +7,6 @@ Miller-Rabin primality gate); callers reject inputs past ~10^12.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import BudgetExceeded
 
@@ -131,19 +130,3 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def divisor_count(n: int) -> int:
-    return math.prod(e + 1 for e in factorint(n).values())
-
-
-def lcm_list(vals) -> int:
-    out = 1
-    for v in vals:
-        out = math.lcm(out, v)
-    return out
-
-
-def frac_mod1(q: Fraction) -> Fraction:
-    """Fractional part in [0, 1)."""
-    return q - (q.numerator // q.denominator)

@@ -41,13 +41,13 @@ from .poincare import (CertifyBudget, PoincareParams, certify_nonvanishing,
                        effective_constants, recurrence_check_cor45,
                        threshold_cor33, threshold_thm32, threshold_thm35)
 
-CONFIG_KEYS = {"order_cap", "residue_budget", "precision", "cache_dir", "format"}
+CONFIG_KEYS = {"residue_budget", "precision", "cache_dir", "format"}
 
 
 class Settings:
     def __init__(self, config_path=None, cache_dir=None, precision=None,
-                 order_cap=None, residue_budget=None, fmt=None):
-        vals = {"order_cap": 10**6, "residue_budget": 10**7, "precision": 96,
+                 residue_budget=None, fmt=None):
+        vals = {"residue_budget": 10**7, "precision": 96,
                 "cache_dir": os.environ.get("POINCARE_CACHE_DIR"), "format": "json"}
         if config_path:
             with open(config_path, "r", encoding="utf-8") as fh:
@@ -57,19 +57,16 @@ class Settings:
                 raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
             vals.update(doc)
         for name, arg in (("cache_dir", cache_dir), ("precision", precision),
-                          ("order_cap", order_cap), ("residue_budget", residue_budget),
-                          ("format", fmt)):
+                          ("residue_budget", residue_budget), ("format", fmt)):
             if arg is not None:
                 vals[name] = arg
-        self.order_cap = int(vals["order_cap"])
         self.residue_budget = int(vals["residue_budget"])
         self.precision = int(vals["precision"])
         self.format = vals["format"]
         self.store = KloostermanStore(vals["cache_dir"]) if vals["cache_dir"] else None
 
     def kloosterman_kwargs(self):
-        return {"order_cap": self.order_cap, "enum_budget": self.residue_budget,
-                "store": self.store}
+        return {"enum_budget": self.residue_budget, "store": self.store}
 
 
 _ELT_RE = re.compile(r"^\(?\s*(-?\d+)\s*(?:,\s*(-?\d+)\s*)?\)?\s*(?:/\s*(\d+))?$")
@@ -143,8 +140,6 @@ def common_options(fn):
     fn = click.option("--cache-dir", default=None,
                       help="Kloosterman cache directory (env POINCARE_CACHE_DIR)")(fn)
     fn = click.option("--precision", type=int, default=None, help="interval bits")(fn)
-    fn = click.option("--order-cap", type=int, default=None,
-                      help="max cyclotomic order for the exact path")(fn)
     fn = click.option("--residue-budget", type=int, default=None,
                       help="max residue ring size")(fn)
     return fn
@@ -152,10 +147,21 @@ def common_options(fn):
 
 def _settings(kw):
     return Settings(kw.pop("config_path"), kw.pop("cache_dir"), kw.pop("precision"),
-                    kw.pop("order_cap"), kw.pop("residue_budget"), kw.pop("fmt"))
+                    kw.pop("residue_budget"), kw.pop("fmt"))
 
 
-@click.group()
+class _Group(click.Group):
+    """Every package error (bad input, unmet precondition, exhausted budget)
+    is a usage or precondition error: exit 2 with a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except HPError as exc:
+            raise click.UsageError(str(exc)) from None
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="hilbert-poincare")
 def main():
     """Kloosterman sums, Selberg's identity, and certified non-vanishing of
@@ -167,10 +173,7 @@ def main():
 def cmd_field_info(d, **kw):
     """Print the field's derived data."""
     st = _settings(kw)
-    try:
-        F = make_field(d)
-    except HPError as exc:
-        raise click.UsageError(str(exc))
+    F = make_field(d)
     doc = {"field": F.spec_string(), "basis": F.basis_kind, "D": F.D,
            "fundamental_unit": F.fundamental_unit.to_json(),
            "fu_norm": F.fu_norm, "eps_plus": F.eps_plus.to_json(),
@@ -193,18 +196,12 @@ def cmd_kloosterman(d, nu, mu, c_text, modulus, **kw):
     nu_e, mu_e, c_e = (parse_element(F, t) for t in (nu, mu, c_text))
     mod = parse_ideal(F, modulus) if modulus else \
         (principal_ideal(c_e) if abs(c_e.norm()) != 1 else unit_ideal(F))
-    try:
-        q = KloostermanQuery(F, nu_e, mu_e, mod, c_e)
-    except HPError as exc:
-        raise click.UsageError(str(exc))
-    doc = {"query": q.to_json()}
-    try:
-        val = kloosterman_exact(q, **st.kloosterman_kwargs())
-        doc["exact"] = {"order": val.order,
-                        "value_as_rational_if_real": val.as_int()}
-    except HPError:
-        doc["exact"] = None
-    re_iv, im_iv = kloosterman_float(q, st.precision, st.order_cap, st.residue_budget)
+    q = KloostermanQuery(F, nu_e, mu_e, mod, c_e)
+    val = kloosterman_exact(q, **st.kloosterman_kwargs())
+    doc = {"query": q.to_json(),
+           "exact": {"order": val.order,
+                     "value_as_rational_if_real": val.as_int()}}
+    re_iv, im_iv = val.complex_interval(st.precision)
     doc["float"] = {"re": [mpf_str(lo(re_iv)), mpf_str(hi(re_iv))],
                     "im": [mpf_str(lo(im_iv)), mpf_str(hi(im_iv))]}
     wb = weil_bound(q)
@@ -282,8 +279,7 @@ def cmd_weil_audit(d, samples, seed, **kw):
             return F.elt(u * dom.num.a + v * dom.num.b, v * dom.num.c, dom.den)
         nu, mu = rand_in_dom(), rand_in_dom()
         q = KloostermanQuery(F, nu, mu, mod, c_e)
-        re_iv, im_iv = kloosterman_float(q, st.precision, st.order_cap,
-                                         st.residue_budget)
+        re_iv, im_iv = kloosterman_float(q, st.precision, st.residue_budget)
         sup2 = max(abs(lo(re_iv)), abs(hi(re_iv))) ** 2 + \
             max(abs(lo(im_iv)), abs(hi(im_iv))) ** 2
         bound_lo = lo(weil_bound(q).interval(st.precision))
@@ -313,13 +309,9 @@ def cmd_certify(d, k, level, mu_text, eta, max_x, max_m, **kw):
     F = make_field(d)
     params = PoincareParams(F, k, level=parse_ideal(F, level))
     mu = parse_element(F, mu_text)
-    try:
-        cert = certify_nonvanishing(params, mu, CertifyBudget(max_x, max_m),
-                                    Fraction(eta), precision=st.precision,
-                                    order_cap=st.order_cap,
-                                    enum_budget=st.residue_budget, store=st.store)
-    except HPError as exc:
-        raise click.UsageError(str(exc))
+    cert = certify_nonvanishing(params, mu, CertifyBudget(max_x, max_m),
+                                Fraction(eta), precision=st.precision,
+                                enum_budget=st.residue_budget, store=st.store)
     doc = cert.to_json()
     doc["ledger"] = effective_constants(F, Fraction(eta)).to_json()
     emit(doc, st.format)
@@ -366,14 +358,10 @@ def cmd_recurrence(d, k, nu, mu, p_text, m, n, x_cut, big_m, level, **kw):
     st = _settings(kw)
     F = make_field(d)
     params = PoincareParams(F, k, level=parse_ideal(F, level))
-    try:
-        rep = recurrence_check_cor45(
-            params, parse_element(F, nu), parse_element(F, mu),
-            parse_element(F, p_text), m, n, x_cut, big_m,
-            precision=st.precision, order_cap=st.order_cap,
-            enum_budget=st.residue_budget, store=st.store)
-    except HPError as exc:
-        raise click.UsageError(str(exc))
+    rep = recurrence_check_cor45(
+        params, parse_element(F, nu), parse_element(F, mu),
+        parse_element(F, p_text), m, n, x_cut, big_m,
+        precision=st.precision, enum_budget=st.residue_budget, store=st.store)
     emit({"status": rep.status,
           "lhs": [mpf_str(lo(rep.lhs)), mpf_str(hi(rep.lhs))],
           "rhs": [mpf_str(lo(rep.rhs)), mpf_str(hi(rep.rhs))],

@@ -53,7 +53,3 @@ class NonPrincipalDivisor(HPError):
     def __init__(self, ideal):
         super().__init__(f"divisor ideal is not principal within budget: {ideal}")
         self.ideal = ideal
-
-
-class PrecisionExhausted(HPError):
-    pass

@@ -16,10 +16,8 @@ from functools import lru_cache
 from mpmath import iv
 
 from . import arith
-from .errors import NotSquarefree, SearchBudgetExceeded, ZeroElement
+from .errors import NotSquarefree, ZeroElement
 from .intervals import lo, prec_guard
-
-PELL_BUDGET = 10**6
 
 
 def _sign_a_plus_b_sqrt(a: int, b: int, d: int) -> int:
@@ -224,7 +222,7 @@ class RealQuadraticField:
             self.D = 4 * d
         # f = sum of inertial degrees of primes over 2
         self.f2 = 1 if self.basis_kind == "sqrt" else 2
-        self.fundamental_unit, self.fu_norm = self._pell_fundamental_unit()
+        self.fundamental_unit, self.fu_norm = self._fundamental_unit()
         if self.fu_norm == -1:
             self.eps_plus = self.fundamental_unit * self.fundamental_unit
         else:
@@ -253,10 +251,6 @@ class RealQuadraticField:
     def omega(self) -> Elt:
         return Elt(self, 0, 1, 1)
 
-    def sqrt_d(self) -> Elt:
-        """The element sqrt(d) = 2*omega - c1."""
-        return Elt(self, -self.c1, 2, 1) if self.basis_kind == "half" else self.omega()
-
     def __repr__(self):
         return f"Q(sqrt {self.d})"
 
@@ -264,31 +258,31 @@ class RealQuadraticField:
         return f"Qsqrt:{self.d}"
 
     # -- units ---------------------------------------------------------------
-    def _pell_fundamental_unit(self):
-        """Smallest unit > 1, by exhaustive search on the omega-coefficient.
+    def _fundamental_unit(self):
+        """Smallest unit > 1 and its norm, from the continued fraction of omega.
 
-        For each b >= 1 the candidate norms force a^2 (resp. s^2) to one of two
-        integers; the first b admitting a solution gives the fundamental unit,
-        taking the smaller root when both norm signs admit one.
+        Write omega = (P + sqrt d)/Q with Q | d - P^2 and let h/k run through
+        its convergents.  After n partial quotients, N(h - k*omega) =
+        (-1)^n Q_n/Q_0, so the first n >= 1 with Q_n = Q_0 gives the unit
+        h - k*omega, and its conjugate (h - k*c1) + k*omega is the
+        fundamental unit.  Expanding omega rather than sqrt(d) matters for
+        d = 1 mod 4, where sqrt(d) gives a unit of Z[sqrt d], possibly eps^3
+        (Cohen, GTM 138, section 5.7).
         """
-        d = self.d
-        if self.basis_kind == "sqrt":
-            for b in range(1, PELL_BUDGET):
-                n = d * b * b
-                if arith.is_square(n - 1):
-                    return Elt(self, math.isqrt(n - 1), b, 1), -1
-                if arith.is_square(n + 1):
-                    return Elt(self, math.isqrt(n + 1), b, 1), 1
-        else:
-            for b in range(1, PELL_BUDGET):
-                n = d * b * b
-                for delta, nrm in ((-4, -1), (4, 1)):
-                    s2 = n + delta
-                    if s2 >= 0 and arith.is_square(s2):
-                        s = math.isqrt(s2)
-                        if (s - b) % 2 == 0:
-                            return Elt(self, (s - b) // 2, b, 1), nrm
-        raise SearchBudgetExceeded("fundamental unit search exhausted", PELL_BUDGET)
+        d, s = self.d, math.isqrt(self.d)
+        P, Q = (1, 2) if self.basis_kind == "half" else (0, 1)
+        q0 = Q
+        h, h_prev, k, k_prev = 1, 0, 0, 1
+        n = 0
+        while True:
+            a = (P + s) // Q
+            h, h_prev = a * h + h_prev, h
+            k, k_prev = a * k + k_prev, k
+            P = a * Q - P
+            Q = (d - P * P) // Q
+            n += 1
+            if Q == q0:
+                return Elt(self, h - k * self.c1, k, 1), (-1) ** n
 
     def _totally_positive_different_generator(self):
         """Totally positive generator of the different, or None.
@@ -408,26 +402,3 @@ def parse_field_spec(spec: str) -> RealQuadraticField:
     if not spec.startswith("Qsqrt:"):
         raise ValueError(f"bad field spec {spec!r}, expected 'Qsqrt:<d>'")
     return make_field(int(spec.split(":", 1)[1]))
-
-
-# continued-fraction expansion of sqrt(d); retained as an independent oracle
-# for the Pell search (period parity gives the fundamental-unit norm).
-def sqrt_cf_fundamental_solution(d: int):
-    """(x, y, norm) with x^2 - d y^2 = norm = (-1)^period, minimal, via CF."""
-    a0 = math.isqrt(d)
-    if a0 * a0 == d:
-        raise ValueError("d must not be square")
-    m, q, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    period = 0
-    while True:
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        period += 1
-        if q == 1:
-            break
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-    return h, k, (-1) ** period

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionViolated
+from .errors import NotDivisible, PreconditionViolated
 from .ideals import (IdealHNF, chi0, divisors, ideal_exact_divide,
                      ideal_product, ideal_sum, unit_ideal)
 
@@ -107,7 +107,7 @@ def hecke_action(ctx: HeckeContext, m: IdealHNF, f: CoeffFunction) -> CoeffFunct
             num = ideal_product(s, ideal_product(r, r))
             try:
                 a = ideal_exact_divide(num, m)
-            except Exception:
+            except NotDivisible:
                 continue
             candidates.add(a)
     out = CoeffFunction()

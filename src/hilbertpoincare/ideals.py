@@ -339,13 +339,6 @@ def _prefer_totally_positive(F, g):
     return g
 
 
-def is_narrowly_principal(x: IdealHNF):
-    g = is_principal(x)
-    if g is not None and g.is_totally_positive():
-        return g
-    return None
-
-
 def _norm_equation_search(x: IdealHNF):
     F = x.field
     n = x.norm()
@@ -385,10 +378,6 @@ def wide_class_number_is_one(field) -> bool:
                     return False
         p += 1
     return True
-
-
-def narrow_class_number_is_one(field) -> bool:
-    return field.narrow_h1
 
 
 # -- fractional ideals -----------------------------------------------------

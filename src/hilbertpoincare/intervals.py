@@ -12,16 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
-from mpmath import iv, mp
+from mpmath import iv
 
 DEFAULT_PREC = 96
-
-
-def set_prec(bits: int) -> int:
-    """Set interval working precision, returning the previous value."""
-    old = iv.prec
-    iv.prec = max(int(bits), 16)
-    return old
 
 
 class prec_guard:
@@ -39,10 +32,6 @@ class prec_guard:
     def __exit__(self, *exc):
         iv.prec = self.old
         return False
-
-
-def iv_from_int(n):
-    return iv.mpf(int(n))
 
 
 def iv_from_fraction(q) -> "iv.mpf":
@@ -82,14 +71,6 @@ def sup_abs(x) -> mpmath.mpf:
     return max(abs(lo(x)), abs(hi(x)))
 
 
-def inf_abs(x) -> mpmath.mpf:
-    """Lower bound for |t| over t in the interval."""
-    a, b = lo(x), hi(x)
-    if a <= 0 <= b:
-        return mpmath.mpf(0)
-    return min(abs(a), abs(b))
-
-
 def contains(x, value) -> bool:
     """Does the interval contain the given mpf/int/Fraction value?
 
@@ -105,10 +86,6 @@ def contains(x, value) -> bool:
 
 def overlaps(x, y) -> bool:
     return lo(x) <= hi(y) and lo(y) <= hi(x)
-
-
-def contains_interval(outer, inner) -> bool:
-    return lo(outer) <= lo(inner) and hi(inner) <= hi(outer)
 
 
 def iv_pow_frac(x, p: Fraction):

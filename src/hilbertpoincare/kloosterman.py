@@ -3,7 +3,7 @@
 S_m(nu, mu; c) = sum over units x of O/m of e((nu*x + mu*x^{-1})/c), with
 e(t) = exp(2*pi*i*Tr(t)).  Every term is a root of unity whose order divides
 the lcm M of the trace denominators, so the sum lives in Z[zeta_M] and is
-evaluated exactly there; a float path returns a complex interval enclosure.
+evaluated exactly there; the float path is that value's complex enclosure.
 """
 
 from __future__ import annotations
@@ -12,59 +12,56 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
 from .cyclotomic import CyclotomicInteger
-from .errors import (BudgetExceeded, MembershipViolated, NonPrincipalDivisor,
-                     PreconditionViolated)
+from .errors import MembershipViolated, NonPrincipalDivisor, PreconditionViolated
 from .field import Elt
-from .ideals import (FractionalIdeal, IdealHNF, different_ideal, divisors,
-                     element_ideal, factor_ideal, ideal_from_generators,
+from .ideals import (IdealHNF, divisors, factor_ideal, ideal_from_generators,
                      is_principal, N_nu_mu, pr_count, principal_ideal,
                      unit_ideal)
 from .intervals import iv_sqrt_fraction, prec_guard
 from .residues import DEFAULT_ENUM_BUDGET, residue_ring
 
-DEFAULT_ORDER_CAP = 10**6
-
 
 class KloostermanQuery:
-    """A sum S_m(nu, mu; c); membership nu, mu in c*(m*d)^{-1} is checked."""
+    """A sum S_m(nu, mu; c), held as its four trace slopes mod 1.
 
-    __slots__ = ("field", "nu", "mu", "modulus", "c")
+    For x = u + v*omega with inverse ui + vi*omega, Tr((nu*x + mu*x^{-1})/c)
+    is u*r1 + v*r2 + ui*s1 + vi*s2 with r1 = Tr(nu/c), r2 = Tr(nu*omega/c)
+    and s1, s2 likewise for mu, so the sum depends only on these four
+    fractions mod 1.  Membership nu, mu in c*(m d)^{-1} means Tr(y*m) in Z
+    for y = nu/c, mu/c; on the HNF basis {a, b + c*omega} of m that is
+    a*r1 in Z and b*r1 + c*r2 in Z.  Since a*omega lies in m too, every
+    slope denominator divides a, so the cyclotomic order is at most N(m).
+    """
+
+    __slots__ = ("field", "nu", "mu", "modulus", "c", "slopes")
 
     def __init__(self, field, nu: Elt, mu: Elt, modulus: IdealHNF, c: Elt):
         if c.is_zero():
             raise MembershipViolated("c must be nonzero")
-        dom = element_ideal(c) / (FractionalIdeal(modulus) * FractionalIdeal(different_ideal(field)))
+        w = field.omega()
+        slopes = []
         for name, t in (("nu", nu), ("mu", mu)):
-            if not t.is_zero() and not dom.contains(t):
+            y = t / c
+            r1, r2 = y.trace(), (y * w).trace()
+            if ((modulus.a * r1).denominator != 1
+                    or (modulus.b * r1 + modulus.c * r2).denominator != 1):
                 raise MembershipViolated(f"{name}={t} outside c*(m d)^(-1)")
+            slopes += (r1 - math.floor(r1), r2 - math.floor(r2))
         self.field = field
         self.nu = nu
         self.mu = mu
         self.modulus = modulus
         self.c = c
+        self.slopes = tuple(slopes)
 
     def trace_data(self):
-        """Exact per-coordinate trace slopes of the two character pieces.
-
-        Tr(a*(u + v*omega)) = u*Tr(a) + v*Tr(a*omega); the sum only depends on
-        these four fractions mod 1.
-        """
-        F = self.field
-        w = F.omega()
-        a1 = self.nu / self.c
-        a2 = self.mu / self.c
-        fr = lambda q: q - (q.numerator // q.denominator)
-        return (fr(a1.trace()), fr((a1 * w).trace()),
-                fr(a2.trace()), fr((a2 * w).trace()))
+        """The four slopes (r1, r2, s1, s2), each in [0, 1)."""
+        return self.slopes
 
     def cache_key(self):
-        r1, r2, s1, s2 = self.trace_data()
         return (self.field.d, self.modulus.key(),
-                (r1.numerator, r1.denominator), (r2.numerator, r2.denominator),
-                (s1.numerator, s1.denominator), (s2.numerator, s2.denominator))
+                *((t.numerator, t.denominator) for t in self.slopes))
 
     def to_json(self):
         return {"field": self.field.spec_string(), "nu": self.nu.to_json(),
@@ -76,7 +73,7 @@ _EXACT_CACHE: dict = {}
 _EXACT_CACHE_MAX = 200_000
 
 
-def kloosterman_exact(q: KloostermanQuery, order_cap: int = DEFAULT_ORDER_CAP,
+def kloosterman_exact(q: KloostermanQuery,
                       enum_budget: int = DEFAULT_ENUM_BUDGET,
                       store=None) -> CyclotomicInteger:
     """Exact value in Z[zeta_M].  For the unit modulus the value is 1."""
@@ -93,14 +90,9 @@ def kloosterman_exact(q: KloostermanQuery, order_cap: int = DEFAULT_ORDER_CAP,
         if stored is not None:
             _put_cache(key, stored)
             return stored
-    r1, r2, s1, s2 = q.trace_data()
-    M = 1
-    for t in (r1, r2, s1, s2):
-        M = math.lcm(M, t.denominator)
-    if M > order_cap:
-        raise BudgetExceeded(f"cyclotomic order {M} over cap", order_cap)
+    M = math.lcm(*(t.denominator for t in q.slopes))
     ring = residue_ring(q.modulus, enum_budget)
-    R1, R2, S1, S2 = (int(t * M) for t in (r1, r2, s1, s2))
+    R1, R2, S1, S2 = (int(t * M) for t in q.slopes)
     coeffs = [0] * M
     for (u, v, ui, vi) in ring.unit_data():
         coeffs[(R1 * u + R2 * v + S1 * ui + S2 * vi) % M] += 1
@@ -118,26 +110,9 @@ def _put_cache(key, val):
 
 
 def kloosterman_float(q: KloostermanQuery, precision: int = 64,
-                      order_cap: int = DEFAULT_ORDER_CAP,
                       enum_budget: int = DEFAULT_ENUM_BUDGET):
-    """(re, im) interval enclosure, via the exact path whenever it fits."""
-    try:
-        return kloosterman_exact(q, order_cap, enum_budget).complex_interval(precision)
-    except BudgetExceeded:
-        pass
-    r1, r2, s1, s2 = q.trace_data()
-    ring = residue_ring(q.modulus, enum_budget)
-    with prec_guard(precision):
-        re = iv.mpf(0)
-        im = iv.mpf(0)
-        two_pi = 2 * iv.pi
-        for (u, v, ui, vi) in ring.unit_data():
-            t = r1 * u + r2 * v + s1 * ui + s2 * vi
-            t -= t.numerator // t.denominator
-            ang = two_pi * iv.mpf(t.numerator) / iv.mpf(t.denominator)
-            re += iv.cos(ang)
-            im += iv.sin(ang)
-        return re, im
+    """(re, im) interval enclosure of the exact value."""
+    return kloosterman_exact(q, enum_budget).complex_interval(precision)
 
 
 @dataclass

@@ -34,8 +34,7 @@ from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
                      prime_splitting, principal_ideal, unit_ideal)
 from .intervals import (hi, iv_from_fraction, iv_max, iv_min, iv_pow_frac,
                         iv_sqrt_fraction, lo, prec_guard, sup_abs, width)
-from .kloosterman import (DEFAULT_ORDER_CAP, KloostermanQuery,
-                          kloosterman_exact)
+from .kloosterman import KloostermanQuery, kloosterman_exact
 from .residues import DEFAULT_ENUM_BUDGET
 
 DEFAULT_ETA = Fraction(1, 2)
@@ -96,12 +95,11 @@ class CoefficientValue:
                 + iv.mpf([-t, t])) * iv_from_fraction(self.scale)
 
     def to_json(self):
-        from .intervals import iv_str, mpf_str
+        from .intervals import mpf_str
         return {"chi": self.chi_term,
                 "finite_part": [mpf_str(lo(self.finite_part)), mpf_str(hi(self.finite_part))],
                 "tail": mpf_str(self.tail),
-                "cutoffs": {"X": str(self.X), "M": self.M, "eta": str(self.eta)},
-                "scale": str(self.scale)}
+                "cutoffs": {"X": str(self.X), "M": self.M, "eta": str(self.eta)}}
 
 
 @dataclass
@@ -114,15 +112,9 @@ class Certificate:
 
     def to_json(self):
         from .intervals import mpf_str
-        val = self.coefficient
         return {"schema": "v1", "params": self.params.to_json(),
                 "mu": self.mu.to_json(), "verdict": self.verdict,
-                "margin": mpf_str(self.margin),
-                "chi": val.chi_term,
-                "finite_part": [mpf_str(lo(val.finite_part)),
-                                mpf_str(hi(val.finite_part))],
-                "tail": mpf_str(val.tail),
-                "cutoffs": {"X": str(val.X), "M": val.M, "eta": str(val.eta)}}
+                "margin": mpf_str(self.margin), **self.coefficient.to_json()}
 
 
 def chi_mu(nu: Elt, mu: Elt) -> int:
@@ -197,7 +189,6 @@ class CoefficientEvaluator:
 
     def __init__(self, params: PoincareParams, nu: Elt, mu: Elt,
                  eta: Fraction = DEFAULT_ETA, precision: int = 96,
-                 order_cap: int = DEFAULT_ORDER_CAP,
                  enum_budget: int = DEFAULT_ENUM_BUDGET, store=None):
         F = params.field
         if not F.narrow_h1:
@@ -216,7 +207,6 @@ class CoefficientEvaluator:
         self.mu = mu
         self.eta = eta
         self.precision = precision
-        self.order_cap = order_cap
         self.enum_budget = enum_budget
         self.store = store
         self.F = F
@@ -274,12 +264,12 @@ class CoefficientEvaluator:
             eps = F.eps_plus_pow(j)
             q = KloostermanQuery(F, self.nu, eps * self.mu, modulus, c_elt)
             try:
-                s_re = kloosterman_exact(q, self.order_cap, self.enum_budget,
+                s_re = kloosterman_exact(q, self.enum_budget,
                                          self.store).real_interval(self.precision)
             except BudgetExceeded:
-                from .kloosterman import kloosterman_float
-                s_re, _ = kloosterman_float(q, self.precision,
-                                            self.order_cap, self.enum_budget)
+                # over budget: S is a sum of phi(m) <= N(m) roots of unity
+                n = modulus.norm()
+                s_re = iv.mpf([-n, n])
             z = self.nu * eps * self.mu
             e1, e2 = z.embeddings(self.precision)
             c1, c2 = c_elt.embeddings(self.precision)

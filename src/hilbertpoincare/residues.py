@@ -27,7 +27,6 @@ class ResidueRing:
         self.size = modulus.norm()
         self._prime_data = None
         self._unit_data = None
-        self._inv_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
     # -- representatives ------------------------------------------------------
     def reduce(self, x: Elt) -> Elt:
@@ -87,10 +86,6 @@ class ResidueRing:
         return self.field.elt(ui, vi)
 
     def _inverse_coords(self, u: int, v: int):
-        key = (u, v)
-        hit = self._inv_cache.get(key)
-        if hit is not None:
-            return hit
         F = self.field
         nm = self.size
         nx = u * u + u * v * F.c1 - v * v * F.c0  # N(u + v*omega)
@@ -98,11 +93,8 @@ class ResidueRing:
             # x^{-1} = conj(x) * N(x)^{-1} mod m
             t = pow(nx % nm, -1, nm)
             cu, cv = (u + v * F.c1) * t, -v * t
-            out = self.modulus.reduce_coords(cu, cv)
-        else:
-            out = self._solve_inverse(u, v)
-        self._inv_cache[key] = out
-        return out
+            return self.modulus.reduce_coords(cu, cv)
+        return self._solve_inverse(u, v)
 
     def _solve_inverse(self, u: int, v: int):
         """Column-HNF solve of [M_x | L] w = (1, 0) over Z."""

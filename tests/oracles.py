@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's interval/cyclotomic code paths:
 rational-arithmetic Bessel series, mpmath high-precision reference values,
-and a direct floating summation of the truncated Poincare coefficient sum.
+a direct floating summation of the truncated Poincare coefficient sum, an
+exhaustive search for the fundamental unit, and Kloosterman membership by
+fractional-ideal arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
+from hilbertpoincare.ideals import (FractionalIdeal, different_ideal,
+                                    element_ideal)
 from hilbertpoincare.kloosterman import KloostermanQuery
 from hilbertpoincare.poincare import CoefficientEvaluator, chi_mu
 from hilbertpoincare.residues import residue_ring
@@ -136,3 +140,38 @@ def poincare_truncated_oracle(params, nu, mu, X, M, prec_bits: int = 200):
         return chi_mu(nu, mu) + pref * total
     finally:
         mp.prec = old
+
+
+# -- fundamental unit: exhaustive search on the omega-coefficient -------------
+
+def pell_search_fundamental_unit(d: int):
+    """(a, b, norm) of the smallest unit a + b*omega > 1 of Q(sqrt d).
+
+    For each b >= 1 the two unit norms force a^2 (resp. s^2 = (2a + b)^2)
+    to one of two integers; the first b admitting a solution gives the
+    fundamental unit, taking the smaller root when both norms admit one.
+    """
+    for b in range(1, 10**6):
+        n = d * b * b
+        if d % 4 != 1:
+            for s2, nrm in ((n - 1, -1), (n + 1, 1)):
+                if math.isqrt(s2) ** 2 == s2:
+                    return math.isqrt(s2), b, nrm
+        else:
+            for s2, nrm in ((n - 4, -1), (n + 4, 1)):
+                s = math.isqrt(s2)
+                if s * s == s2 and (s - b) % 2 == 0:
+                    return (s - b) // 2, b, nrm
+    raise AssertionError(f"no unit with b < 10^6 for d = {d}")
+
+
+# -- Kloosterman membership by fractional ideals ------------------------------
+
+def in_kloosterman_domain(field, t, modulus, c) -> bool:
+    """Is t in c*(m d)^{-1}?  Decided with fractional-ideal products and an
+    inverse rather than traces."""
+    if t.is_zero():
+        return True
+    dom = element_ideal(c) / (FractionalIdeal(modulus)
+                              * FractionalIdeal(different_ideal(field)))
+    return dom.contains(t)

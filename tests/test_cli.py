@@ -75,6 +75,28 @@ def test_certify_cli_and_exit_codes(tmp_path):
     assert json.loads(r3.output)["verdict"] == "INCONCLUSIVE"
 
 
+def test_certify_budget_widens_enclosure():
+    # rings over the residue budget take the trivial bound |S| <= N(m)
+    r = CliRunner().invoke(main, ["certify", "--d", "5", "--k", "6", "--mu", "1",
+                                  "--residue-budget", "10", "--max-x", "200",
+                                  "--max-m", "4"])
+    assert r.exit_code == 3
+    assert json.loads(r.output)["verdict"] == "INCONCLUSIVE"
+
+
+def test_package_errors_exit_2_without_traceback():
+    from hilbertpoincare import kloosterman as kl
+    kl._EXACT_CACHE.clear()   # a remembered value needs no ring at all
+    for args in (["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "0",
+                  "--c", "2", "--residue-budget", "2"],
+                 ["weil-audit", "--d", "5", "--samples", "20",
+                  "--residue-budget", "5"]):
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2, (args, r.output)
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output and "budget" in r.output
+
+
 def test_thresholds_cli():
     r = run(["thresholds", "--d", "5", "--k", "8", "--level", "1",
              "--eta", "1/2"])

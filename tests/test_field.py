@@ -4,9 +4,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hilbertpoincare.arith import is_squarefree
 from hilbertpoincare.errors import NotSquarefree, ZeroElement
-from hilbertpoincare.field import make_field, sqrt_cf_fundamental_solution
+from hilbertpoincare.field import make_field
 from hilbertpoincare.intervals import contains, hi, lo
+
+from oracles import pell_search_fundamental_unit
 
 
 def test_make_field_d5(F5):
@@ -129,11 +132,24 @@ def test_delta_presence(F5, F2, F3):
 
 
 def test_cf_oracle_matches_pell():
-    for d in (2, 3, 6, 7, 10, 11, 14, 19, 22, 23, 31, 46):
-        x, y, n = sqrt_cf_fundamental_solution(d)
+    # every squarefree d <= 100, both residue classes mod 4
+    for d in range(2, 101):
+        if not is_squarefree(d):
+            continue
+        a, b, n = pell_search_fundamental_unit(d)
         F = make_field(d)
-        assert F.fundamental_unit.coords() == (x, y, 1)
-        assert F.fu_norm == n
+        assert F.fundamental_unit.coords() == (a, b, 1), d
+        assert F.fu_norm == n, d
+
+
+def test_make_field_all_squarefree_upto_10k():
+    for d in range(2, 10**4 + 1):
+        if not is_squarefree(d):
+            continue
+        F = make_field(d)
+        eps = F.fundamental_unit
+        assert eps.is_integral() and eps.norm() == F.fu_norm in (1, -1), d
+        assert eps.sign_at(1) > 0 and (eps - F.one()).sign_at(1) > 0, d
 
 
 @settings(max_examples=60, deadline=None)

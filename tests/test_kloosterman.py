@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hilbertpoincare.errors import MembershipViolated, PreconditionViolated
+from hilbertpoincare.field import make_field
 from hilbertpoincare.ideals import (FractionalIdeal, different_ideal,
                                     element_ideal, ideal_product,
                                     ideals_of_norm, is_principal,
@@ -16,6 +18,8 @@ from hilbertpoincare.kloosterman import (KloostermanQuery, cor43_check,
                                          selberg_check, unit_twist_check,
                                          weil_bound)
 
+from oracles import in_kloosterman_domain
+
 
 def test_membership_check(F5):
     two = principal_ideal(F5.from_int(2))
@@ -24,6 +28,44 @@ def test_membership_check(F5):
     with pytest.raises(MembershipViolated):
         KloostermanQuery(F5, F5.one() / (F5.delta * F5.from_int(2)),
                          F5.zero(), two, F5.from_int(2))
+
+
+def test_membership_matches_ideal_oracle():
+    """Trace integrality on the HNF basis of m agrees with the
+    fractional-ideal test of nu, mu in c*(m d)^{-1}; for members every slope
+    denominator divides m.a, which bounds the cyclotomic order by N(m)."""
+    rng = random.Random(41)
+    members = outsiders = 0
+    for d in (2, 3, 5, 6, 7, 13, 17, 21, 29):
+        F = make_field(d)
+        done = 0
+        while done < 200:
+            opts = ideals_of_norm(F, rng.randint(1, 40))
+            if not opts:
+                continue
+            mod = rng.choice(opts)
+            c = F.elt(rng.randint(-5, 5), rng.randint(-5, 5))
+            if c.is_zero():
+                continue
+            dens = (1, 2, mod.a, F.D, mod.norm() * F.D)
+            nu, mu = (F.elt(rng.randint(-9, 9), rng.randint(-9, 9), rng.choice(dens))
+                      for _ in range(2))
+            if rng.random() < 0.5:
+                mu = F.zero()
+            expected = (in_kloosterman_domain(F, nu, mod, c)
+                        and in_kloosterman_domain(F, mu, mod, c))
+            try:
+                q = KloostermanQuery(F, nu, mu, mod, c)
+            except MembershipViolated:
+                assert not expected, (d, nu, mu, mod, c)
+                outsiders += 1
+            else:
+                assert expected, (d, nu, mu, mod, c)
+                assert mod.a % math.lcm(*(t.denominator for t in q.slopes)) == 0
+                assert all(0 <= t < 1 for t in q.trace_data())
+                members += 1
+            done += 1
+    assert members >= 150 and outsiders >= 150, (members, outsiders)
 
 
 def test_exact_examples(F5):

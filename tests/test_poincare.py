@@ -150,6 +150,25 @@ def test_certify_degenerate_budget(F5):
     assert zero_cert.verdict == "INCONCLUSIVE"
 
 
+def test_over_budget_terms_take_trivial_bound(F5):
+    # a ring over the residue budget gives its term |S| <= N(m) instead of
+    # an error; each such term must still contain the exactly summed one
+    from hilbertpoincare import kloosterman as kl
+    kl._EXACT_CACHE.clear()   # a remembered value needs no ring at all
+    params = PoincareParams(F5, 8)
+    full = CoefficientEvaluator(params, F5.one(), F5.one())
+    capped = CoefficientEvaluator(params, F5.one(), F5.one(), enum_budget=10)
+    widened = 0
+    for cls in full.classes_upto(150):
+        for j in (-1, 0, 1):
+            b = capped.term(cls, j)
+            a = full.term(cls, j)
+            assert lo(b) <= lo(a) and hi(a) <= hi(b)
+            widened += cls[3].norm() > 10 and hi(b) - lo(b) > hi(a) - lo(a)
+    assert widened > 0
+    assert capped.evaluate(150, 1).tail == full.evaluate(150, 1).tail
+
+
 def test_effective_constants(F5):
     led = effective_constants(F5, Fraction(1, 2))
     # C1 = A^2 = (3+sqrt5)/2
