@@ -2,9 +2,12 @@
 
 J_n(x) = sum_{m>=0} (-1)^m (x/2)^(n+2m) / (m! (n+m)!).  Once the term ratio
 (x/2)^2/((m+1)(n+m+1)) drops below 1 the remaining tail is dominated by a
-geometric series, giving an explicit remainder bound.  Working precision is
-raised with the argument to absorb the cancellation of the alternating sum
-(largest term is about e^x while the value is at most 1).
+geometric series, giving an explicit remainder bound.  The series is summed
+in integer fixed point at scale 2^wp, with a lower and an upper bound for
+every term, each rounded in its own direction (F. Johansson, "Computing
+hypergeometric functions rigorously", ACM TOMS 45(3), 2019).  wp grows with
+the argument to absorb the cancellation of the alternating sum (largest term
+is about e^x while the value is at most 1).
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import iv
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from .intervals import hi, iv_pow_frac, lo, prec_guard
 
@@ -29,55 +32,66 @@ class BesselEval:
     exact_enough: bool  # False when the precision ladder gave up
 
 
-def _clip_unit(x):
-    a, b = lo(x), hi(x)
-    return iv.mpf([max(a, -1), min(b, 1)])
+def _floor_ceil(num: int, shift: int, den: int):
+    """Floor and ceiling of num * 2^shift / den for num >= 0, den > 0."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return num // den, -(-num // den)
 
 
 def besselj_eval(order: int, x, precision: int = 64) -> BesselEval:
     """Enclosure of J_order over the nonnegative interval x.
 
-    The alternating series is summed at a single point of the argument
+    The alternating series is summed at the left endpoint a of the argument
     interval (its largest term, about e^x, would otherwise amplify the
     argument's width); the rest of the interval is covered by the derivative
-    bound |J_n'| <= 1, adding +- width(x).
+    bound |J_n'| <= 1, adding +- width(x).  Terms are integers at scale 2^wp
+    with lo_t <= 2^wp |t_m| <= hi_t, each step rounded in its own direction,
+    so the partial sum lies in [s_lo, s_hi] exactly.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if lo(x) < 0:
         x = iv.mpf([0, max(hi(x), 0)])
-    xhi = float(hi(x))
-    if xhi == 0.0 and lo(x) == 0:
+    if hi(x) == 0:
         return BesselEval(order, x, iv.mpf(0), True)
+    xhi = float(hi(x))
     if xhi > ARG_CAP:
         return BesselEval(order, x, iv.mpf([-1, 1]), False)
     wp = precision + int(1.5 * xhi) + 48
-    with prec_guard(wp):
-        xw = hi(x) - lo(x)   # exact, nonnegative
-        xi = iv.mpf([lo(x), lo(x)])
-        half = xi / 2
-        half2 = half * half
-        # t0 = (x/2)^order / order!
-        t = half ** order / iv.mpf(math.factorial(order))
-        s = t
-        m = 0
-        tol = mpmath.mpf(2) ** (-(precision + 8))
-        max_iter = int(2 * xhi) + 4 * order + 240
-        while True:
-            m += 1
-            t = -t * half2 / iv.mpf(m * (order + m))
-            s = s + t
-            ratio_hi = 1.0000001 * (xhi / 2) ** 2 / ((m + 1) * (order + m + 1))
-            if ratio_hi < 1:
-                # rem: rounded up at every step so the tail bound is safe
-                rem = mpmath.fdiv(
-                    mpmath.fmul(max(abs(lo(t)), abs(hi(t))), ratio_hi,
-                                rounding="u"),
-                    1 - ratio_hi, rounding="u")
-                if rem < tol or m > max_iter:
-                    pad = mpmath.fadd(rem, xw, rounding="u")
-                    s = s + iv.mpf([-pad, pad])  # series tail + width * |J'|<=1
-                    return BesselEval(order, x, _clip_unit(s), rem < tol)
+    (_, man, e, _), (_, man_hi, e_hi, _) = x._mpi_   # a = man * 2^e >= 0
+    # h = 2^wp (a/2)^2 (exact when wp >= 2 - 2e); t_0 = (a/2)^order / order!
+    h_lo, h_hi = _floor_ceil(man * man, 2 * e - 2 + wp, 1)
+    lo_t, hi_t = _floor_ceil(man ** order, order * (e - 1) + wp,
+                             math.factorial(order))
+    s_lo, s_hi = lo_t, hi_t
+    m = 0
+    tol = 1 << (wp - precision - 8)   # 2^-(precision+8) at scale 2^wp
+    max_iter = int(2 * xhi) + 4 * order + 240
+    while True:
+        m += 1
+        d = m * (order + m)
+        lo_t = ((lo_t * h_lo) >> wp) // d
+        hi_t = -(((-hi_t * h_hi) >> wp) // d)
+        if m & 1:
+            s_lo, s_hi = s_lo - hi_t, s_hi - lo_t
+        else:
+            s_lo, s_hi = s_lo + lo_t, s_hi + hi_t
+        ratio_hi = 1.0000001 * (xhi / 2) ** 2 / ((m + 1) * (order + m + 1))
+        if ratio_hi < 1:
+            # tail <= |t_m| r / (1 - r), rounded up exactly for r = p/q
+            p, q = ratio_hi.as_integer_ratio()
+            rem = -(-hi_t * p // (q - p))
+            if rem < tol or m > max_iter:
+                # series tail + width * |J'| <= 1, then clipped to [-1, 1]
+                pad = (rem + _floor_ceil(man_hi, e_hi + wp, 1)[1]
+                       - _floor_ceil(man, e + wp, 1)[0])
+                one = 1 << wp
+                ends = (from_man_exp(max(s_lo - pad, -one), -wp, wp, round_floor),
+                        from_man_exp(min(s_hi + pad, one), -wp, wp, round_ceiling))
+                return BesselEval(order, x, iv.make_mpf(ends), rem < tol)
 
 
 def besselJ(order: int, x, precision: int = 64):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicInteger
-from .errors import MembershipViolated, NonPrincipalDivisor, PreconditionViolated
+from .errors import (BudgetExceeded, MembershipViolated, NonPrincipalDivisor,
+                     PreconditionViolated)
 from .field import Elt
 from .ideals import (IdealHNF, divisors, factor_ideal, ideal_from_generators,
                      is_principal, N_nu_mu, pr_count, principal_ideal,
@@ -76,9 +77,16 @@ _EXACT_CACHE_MAX = 200_000
 def kloosterman_exact(q: KloostermanQuery,
                       enum_budget: int = DEFAULT_ENUM_BUDGET,
                       store=None) -> CyclotomicInteger:
-    """Exact value in Z[zeta_M].  For the unit modulus the value is 1."""
-    if q.modulus.norm() == 1:
+    """Exact value in Z[zeta_M].  For the unit modulus the value is 1.
+
+    The residue budget is checked before any lookup, so whether a sum is
+    refused does not depend on what was computed or stored earlier.
+    """
+    n = q.modulus.norm()
+    if n == 1:
         return CyclotomicInteger.one()
+    if n > enum_budget:
+        raise BudgetExceeded(f"residue ring of norm {n}", enum_budget)
     key = q.cache_key()
     hit = _EXACT_CACHE.get(key)
     if hit is not None:

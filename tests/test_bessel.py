@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import iv, mp
+from mpmath.libmp import to_rational
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbertpoincare.bessel import besselJ, besselj_eval, envelope_hi, nj_product
@@ -60,7 +62,9 @@ def test_nj_examples():
     assert lo(z) == 0 and hi(z) == 0
     s = besselJ(7, iv.mpf(2.2), 64)
     both = nj_product(8, iv.mpf(2.2), iv.mpf(2.2), 64)
-    assert lo(both) <= hi(s) * hi(s) and hi(both) >= lo(s) * lo(s)
+    sq_hi = mpmath.fmul(hi(s), hi(s), exact=True)
+    sq_lo = mpmath.fmul(lo(s), lo(s), exact=True)
+    assert lo(both) <= sq_hi and hi(both) >= sq_lo
 
 
 def test_oracle_containment_sample():
@@ -104,3 +108,56 @@ def test_oracle_containment_property(order, x):
     res = besselj_eval(order, iv.mpf(x), 64)
     truth = mpmath.besselj(order, mpmath.mpf(x))
     assert lo(res.value) <= truth <= hi(res.value)
+
+
+# -- the fixed-point kernel over the whole evaluated range ----------------------
+
+def _exact(v) -> Fraction:
+    return Fraction(*to_rational(v._mpf_))
+
+
+def _encloses(value, order, x, precision: int) -> bool:
+    """Does the enclosure contain J_order(x) for the dyadic x (float or mpf)?
+
+    The exact rational series decides up to x = 1000, where it still takes
+    well under a second; 320-bit mpmath decides beyond that.
+    """
+    if x <= 1000:
+        a, b = besselj_rational(order, _exact(mpmath.mpf(x)),
+                                tol=Fraction(1, 2 ** (precision + 40)))
+        return _exact(lo(value)) <= a and b <= _exact(hi(value))
+    with mpmath.workprec(320):
+        return lo(value) <= mpmath.besselj(order, mpmath.mpf(x)) <= hi(value)
+
+
+@pytest.mark.parametrize("order", (3, 5, 7, 9, 11))
+def test_fixed_point_points_up_to_eval_cap(order):
+    # up to BESSEL_ARG_EVAL_CAP = 2500, the largest argument poincare evaluates
+    for x in (1e-3, 0.7, 13.25, 97.5, 480.125, 1000.0, 1700.5, 2500.0):
+        res = besselj_eval(order, iv.mpf(x), 96)
+        assert res.exact_enough, x
+        assert _exact(hi(res.value)) - _exact(lo(res.value)) <= Fraction(1, 2 ** 96), x
+        assert _encloses(res.value, order, x, 96), x
+
+
+def test_fixed_point_interval_arguments():
+    # (argument interval, points of it whose value the enclosure must hold)
+    tiny = mpmath.ldexp(1, -1100)   # below the smallest double
+    cases = (((0.0, 0.0), (0.0,)),
+             ((0.0, tiny), (0.0, tiny)),
+             ((-0.5, 0.75), (0.0, 0.375, 0.75)),
+             ((2.5, 2.75), (2.5, 2.625, 2.75)),
+             ((611.0, 611.0078125), (611.0, 611.00390625, 611.0078125)),
+             ((1999.5, 2000.0), (1999.5, 2000.0)))
+    for order in (3, 7, 11):
+        for (a, b), points in cases:
+            value = besselj_eval(order, iv.mpf([a, b]), 96).value
+            for t in points:
+                assert _encloses(value, order, t, 96), (order, a, b, t)
+
+
+def test_eval_leaves_mpmath_precision_unchanged():
+    mp.prec, iv.prec = 77, 61
+    for x in (0, 1e-3, 13.25, [2.5, 2.75], 2500.0, 50000.0):
+        besselj_eval(7, iv.mpf(x), 96)
+        assert (mp.prec, iv.prec) == (77, 61), x

@@ -85,8 +85,6 @@ def test_certify_budget_widens_enclosure():
 
 
 def test_package_errors_exit_2_without_traceback():
-    from hilbertpoincare import kloosterman as kl
-    kl._EXACT_CACHE.clear()   # a remembered value needs no ring at all
     for args in (["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "0",
                   "--c", "2", "--residue-budget", "2"],
                  ["weil-audit", "--d", "5", "--samples", "20",
@@ -95,6 +93,15 @@ def test_package_errors_exit_2_without_traceback():
         assert r.exit_code == 2, (args, r.output)
         assert isinstance(r.exception, SystemExit)
         assert "Traceback" not in r.output and "budget" in r.output
+
+
+def test_residue_budget_ignores_history():
+    # a value remembered from a default-budget call must not bypass the budget
+    capped = ["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "0",
+              "--c", "2", "--residue-budget", "2"]
+    assert CliRunner().invoke(main, capped).exit_code == 2
+    assert CliRunner().invoke(main, capped[:-2]).exit_code == 0
+    assert CliRunner().invoke(main, capped).exit_code == 2
 
 
 def test_thresholds_cli():

@@ -42,13 +42,14 @@ def test_trace_norm_examples(F5, F2):
 
 
 def test_embeddings(F5, F2):
-    e1, e2 = F5.elt(0, 1).embeddings(64)
-    golden = (1 + mpmath.sqrt(5)) / 2
-    assert contains(e1, golden) and contains(e2, 1 - golden)
-    e1, e2 = F5.elt(2, 1).embeddings(64)
-    assert contains(e1, golden + 2) and contains(e2, 3 - golden)
-    e1, e2 = F2.elt(1, 1).embeddings(64)
-    assert contains(e1, 1 + mpmath.sqrt(2)) and contains(e2, 1 - mpmath.sqrt(2))
+    a1, a2 = F5.elt(0, 1).embeddings(64)
+    b1, b2 = F5.elt(2, 1).embeddings(64)
+    c1, c2 = F2.elt(1, 1).embeddings(64)
+    with mpmath.workprec(200):   # references well beyond the 64-bit enclosures
+        golden = (1 + mpmath.sqrt(5)) / 2
+        assert contains(a1, golden) and contains(a2, 1 - golden)
+        assert contains(b1, golden + 2) and contains(b2, 3 - golden)
+        assert contains(c1, 1 + mpmath.sqrt(2)) and contains(c2, 1 - mpmath.sqrt(2))
 
 
 def test_embedding_width_shrinks(F5):
@@ -98,11 +99,12 @@ def test_balanced_invariants(F5):
         _, m2 = F5.balanced_representative(y)
         assert m2 == 0
         # |sigma_i(y)| within [sqrt|N|/A, sqrt|N| A] (checked with outward slack)
-        nsq = mpmath.sqrt(abs(mpmath.mpf(x.norm().numerator)))
         for emb in (1, 2):
             val = y.abs_embedding(emb, 96)
-            assert lo(val) <= nsq * hi(A) * (1 + mpmath.mpf("1e-20"))
-            assert hi(val) >= nsq / hi(A) * (1 - mpmath.mpf("1e-20"))
+            with mpmath.workprec(200):
+                nsq = mpmath.sqrt(abs(mpmath.mpf(x.norm().numerator)))
+                assert lo(val) <= nsq * hi(A) * (1 + mpmath.mpf("1e-20"))
+                assert hi(val) >= nsq / hi(A) * (1 - mpmath.mpf("1e-20"))
 
 
 def test_unit_reps(F5, F2, F3):
