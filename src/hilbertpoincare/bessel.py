@@ -21,7 +21,9 @@ from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from .intervals import hi, iv_pow_frac, lo, prec_guard
 
-ARG_CAP = 20000.0  # beyond this the series is not attempted; [-1,1] is returned
+# Beyond this the series is not attempted and [-1, 1] is returned: a huge
+# argument pairs with a negligible partner factor in a coefficient term.
+ARG_CAP = 2500.0
 
 
 @dataclass

@@ -59,17 +59,13 @@ class KloostermanStore:
         return self._mem.get(_key_str(key))
 
     def put(self, key, val: CyclotomicInteger):
-        # raw (unreduced) coefficients: a cache hit must reproduce fresh
-        # computation bit for bit, including interval renderings
         ks = _key_str(key)
         with self._lock:
             if ks in self._mem:
                 return
             self._mem[ks] = val
             os.makedirs(self.directory, exist_ok=True)
-            raw = {"order": val.order,
-                   "coeffs": {str(i): str(v) for i, v in enumerate(val.coeffs) if v}}
-            line = json.dumps({"v": SCHEMA_VERSION, "key": ks, "val": raw},
+            line = json.dumps({"v": SCHEMA_VERSION, "key": ks, "val": val.to_json()},
                               separators=(",", ":"))
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import click
 import mpmath
+from mpmath import iv
 
 from . import __version__
 from .cache import KloostermanStore
@@ -34,7 +35,7 @@ from .field import make_field
 from .hecke import CoeffFunction, HeckeContext, check_multiplicativity, hecke_action, pairing
 from .ideals import (FractionalIdeal, IdealHNF, dedekind_a, ideal_sum,
                      ideals_of_norm, is_principal, principal_ideal, unit_ideal)
-from .intervals import hi, iv_str, lo, mpf_str
+from .intervals import hi, iv_str, lo, mpf_str, prec_guard
 from .kloosterman import (KloostermanQuery, kloosterman_exact,
                           kloosterman_float, selberg_check, weil_bound)
 from .poincare import (CertifyBudget, PoincareParams, certify_nonvanishing,
@@ -280,10 +281,9 @@ def cmd_weil_audit(d, samples, seed, **kw):
         nu, mu = rand_in_dom(), rand_in_dom()
         q = KloostermanQuery(F, nu, mu, mod, c_e)
         re_iv, im_iv = kloosterman_float(q, st.precision, st.residue_budget)
-        sup2 = max(abs(lo(re_iv)), abs(hi(re_iv))) ** 2 + \
-            max(abs(lo(im_iv)), abs(hi(im_iv))) ** 2
-        bound_lo = lo(weil_bound(q).interval(st.precision))
-        ratio = mpmath.sqrt(sup2) / bound_lo
+        with prec_guard(st.precision):   # an upper bound on |S| / weil_bound
+            ratio = hi(iv.sqrt(re_iv ** 2 + im_iv ** 2)
+                       / weil_bound(q).interval(st.precision))
         if ratio > max_ratio:
             max_ratio = ratio
         if ratio > 1:

@@ -4,6 +4,12 @@ Addition and multiplication act coefficientwise / by cyclic convolution with
 no basis choice; only the zero test reduces modulo the M-th cyclotomic
 polynomial.  Values of different orders are compared after lifting to the lcm
 order.
+
+A value becomes an interval in one way: its coefficients are summed in
+integers against a fixed-point table of outward-rounded 2^precision *
+cos(2 pi j / M) (and sin for the imaginary part), one table per order,
+precision and function, so an enclosure costs integer additions and one
+conversion.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv
+from mpmath.libmp import round_ceiling, round_floor, to_int
 
 from .intervals import prec_guard
 
@@ -173,27 +180,21 @@ class CyclotomicInteger:
 
     # -- numerics ---------------------------------------------------------------
     def complex_interval(self, precision: int = 64):
-        """(re, im) interval enclosure of the complex value."""
-        with prec_guard(precision):
-            re = iv.mpf(0)
-            im = iv.mpf(0)
-            M = self.order
-            two_pi = 2 * iv.pi
-            for j, v in enumerate(self.coeffs):
-                if v:
-                    ang = two_pi * iv.mpf(j) / iv.mpf(M)
-                    re += v * iv.cos(ang)
-                    im += v * iv.sin(ang)
-            return re, im
+        """(re, im) interval enclosure of the complex value, from the
+        fixed-point cosine and sine tables of the order."""
+        return self._table_sum(precision, False), self._table_sum(precision, True)
 
     def real_interval(self, precision: int = 64):
-        """Enclosure of the real part, via a fixed-point cosine table.
+        """Enclosure of the real part, from the fixed-point cosine table."""
+        return self._table_sum(precision, False)
 
-        The table holds outward-rounded integer scalings of cos(2 pi j / M),
-        so the accumulation is pure integer arithmetic; this is the hot path
-        for coefficient sums.
+    def _table_sum(self, precision: int, sine: bool):
+        """Enclosure of sum_j v_j cos(2 pi j / M), or sin when `sine`.
+
+        The table holds outward-rounded integer scalings of the trig values,
+        so the accumulation is exact integer arithmetic.
         """
-        lo_t, hi_t = _cos_table_fixed(self.order, precision)
+        lo_t, hi_t = _cos_table_fixed(self.order, precision, sine)
         acc_lo = acc_hi = 0
         for j, v in enumerate(self.coeffs):
             if v > 0:
@@ -207,9 +208,10 @@ class CyclotomicInteger:
             return iv.mpf([acc_lo, acc_hi]) * scale
 
     def to_json(self):
-        red = self.reduced()
+        # raw (unreduced) coefficients: a stored value must reproduce fresh
+        # computation bit for bit, including interval renderings
         return {"order": self.order,
-                "coeffs": {str(i): str(v) for i, v in enumerate(red) if v}}
+                "coeffs": {str(i): str(v) for i, v in enumerate(self.coeffs) if v}}
 
     @classmethod
     def from_json(cls, d):
@@ -220,40 +222,26 @@ class CyclotomicInteger:
         return cls(order, c)
 
 
-def _dyadic_floor(raw) -> int:
-    """Exact floor of a raw mpf (sign, man, exp, bc) tuple."""
-    sign, man, exp, _bc = raw
-    if man == 0:
-        return 0
-    if exp >= 0:
-        v = man << exp
-        return -v if sign else v
-    if not sign:
-        return man >> (-exp)
-    return -((man + (1 << (-exp)) - 1) >> (-exp))
-
-
-def _dyadic_ceil(raw) -> int:
-    sign, man, exp, _bc = raw
-    return -_dyadic_floor((1 - sign if man else 0, man, exp, _bc))
-
-
 @lru_cache(maxsize=512)
-def _cos_table_fixed(M: int, precision: int):
-    """Integer bounds 2^precision * cos(2 pi j / M), rounded outward.
+def _cos_table_fixed(M: int, precision: int, sine: bool):
+    """Integer bounds 2^precision * cos(2 pi j / M), or sin when `sine`,
+    rounded outward.
 
-    Endpoint extraction works on the raw mantissa/exponent pairs; going
-    through an mpf would round at the ambient context precision.
+    Only j <= M/2 is evaluated; entry M - j is the exact mirror of entry j
+    (the same bounds for cos, negated and swapped for sin).  Endpoints are
+    read from the raw mantissa/exponent pairs; going through an mpf would
+    round at the ambient context precision.
     """
+    fn = iv.sin if sine else iv.cos
+    los, his = [0] * M, [0] * M
     with prec_guard(precision + 32):
         two_pi = 2 * iv.pi
         scale = iv.mpf(2) ** precision
-        los, his = [], []
-        for j in range(M):
-            c = iv.cos(two_pi * iv.mpf(j) / iv.mpf(M)) * scale
-            a, b = c._mpi_
-            los.append(_dyadic_floor(a))
-            his.append(_dyadic_ceil(b))
+        for j in range(M // 2 + 1):
+            a, b = (fn(two_pi * iv.mpf(j) / iv.mpf(M)) * scale)._mpi_
+            los[j], his[j] = to_int(a, round_floor), to_int(b, round_ceiling)
+    for j in range(1, M - M // 2):
+        los[M - j], his[M - j] = (-his[j], -los[j]) if sine else (los[j], his[j])
     return tuple(los), tuple(his)
 
 

@@ -355,7 +355,7 @@ class RealQuadraticField:
         """-1/0/+1 comparison of balance quality for exponents m1, m2 (exact).
 
         Quality(m) = max(q, 1/q) with q = sigma1(y_m)^2 / |N(x)|; the max and
-        the cross comparисson reduce to exact embedding sign tests.
+        the cross comparison reduce to exact embedding sign tests.
         """
         nx = abs(x.norm())
         a1 = self._balance_quality_parts(x, m1)

@@ -39,7 +39,6 @@ from .residues import DEFAULT_ENUM_BUDGET
 
 DEFAULT_ETA = Fraction(1, 2)
 ZETA_PARTIAL_TERMS = 10**5
-BESSEL_ARG_EVAL_CAP = 2500.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +216,9 @@ class CoefficientEvaluator:
         self._classes: list = []           # [(t, m=N_o*t, c_elt, modulus)]
         self._classes_upto = 0
         self._terms: dict = {}             # (ideal_key, j) -> interval
+        self._abs_c: dict = {}             # ideal_key -> (|s1(c)|, |s2(c)|)
+        with prec_guard(precision):
+            self._four_pi = 4 * iv.pi
         self._prefactor = None
 
     # -- enumeration ---------------------------------------------------------
@@ -272,16 +274,15 @@ class CoefficientEvaluator:
                 s_re = iv.mpf([-n, n])
             z = self.nu * eps * self.mu
             e1, e2 = z.embeddings(self.precision)
-            c1, c2 = c_elt.embeddings(self.precision)
-            four_pi = 4 * iv.pi
-            x1 = four_pi * iv.sqrt(e1) / abs(c1)
-            x2 = four_pi * iv.sqrt(e2) / abs(c2)
-            # huge arguments pair with a negligible partner factor; |J| <= 1
-            # keeps the term sound without an expensive series run
-            js = [iv.mpf([-1, 1]) if float(hi(x)) > BESSEL_ARG_EVAL_CAP
-                  else besselJ(self.k - 1, x, self.precision)
-                  for x in (x1, x2)]
-            val = s_re * js[0] * js[1] / iv_from_fraction(Fraction(m))
+            abs_c = self._abs_c.get(key[0])
+            if abs_c is None:
+                c1, c2 = c_elt.embeddings(self.precision)
+                abs_c = self._abs_c[key[0]] = (abs(c1), abs(c2))
+            x1 = self._four_pi * iv.sqrt(e1) / abs_c[0]
+            x2 = self._four_pi * iv.sqrt(e2) / abs_c[1]
+            val = (s_re * besselJ(self.k - 1, x1, self.precision)
+                   * besselJ(self.k - 1, x2, self.precision)
+                   / iv_from_fraction(Fraction(m)))
         self._terms[key] = val
         return val
 

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import iv, mp
 
 from hilbertpoincare.ideals import (FractionalIdeal, different_ideal,
                                     element_ideal)
@@ -175,3 +175,29 @@ def in_kloosterman_domain(field, t, modulus, c) -> bool:
     dom = element_ideal(c) / (FractionalIdeal(modulus)
                               * FractionalIdeal(different_ideal(field)))
     return dom.contains(t)
+
+
+# -- fixed-point trig tables: one iv.cos per entry ------------------------------
+
+def _raw_fraction(raw) -> Fraction:
+    sign, man, exp, _bc = raw
+    v = man * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def cos_table_direct(M: int, precision: int):
+    """(floors, ceilings) of 2^precision * cos(2 pi j / M) for every j < M,
+    each entry from its own iv.cos at precision + 32 bits."""
+    old = iv.prec
+    iv.prec = max(old, precision + 32)
+    try:
+        two_pi = 2 * iv.pi
+        scale = iv.mpf(2) ** precision
+        los, his = [], []
+        for j in range(M):
+            a, b = (iv.cos(two_pi * iv.mpf(j) / iv.mpf(M)) * scale)._mpi_
+            los.append(math.floor(_raw_fraction(a)))
+            his.append(math.ceil(_raw_fraction(b)))
+    finally:
+        iv.prec = old
+    return tuple(los), tuple(his)

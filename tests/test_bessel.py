@@ -132,7 +132,7 @@ def _encloses(value, order, x, precision: int) -> bool:
 
 @pytest.mark.parametrize("order", (3, 5, 7, 9, 11))
 def test_fixed_point_points_up_to_eval_cap(order):
-    # up to BESSEL_ARG_EVAL_CAP = 2500, the largest argument poincare evaluates
+    # up to ARG_CAP = 2500, the largest argument the series is summed at
     for x in (1e-3, 0.7, 13.25, 97.5, 480.125, 1000.0, 1700.5, 2500.0):
         res = besselj_eval(order, iv.mpf(x), 96)
         assert res.exact_enough, x

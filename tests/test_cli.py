@@ -156,6 +156,37 @@ def test_cache_corrupt_lines_tolerated(tmp_path):
     assert store.corrupt_lines == 2 and len(store) >= 1
 
 
+# v1 store lines hold raw (unreduced) coefficients; the first is
+# S(1/delta, 1/delta; 4 + omega) over Q(sqrt5)
+STORE_LINE_19 = ('{"v":"v1","key":"[5,[5,19,4,1],[5,19],[18,19],[5,19],[18,19]]",'
+                 '"val":{"order":19,"coeffs":{"3":"2","4":"2","5":"2","7":"2","9":"1",'
+                 '"10":"1","12":"2","14":"2","15":"2","16":"2"}}}')
+STORE_LINE_2 = ('{"v":"v1","key":"[5,[5,2,0,2],[1,2],[0,1],[0,1],[0,1]]",'
+                '"val":{"order":2,"coeffs":{"0":"1","1":"2"}}}')
+
+
+def test_store_lines_keep_their_format(tmp_path):
+    cache = str(tmp_path / "cache")
+    args = ["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "1/delta",
+            "--c", "(4,1)", "--cache-dir", cache]
+    fresh = run(args)
+    assert fresh.exit_code == 0
+    path = os.path.join(cache, "kloosterman-v1.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == STORE_LINE_19 + "\n"
+    old = str(tmp_path / "old")
+    os.makedirs(old)
+    with open(os.path.join(old, "kloosterman-v1.jsonl"), "w", encoding="utf-8") as fh:
+        fh.write(STORE_LINE_19 + "\n" + STORE_LINE_2 + "\n")
+    from hilbertpoincare.cache import KloostermanStore
+    store = KloostermanStore(old)
+    assert store.corrupt_lines == 0 and len(store) == 2
+    # the order-2 value is stored unreduced: 1 + 2*(-1) = -1
+    assert [v.coeffs for v in store._mem.values()] == [
+        [0, 0, 0, 2, 2, 2, 0, 2, 0, 1, 1, 0, 2, 0, 2, 2, 2, 0, 0], [1, 2]]
+    assert run(args[:-1] + [old]).output == fresh.output
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"precision": 80, "format": "json"}))

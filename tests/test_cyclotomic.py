@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 
-from hilbertpoincare.cyclotomic import (CyclotomicInteger, additive_character,
-                                        cyclotomic_poly)
+from hilbertpoincare.cyclotomic import (CyclotomicInteger, _cos_table_fixed,
+                                        additive_character, cyclotomic_poly)
 from hilbertpoincare.intervals import contains, lo, hi
+
+from oracles import cos_table_direct
 
 
 def zeta(m, t=1):
@@ -70,6 +74,38 @@ def test_real_interval_negative_coeffs():
         truth = (-3 * mpmath.cos(2 * mpmath.pi * 2 / 9)
                  + 11 * mpmath.cos(2 * mpmath.pi * 5 / 9))
         assert contains(r, truth)
+
+
+@pytest.mark.parametrize("precision", (64, 96))
+def test_complex_interval_contains_direct_sum(precision):
+    # 419 and 3839: odd orders whose tables are mostly mirrored entries
+    rng = random.Random(precision)
+    for M in list(range(1, 65)) + [419, 3839]:
+        x = CyclotomicInteger(M, [rng.randint(-9, 9) for _ in range(M)])
+        re, im = x.complex_interval(precision)
+        with mpmath.workprec(200):
+            truth = mpmath.fsum(v * mpmath.expjpi(mpmath.mpf(2 * j) / M)
+                                for j, v in enumerate(x.coeffs))
+            assert contains(re, truth.real) and contains(im, truth.imag), M
+        bound = (sum(abs(v) for v in x.coeffs) + 1) * mpmath.mpf(2) ** (4 - precision)
+        assert hi(re) - lo(re) <= bound and hi(im) - lo(im) <= bound, M
+
+
+@pytest.mark.parametrize("precision", (64, 96))
+def test_cos_tables_match_direct_loop(precision):
+    # 295 and 395 are the largest orders the certify and recurrence
+    # workloads reach; mirroring j <-> M - j must not move a single bound
+    for M in list(range(1, 121)) + [295, 395]:
+        assert _cos_table_fixed(M, precision, False) == cos_table_direct(M, precision), M
+
+
+def test_sine_table_entries_contain_sine():
+    for M in list(range(1, 121)) + [295, 395]:
+        los, his = _cos_table_fixed(M, 96, True)
+        with mpmath.workprec(200):
+            for j in range(M):
+                s = mpmath.sin(2 * mpmath.pi * j / M) * mpmath.mpf(2) ** 96
+                assert los[j] <= s <= his[j], (M, j)
 
 
 def test_json_roundtrip():
