@@ -77,6 +77,15 @@ class PoincareParams:
                 "c": self.cideal.to_json(), "level": self.level.to_json()}
 
 
+@dataclass(frozen=True)
+class TailSplit:
+    """Upper bounds on the three pieces of the tail, in the tail's units."""
+    norms0: object               # mpf: omitted norms, j = 0
+    norms: object                # mpf: omitted norms, j != 0, at exponent theta
+    window: object               # mpf: enumerated norms, |j| > M
+    theta: Fraction              # interpolation exponent chosen for `norms`
+
+
 @dataclass
 class CoefficientValue:
     chi_term: int
@@ -85,6 +94,7 @@ class CoefficientValue:
     X: object
     M: int
     eta: Fraction
+    tail_split: TailSplit        # the pieces of `tail`; not in to_json
     scale: Fraction = Fraction(1)   # N(mu)^(k-1) for the symmetric variant
 
     def enclosure(self):
@@ -108,12 +118,17 @@ class Certificate:
     verdict: str                 # "NONZERO" | "INCONCLUSIVE"
     coefficient: CoefficientValue
     margin: object               # mpf; > 0 iff NONZERO
+    reason: str | None = None    # INCONCLUSIVE only: "criterion unreachable"
+                                 # or "budget exhausted"
 
     def to_json(self):
         from .intervals import mpf_str
-        return {"schema": "v1", "params": self.params.to_json(),
-                "mu": self.mu.to_json(), "verdict": self.verdict,
-                "margin": mpf_str(self.margin), **self.coefficient.to_json()}
+        doc = {"schema": "v1", "params": self.params.to_json(),
+               "mu": self.mu.to_json(), "verdict": self.verdict,
+               "margin": mpf_str(self.margin), **self.coefficient.to_json()}
+        if self.reason is not None:
+            doc["reason"] = self.reason
+        return doc
 
 
 def chi_mu(nu: Elt, mu: Elt) -> int:
@@ -220,6 +235,7 @@ class CoefficientEvaluator:
         with prec_guard(precision):
             self._four_pi = 4 * iv.pi
         self._prefactor = None
+        self._tc = None                    # tail constants, on first use
 
     # -- enumeration ---------------------------------------------------------
     def classes_upto(self, X):
@@ -288,7 +304,7 @@ class CoefficientEvaluator:
 
     # -- tail bound -------------------------------------------------------------
     def _tail_constants(self):
-        if getattr(self, "_tc", None) is not None:
+        if self._tc is not None:
             return self._tc
         with prec_guard(96):
             F, k = self.F, self.k
@@ -325,7 +341,7 @@ class CoefficientEvaluator:
         return total
 
     def tail_bound(self, X, M: int):
-        """Upper bound on |prefactor * (all omitted terms)|.
+        """Upper bound on |prefactor * (all omitted terms)|, and its split.
 
         Per-factor Bessel bound: |J_{k-1}(x)| <= min(1, (x/2)^(k-1)/(k-1)!).
         For the omitted unit exponents (enumerated norms) only the small
@@ -333,6 +349,9 @@ class CoefficientEvaluator:
         omitted norms, the large factor is interpolated with an exponent
         theta in (0,1) to trade unit-decay against norm-decay; every theta
         gives a valid bound, so we take the best over a small grid.
+
+        Returns (tail, TailSplit): the pieces are bounded from the same
+        intervals as the tail itself.
         """
         with prec_guard(96):
             k = self.k
@@ -347,7 +366,7 @@ class CoefficientEvaluator:
                        * iv_pow_frac(iv.mpf(t0), Fraction(5 - 2 * k, 2))
                        / iv_from_fraction(Fraction(2 * k - 5, 2)))
             # j != 0: min over the interpolation grid.
-            best = None
+            best = best_theta = None
             for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
                           Fraction(5, 6), 1 - Fraction(self.eta, k - 1)):
                 s = Fraction((k - 1)) * (1 + theta) / 2
@@ -364,8 +383,8 @@ class CoefficientEvaluator:
                                    * iv_pow_frac(iv.mpf(t0), Fraction(3, 2) - s)
                                    / iv_from_fraction(s - Fraction(3, 2)))
                 if best is None or hi(piece) < hi(best):
-                    best = piece
-            nt += best
+                    best, best_theta = piece, theta
+            nt0, nt = nt, nt + best
             # -- enumerated norms, |j| > M: small-factor bound only --------
             r0 = 1 / iv_pow_frac(A, Fraction(k - 1))
             sa0 = 2 * iv_pow_frac(r0, M + 1) / (1 - r0)
@@ -375,19 +394,23 @@ class CoefficientEvaluator:
                 msum += 1 / iv_pow_frac(iv_from_fraction(Fraction(m)),
                                         Fraction(k - 1, 2))
             ut = e1_0 * sa0 * msum
-            total = self.prefactor() * kt * (nt + ut)
-            return hi(total)
+            factor = self.prefactor() * kt
+            split = TailSplit(hi(factor * nt0), hi(factor * best),
+                              hi(factor * ut), best_theta)
+            return hi(factor * (nt + ut)), split
 
     # -- main entry ----------------------------------------------------------
     def evaluate(self, X, M: int) -> CoefficientValue:
+        if X < 0 or M < 0:
+            raise PreconditionViolated("cutoffs X and M must be >= 0")
         with prec_guard(self.precision):
             acc = iv.mpf(0)
             for cls in self.classes_upto(X):
                 for j in range(-M, M + 1):
                     acc += self.term(cls, j)
             finite = self.prefactor() * acc
-        return CoefficientValue(self.chi, finite, self.tail_bound(X, M),
-                                X, M, self.eta)
+        tail, split = self.tail_bound(X, M)
+        return CoefficientValue(self.chi, finite, tail, X, M, self.eta, split)
 
 
 def coefficient(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
@@ -403,62 +426,81 @@ def coefficient_tilde(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
     return val
 
 
-def tail_bound(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
-               eta: Fraction = DEFAULT_ETA, **kw):
-    return CoefficientEvaluator(params, nu, mu, eta, **kw).tail_bound(X, M)
-
-
 # ---------------------------------------------------------------------------
 # certification
 
 @dataclass
 class CertifyBudget:
+    """Caps and starting values of the cutoffs X and M."""
     max_X: int = 40000
     max_M: int = 24
-    start_X: int = 0
+    start_X: int = 0             # 0: max(64, 8 N(cnd))
     start_M: int = 4
 
-    def ladder(self, n_o: Fraction):
-        X = min(self.start_X or max(64, int(8 * n_o)), self.max_X)
-        M = min(self.start_M, self.max_M)
-        while True:
-            yield X, M
-            if X >= self.max_X and M >= self.max_M:
-                return
-            X = min(2 * X, self.max_X)
-            M = min(M + 2, self.max_M)
+    def __post_init__(self):
+        if min(self.max_X, self.max_M, self.start_X, self.start_M) < 0:
+            raise PreconditionViolated("cutoffs X and M must be >= 0")
+
+
+def criterion_unreachable(val: CoefficientValue) -> bool:
+    """True when every point of the enclosure is at distance >= 1 from 1,
+    so that no enclosure of the same coefficient can certify |c - 1| < 1."""
+    enc = val.enclosure()
+    return bool(lo(enc) >= 2 or hi(enc) <= 0)
 
 
 def certify_nonvanishing(params: PoincareParams, mu: Elt,
                          budget: CertifyBudget | None = None,
                          eta: Fraction = DEFAULT_ETA, **kw) -> Certificate:
-    """Escalate cutoffs until |c_k(mu,mu) - 1| < 1 is certified.
+    """Raise the cutoffs until |c_k(mu,mu) - 1| < 1 is certified.
+
+    Each rung reads its own result.  The ladder stops as soon as the
+    enclosure proves the criterion unreachable.  Otherwise the next rung
+    raises the cutoff whose omitted terms dominate the tail: X doubles when
+    the omitted norms bound at least as much as the unit window |j| > M,
+    else M grows by 2; a cutoff at its cap leaves the other to rise.
 
     The verdict NONZERO is sound unconditionally: the enclosure places the
-    coefficient within distance < 1 of 1.  Budget exhaustion yields
-    INCONCLUSIVE, never a wrong answer.
+    coefficient within distance < 1 of 1.  Otherwise the verdict is
+    INCONCLUSIVE, never a wrong answer, with the reason the ladder stopped:
+    "criterion unreachable" (the certificate holds the enclosure that shows
+    it) or "budget exhausted" (it holds the rung of largest margin).
     """
     budget = budget or CertifyBudget()
     ev = CoefficientEvaluator(params, mu, mu, eta, **kw)
+    X = min(budget.start_X or max(64, int(8 * ev.n_o)), budget.max_X)
+    M = min(budget.start_M, budget.max_M)
     best = None
-    for X, M in budget.ladder(ev.n_o):
+    while True:
         val = ev.evaluate(X, M)
         dist = sup_abs(iv.mpf(val.chi_term) + val.finite_part - 1)
         # rounded down at both steps: a positive margin must be provable
         margin = mpmath.fsub(mpmath.fsub(1, dist, rounding="d"),
                              mpmath.mpf(val.tail), rounding="d")
-        if best is None or margin > best[0]:
-            best = (margin, val)
         if margin > 0:
             return Certificate(params, mu, "NONZERO", val, margin)
-    return Certificate(params, mu, "INCONCLUSIVE", best[1], best[0])
+        if criterion_unreachable(val):
+            return Certificate(params, mu, "INCONCLUSIVE", val, margin,
+                               "criterion unreachable")
+        if best is None or margin > best[0]:
+            best = (margin, val)
+        if X >= budget.max_X and M >= budget.max_M:
+            return Certificate(params, mu, "INCONCLUSIVE", best[1], best[0],
+                               "budget exhausted")
+        split = val.tail_split
+        if M >= budget.max_M or (X < budget.max_X
+                                 and split.norms0 + split.norms >= split.window):
+            X = min(2 * X, budget.max_X)
+        else:
+            M = min(M + 2, budget.max_M)
 
 
 def audit_certificate(cert: Certificate) -> bool:
-    """Re-check the NONZERO criterion from the stored enclosure."""
-    if cert.verdict != "NONZERO":
-        return True
+    """Re-check a certificate's claim from its stored enclosure: the NONZERO
+    criterion, or that the criterion is unreachable."""
     val = cert.coefficient
+    if cert.verdict != "NONZERO":
+        return cert.reason != "criterion unreachable" or criterion_unreachable(val)
     dist = sup_abs(iv.mpf(val.chi_term) + val.finite_part - 1)
     return bool(mpmath.fadd(dist, mpmath.mpf(val.tail), rounding="u") < 1)
 

@@ -73,6 +73,8 @@ def test_certify_cli_and_exit_codes(tmp_path):
                                    "--mu", "1", "--max-x", "1", "--max-m", "0"])
     assert r3.exit_code == 3
     assert json.loads(r3.output)["verdict"] == "INCONCLUSIVE"
+    assert json.loads(r3.output)["reason"] == "budget exhausted"
+    assert "reason" not in doc
 
 
 def test_certify_budget_widens_enclosure():
@@ -93,6 +95,21 @@ def test_package_errors_exit_2_without_traceback():
         assert r.exit_code == 2, (args, r.output)
         assert isinstance(r.exception, SystemExit)
         assert "Traceback" not in r.output and "budget" in r.output
+
+
+def test_negative_cutoffs_exit_2():
+    for args in (["certify", "--d", "5", "--k", "8", "--mu", "1",
+                  "--max-x", "-5"],
+                 ["certify", "--d", "5", "--k", "8", "--mu", "1",
+                  "--max-m", "-1"],
+                 ["recurrence", "--d", "5", "--k", "8", "--p", "(3,2)",
+                  "--x", "100", "--big-m", "-1"],
+                 ["recurrence", "--d", "5", "--k", "8", "--p", "(3,2)",
+                  "--x", "-100"]):
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2, (args, r.output)
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output and "cutoffs" in r.output
 
 
 def test_residue_budget_ignores_history():

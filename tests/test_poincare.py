@@ -10,9 +10,10 @@ from hilbertpoincare.ideals import (FractionalIdeal, ideals_of_norm,
                                     principal_ideal, unit_ideal)
 from hilbertpoincare.intervals import contains, hi, lo, overlaps, sup_abs
 from hilbertpoincare.poincare import (CertifyBudget, CoefficientEvaluator,
-                                      PoincareParams, audit_certificate,
-                                      certify_nonvanishing, chi_mu,
-                                      coefficient, coefficient_tilde,
+                                      CoefficientValue, PoincareParams,
+                                      audit_certificate, certify_nonvanishing,
+                                      chi_mu, coefficient, coefficient_tilde,
+                                      criterion_unreachable,
                                       effective_constants,
                                       nonvanishing_relations_report,
                                       recurrence_check_cor45,
@@ -85,7 +86,7 @@ def test_tilde_symmetry_and_scale(F5):
 def test_tail_monotone(F5):
     params = PoincareParams(F5, 8)
     ev = CoefficientEvaluator(params, F5.one(), F5.one())
-    tails = [ev.tail_bound(X, M) for X, M in ((50, 2), (100, 4), (200, 6), (400, 8))]
+    tails = [ev.tail_bound(X, M)[0] for X, M in ((50, 2), (100, 4), (200, 6), (400, 8))]
     assert all(b <= a for a, b in zip(tails, tails[1:]))
 
 
@@ -148,6 +149,81 @@ def test_certify_degenerate_budget(F5):
         PoincareParams(F5, 8), F5.one(),
         CertifyBudget(max_X=1, max_M=0, start_X=1, start_M=0))
     assert zero_cert.verdict == "INCONCLUSIVE"
+
+
+def _oracle_in_enclosure(params, mu, val):
+    oracle = poincare_truncated_oracle(params, mu, mu, val.X, val.M)
+    acc = iv.mpf(val.chi_term) + val.finite_part
+    return lo(acc) <= oracle <= hi(acc)
+
+
+def test_certify_stops_when_criterion_unreachable(F5):
+    # c_6(1, 1) ~ 2.812: the first rung's enclosure already lies above 2
+    params = PoincareParams(F5, 6)
+    cert = certify_nonvanishing(params, F5.one())
+    val = cert.coefficient
+    assert cert.verdict == "INCONCLUSIVE"
+    assert cert.reason == "criterion unreachable"
+    assert (val.X, val.M) == (64, 4)
+    assert lo(val.enclosure()) >= 2 and audit_certificate(cert)
+    assert cert.to_json()["reason"] == "criterion unreachable"
+    assert _oracle_in_enclosure(params, F5.one(), val)
+
+
+def test_certify_raises_the_dominant_cutoff(F5):
+    # the omitted norms dominate the tail on every rung before X = 512, so
+    # only X rises; raising M instead (or both) gives other cutoffs
+    params = PoincareParams(F5, 8)
+    mu = F5.elt(3, -1)
+    cert = certify_nonvanishing(params, mu)
+    val = cert.coefficient
+    assert cert.verdict == "NONZERO" and cert.reason is None
+    assert (val.X, val.M) == (512, 4)
+    assert cert.margin > 0 and audit_certificate(cert)
+    assert "reason" not in cert.to_json()
+    assert _oracle_in_enclosure(params, mu, val)
+
+
+def test_certify_budget_exhausted(F5):
+    # c_4(1, 1) = 0, so every enclosure straddles 0 and the ladder runs out
+    params = PoincareParams(F5, 4)
+    cert = certify_nonvanishing(params, F5.one(),
+                                CertifyBudget(max_X=256, max_M=6))
+    assert cert.verdict == "INCONCLUSIVE"
+    assert cert.reason == "budget exhausted" and audit_certificate(cert)
+    top = CoefficientEvaluator(params, F5.one(), F5.one()).evaluate(256, 6)
+    val = cert.coefficient
+    assert (val.X, val.M) == (256, 6) and val.tail == top.tail
+    assert lo(val.finite_part) == lo(top.finite_part)
+    assert hi(val.finite_part) == hi(top.finite_part)
+
+
+# with chi = 1 the enclosure is [1 + f - t, 1 + f + t]
+@pytest.mark.parametrize("finite, tail, unreachable", [
+    ("1.02", "0.01", True),       # [2.01, 2.03]
+    ("1", "0", True),             # [2, 2]: |c - 1| = 1 exactly
+    ("0.95", "0.01", False),      # [1.94, 1.96]: |c - 1| may be 0.95
+    ("0.99", "0.005", False),     # [1.985, 1.995]
+    ("0", "0.5", False),          # [0.5, 1.5]
+    ("-1.5", "0.25", True),       # [-0.75, -0.25]
+    ("-1", "0", True),            # [0, 0]
+    ("-0.98", "0.01", False),     # [0.01, 0.03]
+    ("-1.02", "0.03", False),     # [-0.05, 0.01]
+])
+def test_criterion_unreachable_boundary(finite, tail, unreachable):
+    val = CoefficientValue(1, iv.mpf(finite), mpmath.mpf(tail), 0, 0,
+                           Fraction(1, 2), None)
+    assert criterion_unreachable(val) == unreachable
+
+
+def test_negative_cutoffs_rejected(F5):
+    params = PoincareParams(F5, 8)
+    for X, M in ((-5, 2), (100, -1)):
+        with pytest.raises(PreconditionViolated):
+            coefficient(params, F5.one(), F5.one(), X, M)
+    for kw in ({"max_X": -5}, {"max_M": -1}, {"start_X": -1}, {"start_M": -2}):
+        with pytest.raises(PreconditionViolated):
+            CertifyBudget(**kw)
 
 
 def test_over_budget_terms_take_trivial_bound(F5):
