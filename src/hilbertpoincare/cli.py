@@ -63,6 +63,8 @@ class Settings:
                 vals[name] = arg
         self.residue_budget = int(vals["residue_budget"])
         self.precision = int(vals["precision"])
+        if self.precision < 1:
+            raise click.UsageError(f"precision must be >= 1, got {self.precision}")
         self.format = vals["format"]
         self.store = KloostermanStore(vals["cache_dir"]) if vals["cache_dir"] else None
 
@@ -140,7 +142,8 @@ def common_options(fn):
                       default=None, help="JSON config file")(fn)
     fn = click.option("--cache-dir", default=None,
                       help="Kloosterman cache directory (env POINCARE_CACHE_DIR)")(fn)
-    fn = click.option("--precision", type=int, default=None, help="interval bits")(fn)
+    fn = click.option("--precision", type=click.IntRange(min=1), default=None,
+                      help="interval bits")(fn)
     fn = click.option("--residue-budget", type=int, default=None,
                       help="max residue ring size")(fn)
     return fn
@@ -220,7 +223,7 @@ def _selberg_grid(F, qgen, size):
 
 @main.command("selberg-check")
 @common_options
-@click.option("--max-norm-q", type=int, default=200)
+@click.option("--max-norm-q", type=click.IntRange(min=1), default=200)
 @click.option("--grid", type=click.Choice(["small", "full"]), default="small")
 def cmd_selberg_check(d, max_norm_q, grid, **kw):
     """Sweep Selberg's identity over q with |N(q)| <= bound; exit 1 on any
@@ -233,9 +236,11 @@ def cmd_selberg_check(d, max_norm_q, grid, **kw):
             g = is_principal(idl)
             if g is None:
                 continue
+            rings = {}   # O/(q) and its quotients, shared by q's grid
             for nu in _selberg_grid(F, g, grid):
                 for mu in _selberg_grid(F, g, grid):
-                    rep = selberg_check(F, nu, mu, g, **st.kloosterman_kwargs())
+                    rep = selberg_check(F, nu, mu, g, rings=rings,
+                                        **st.kloosterman_kwargs())
                     checked += 1
                     if not rep.holds:
                         failures += 1
@@ -248,7 +253,7 @@ def cmd_selberg_check(d, max_norm_q, grid, **kw):
 
 @main.command("weil-audit")
 @common_options
-@click.option("--samples", type=int, default=500)
+@click.option("--samples", type=click.IntRange(min=1), default=500)
 @click.option("--seed", type=int, default=20260808)
 def cmd_weil_audit(d, samples, seed, **kw):
     """Sample random queries and report max |S| / weil_bound (must be <= 1)."""
@@ -376,7 +381,7 @@ def cmd_recurrence(d, k, nu, mu, p_text, m, n, x_cut, big_m, level, **kw):
 @common_options
 @click.option("--k", type=int, default=8)
 @click.option("--level", default="1")
-@click.option("--samples", type=int, default=200)
+@click.option("--samples", type=click.IntRange(min=1), default=200)
 @click.option("--seed", type=int, default=20260808)
 def cmd_hecke_check(d, k, level, samples, seed, **kw):
     """Randomized pairing-symmetry / identity / multiplicativity audit."""

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import arith
-from .errors import (NotDivisible, NotIntegral, SearchBudgetExceeded,
-                     ZeroIdeal)
+from .errors import (NotDivisible, NotIntegral, PreconditionViolated,
+                     SearchBudgetExceeded, ZeroIdeal)
 from .field import Elt
 
 PRINCIPALITY_BUDGET = 10**6
@@ -30,11 +30,11 @@ class IdealHNF:
             raise ZeroIdeal("HNF entries must be positive")
         b %= a
         if a % c or b % c:
-            raise AssertionError("not an O-module: c must divide a and b")
+            raise PreconditionViolated("not an O-module: c must divide a and b")
         # omega-closure of the (b, c) basis vector
         w_img = (c * field.c0, b + c * field.c1)
         if w_img[1] % c or (w_img[0] - (w_img[1] // c) * b) % a:
-            raise AssertionError("lattice not closed under omega")
+            raise PreconditionViolated("lattice not closed under omega")
         self.field = field
         self.a = a
         self.b = b

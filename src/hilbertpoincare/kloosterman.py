@@ -76,11 +76,17 @@ _EXACT_CACHE_MAX = 200_000
 
 def kloosterman_exact(q: KloostermanQuery,
                       enum_budget: int = DEFAULT_ENUM_BUDGET,
-                      store=None) -> CyclotomicInteger:
+                      store=None, rings=None) -> CyclotomicInteger:
     """Exact value in Z[zeta_M].  For the unit modulus the value is 1.
 
     The residue budget is checked before any lookup, so whether a sum is
     refused does not depend on what was computed or stored earlier.
+
+    `rings` maps `modulus.key()` to its `ResidueRing`.  It belongs to the
+    caller's loop over one modulus (the 2M + 1 unit exponents of one class,
+    the divisor terms of one q), so its unit enumeration is shared there and
+    dropped when the loop ends.  With None, a ring lives for this call only.
+    Only a miss in the value cache and the store looks a ring up or builds one.
     """
     n = q.modulus.norm()
     if n == 1:
@@ -99,7 +105,12 @@ def kloosterman_exact(q: KloostermanQuery,
             _put_cache(key, stored)
             return stored
     M = math.lcm(*(t.denominator for t in q.slopes))
-    ring = residue_ring(q.modulus, enum_budget)
+    if rings is None:
+        rings = {}
+    mkey = q.modulus.key()
+    ring = rings.get(mkey)
+    if ring is None:
+        ring = rings[mkey] = residue_ring(q.modulus, enum_budget)
     R1, R2, S1, S2 = (int(t * M) for t in q.slopes)
     coeffs = [0] * M
     for (u, v, ui, vi) in ring.unit_data():

@@ -271,7 +271,9 @@ class CoefficientEvaluator:
         return self._prefactor
 
     # -- individual terms ----------------------------------------------------
-    def term(self, cls, j: int):
+    def term(self, cls, j: int, rings=None):
+        """The interval of one (class, unit exponent) term; `rings` is
+        passed on to `kloosterman_exact`."""
         t, m, c_elt, modulus = cls
         key = (modulus.key(), j)
         cached = self._terms.get(key)
@@ -282,8 +284,8 @@ class CoefficientEvaluator:
             eps = F.eps_plus_pow(j)
             q = KloostermanQuery(F, self.nu, eps * self.mu, modulus, c_elt)
             try:
-                s_re = kloosterman_exact(q, self.enum_budget,
-                                         self.store).real_interval(self.precision)
+                s_re = kloosterman_exact(q, self.enum_budget, self.store,
+                                         rings).real_interval(self.precision)
             except BudgetExceeded:
                 # over budget: S is a sum of phi(m) <= N(m) roots of unity
                 n = modulus.norm()
@@ -401,13 +403,20 @@ class CoefficientEvaluator:
 
     # -- main entry ----------------------------------------------------------
     def evaluate(self, X, M: int) -> CoefficientValue:
+        """The enclosure at cutoffs X and M.
+
+        All 2M + 1 Kloosterman sums of a class share its modulus, so each
+        class gets its own `rings` dict: the residue ring is enumerated at
+        most once per class and dropped before the next class starts.
+        """
         if X < 0 or M < 0:
             raise PreconditionViolated("cutoffs X and M must be >= 0")
         with prec_guard(self.precision):
             acc = iv.mpf(0)
             for cls in self.classes_upto(X):
+                rings = {}
                 for j in range(-M, M + 1):
-                    acc += self.term(cls, j)
+                    acc += self.term(cls, j, rings)
             finite = self.prefactor() * acc
         tail, split = self.tail_bound(X, M)
         return CoefficientValue(self.chi, finite, tail, X, M, self.eta, split)

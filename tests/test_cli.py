@@ -232,3 +232,34 @@ def test_csv_format():
     rows = list(csv.reader(io.StringIO(r.output)))
     assert len(rows) == 2 and len(rows[0]) == len(rows[1]) >= 6
     assert "narrow_h1" in rows[0]
+
+
+def test_malformed_hnf_triple_exits_2():
+    for args in (["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "1/delta",
+                  "--c", "2", "--modulus", "2,5,2"],
+                 ["certify", "--d", "5", "--k", "8", "--mu", "1",
+                  "--level", "3,1,1"]):
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2, (args, r.output)
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+        assert [ln for ln in r.output.splitlines() if ln.startswith("Error:")]
+
+
+def test_vacuous_checks_exit_2(tmp_path):
+    # zero or negative sample counts, bounds and precisions would check
+    # nothing and report success
+    for args in (["weil-audit", "--d", "5", "--samples", "-3"],
+                 ["weil-audit", "--d", "5", "--samples", "0"],
+                 ["hecke-check", "--d", "5", "--samples", "-2"],
+                 ["selberg-check", "--d", "5", "--max-norm-q", "-4"],
+                 ["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "0",
+                  "--c", "2", "--precision", "-5"]):
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2, (args, r.output)
+        assert "Traceback" not in r.output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"precision": 0}))
+    r = CliRunner().invoke(main, ["kloosterman", "--d", "5", "--nu", "1/delta",
+                                  "--mu", "0", "--c", "2", "--config", str(cfg)])
+    assert r.exit_code == 2 and "precision" in r.output

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbertpoincare.errors import NotDivisible, ZeroIdeal
+from hilbertpoincare.errors import NotDivisible, PreconditionViolated, ZeroIdeal
 from hilbertpoincare.field import make_field
 from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, chi0,
                                     dedekind_a, different_ideal, divisors,
@@ -158,3 +158,12 @@ def test_valuation_additivity(F5):
         x, y = rand_ideal(F5, rng), rand_ideal(F5, rng)
         assert valuation_ideal(ideal_product(x, y), pr) == \
             valuation_ideal(x, pr) + valuation_ideal(y, pr)
+
+
+def test_malformed_hnf_triples_rejected(F5):
+    # c must divide a and b, and the lattice must be closed under omega
+    with pytest.raises(PreconditionViolated, match="O-module"):
+        IdealHNF(F5, 2, 5, 2)
+    with pytest.raises(PreconditionViolated, match="omega"):
+        IdealHNF(F5, 3, 1, 1)
+    assert IdealHNF(F5, 2, 0, 2) == principal_ideal(F5.from_int(2))

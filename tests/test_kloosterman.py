@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hilbertpoincare.errors import MembershipViolated, PreconditionViolated
+from hilbertpoincare import kloosterman
+from hilbertpoincare.errors import (BudgetExceeded, MembershipViolated,
+                                    PreconditionViolated)
 from hilbertpoincare.field import make_field
 from hilbertpoincare.ideals import (FractionalIdeal, different_ideal,
                                     element_ideal, ideal_product,
@@ -229,3 +231,65 @@ def test_weil_bound_dominates(F5):
         import mpmath
         assert mpmath.sqrt(mag2) <= lo(weil_bound(q).interval(64)) * (1 + mpmath.mpf("1e-15"))
         done += 1
+
+
+def _count_ring_builds(monkeypatch):
+    """Empty the value cache and record the modulus key of every ring built."""
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    built = []
+    real = kloosterman.residue_ring
+
+    def counting(modulus, *args, **kwargs):
+        built.append(modulus.key())
+        return real(modulus, *args, **kwargs)
+
+    monkeypatch.setattr(kloosterman, "residue_ring", counting)
+    return built
+
+
+def test_shared_rings_match_fresh_rings(F5, monkeypatch):
+    # the seven unit twists mu*eps_plus^j, |j| <= 3, of one modulus share a
+    # ring: the values equal those of fresh per-call rings, and the ring is
+    # built once.  p5 is ramified, (4) and p5^2 are not squarefree.
+    built = _count_ring_builds(monkeypatch)
+    d = F5.delta
+    nu, mu = F5.one() / d, F5.elt(1, 2) / d
+    p5, p11 = F5.elt(2, 1), F5.elt(3, 2)
+    for c in (p5, F5.from_int(4), p5 * p5, p11, F5.from_int(6)):
+        mod = principal_ideal(c)
+        queries = [KloostermanQuery(F5, nu, mu * F5.eps_plus_pow(j), mod, c)
+                   for j in range(-3, 4)]
+        rings = {}
+        shared = [kloosterman_exact(q, rings=rings) for q in queries]
+        assert built.count(mod.key()) == 1 and list(rings) == [mod.key()]
+        kloosterman._EXACT_CACHE.clear()
+        fresh = [kloosterman_exact(q) for q in queries]
+        for a, b in zip(shared, fresh):
+            assert (a.order, a.coeffs) == (b.order, b.coeffs)
+        assert built.count(mod.key()) > 1
+
+
+def test_cache_hit_builds_no_ring(F5, monkeypatch):
+    built = _count_ring_builds(monkeypatch)
+    c = F5.elt(3, 2)
+    q = KloostermanQuery(F5, F5.one() / F5.delta, F5.from_int(2) / F5.delta,
+                         principal_ideal(c), c)
+    val = kloosterman_exact(q, rings={})
+    assert len(built) == 1
+    rings = {}
+    assert kloosterman_exact(q, rings=rings) is val
+    assert kloosterman_exact(q) is val
+    assert len(built) == 1 and rings == {}
+
+
+def test_shared_ring_keeps_the_budget(F5, monkeypatch):
+    # a ring already in the dict must not let a sum bypass a smaller budget
+    _count_ring_builds(monkeypatch)
+    four = F5.from_int(4)
+    mod = principal_ideal(four)
+    rings = {}
+    kloosterman_exact(KloostermanQuery(F5, F5.one() / F5.delta, F5.zero(),
+                                       mod, four), rings=rings)
+    q = KloostermanQuery(F5, F5.one() / F5.delta, F5.one() / F5.delta, mod, four)
+    with pytest.raises(BudgetExceeded):
+        kloosterman_exact(q, enum_budget=10, rings=rings)

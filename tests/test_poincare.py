@@ -1,14 +1,19 @@
+import gc
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import iv, mp
 
+from hilbertpoincare import kloosterman
 from hilbertpoincare.errors import MembershipViolated, PreconditionViolated
 from hilbertpoincare.ideals import (FractionalIdeal, ideals_of_norm,
                                     principal_ideal, unit_ideal)
-from hilbertpoincare.intervals import contains, hi, lo, overlaps, sup_abs
+from hilbertpoincare.intervals import (contains, hi, lo, overlaps, prec_guard,
+                                       sup_abs)
 from hilbertpoincare.poincare import (CertifyBudget, CoefficientEvaluator,
                                       CoefficientValue, PoincareParams,
                                       audit_certificate, certify_nonvanishing,
@@ -241,6 +246,45 @@ def test_over_budget_terms_take_trivial_bound(F5):
             widened += cls[3].norm() > 10 and hi(b) - lo(b) > hi(a) - lo(a)
     assert widened > 0
     assert capped.evaluate(150, 1).tail == full.evaluate(150, 1).tail
+
+
+def test_evaluate_shares_one_ring_per_class(F5, monkeypatch):
+    # each class's 2M + 1 sums share one ring, built at most once and dead
+    # before the next class builds its own; the finite part is bit-identical
+    # to terms summed with a fresh ring per call
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    built = []
+    real = kloosterman.residue_ring
+
+    def tracked(modulus, *args, **kwargs):
+        if any(r() is not None for _, r in built):
+            gc.collect()
+        assert all(r() is None for _, r in built), "a ring outlived its class"
+        ring = real(modulus, *args, **kwargs)
+        built.append((modulus.key(), weakref.ref(ring)))
+        return ring
+
+    monkeypatch.setattr(kloosterman, "residue_ring", tracked)
+    params = PoincareParams(F5, 8)
+    ev = CoefficientEvaluator(params, F5.one(), F5.one())
+    val = ev.evaluate(200, 3)
+    gc.collect()
+    assert all(r() is None for _, r in built)
+    builds = Counter(key for key, _ in built)
+    classes = Counter(cls[3].key() for cls in ev.classes_upto(200)
+                      if cls[3].norm() > 1)
+    # the value cache starts empty, so "at most once" is exactly once here
+    assert len(classes) == 15 and builds == classes, builds - classes
+
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    ev2 = CoefficientEvaluator(params, F5.one(), F5.one())
+    with prec_guard(ev2.precision):
+        acc = iv.mpf(0)
+        for cls in ev2.classes_upto(200):
+            for j in range(-3, 4):
+                acc += ev2.term(cls, j)
+        finite = ev2.prefactor() * acc
+    assert (lo(finite), hi(finite)) == (lo(val.finite_part), hi(val.finite_part))
 
 
 def test_effective_constants(F5):
