@@ -42,7 +42,17 @@ from .poincare import (CertifyBudget, PoincareParams, certify_nonvanishing,
                        effective_constants, recurrence_check_cor45,
                        threshold_cor33, threshold_thm32, threshold_thm35)
 
-CONFIG_KEYS = {"residue_budget", "precision", "cache_dir", "format"}
+# the config keys, each with the click type that checks it there and as an option
+CONFIG_TYPES = {"residue_budget": click.IntRange(min=1), "precision": click.IntRange(min=1),
+                "cache_dir": click.UNPROCESSED, "format": click.Choice(["json", "csv", "table"])}
+
+
+def parse_fraction(text: str) -> Fraction:
+    """A click type: its ValueError is reported as a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has denominator 0") from None
 
 
 class Settings:
@@ -53,18 +63,21 @@ class Settings:
         if config_path:
             with open(config_path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            unknown = set(doc) - CONFIG_KEYS
+            unknown = set(doc) - set(CONFIG_TYPES)
             if unknown:
                 raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-            vals.update(doc)
+            for name, value in doc.items():
+                try:
+                    vals[name] = CONFIG_TYPES[name].convert(value, None, None)
+                except click.BadParameter as exc:
+                    exc.param_hint = f"config {name}"
+                    raise
         for name, arg in (("cache_dir", cache_dir), ("precision", precision),
                           ("residue_budget", residue_budget), ("format", fmt)):
             if arg is not None:
                 vals[name] = arg
-        self.residue_budget = int(vals["residue_budget"])
-        self.precision = int(vals["precision"])
-        if self.precision < 1:
-            raise click.UsageError(f"precision must be >= 1, got {self.precision}")
+        self.residue_budget = vals["residue_budget"]
+        self.precision = vals["precision"]
         self.format = vals["format"]
         self.store = KloostermanStore(vals["cache_dir"]) if vals["cache_dir"] else None
 
@@ -93,6 +106,8 @@ def parse_element(field, text: str):
         a = int(m.group(1))
         b = int(m.group(2) or 0)
         den = int(m.group(3) or 1)
+        if den == 0:
+            raise click.UsageError(f"element {text!r} has denominator 0")
         return field.elt(a, b, den)
     raise click.UsageError(f"cannot parse element {text!r}")
 
@@ -136,15 +151,15 @@ def emit(doc, fmt: str, csv_columns=None):
 def common_options(fn):
     fn = click.option("--d", "d", type=int, required=True,
                       help="squarefree d of Q(sqrt d)")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]),
+    fn = click.option("--format", "fmt", type=CONFIG_TYPES["format"],
                       default=None, help="output format (default json)")(fn)
     fn = click.option("--config", "config_path", type=click.Path(exists=True),
                       default=None, help="JSON config file")(fn)
     fn = click.option("--cache-dir", default=None,
                       help="Kloosterman cache directory (env POINCARE_CACHE_DIR)")(fn)
-    fn = click.option("--precision", type=click.IntRange(min=1), default=None,
+    fn = click.option("--precision", type=CONFIG_TYPES["precision"], default=None,
                       help="interval bits")(fn)
-    fn = click.option("--residue-budget", type=int, default=None,
+    fn = click.option("--residue-budget", type=CONFIG_TYPES["residue_budget"], default=None,
                       help="max residue ring size")(fn)
     return fn
 
@@ -305,7 +320,7 @@ def cmd_weil_audit(d, samples, seed, **kw):
 @click.option("--k", type=int, required=True)
 @click.option("--level", default="1")
 @click.option("--mu", "mu_text", required=True)
-@click.option("--eta", default="1/2")
+@click.option("--eta", type=parse_fraction, default="1/2")
 @click.option("--max-x", type=int, default=20000)
 @click.option("--max-m", type=int, default=16)
 def cmd_certify(d, k, level, mu_text, eta, max_x, max_m, **kw):
@@ -315,10 +330,10 @@ def cmd_certify(d, k, level, mu_text, eta, max_x, max_m, **kw):
     params = PoincareParams(F, k, level=parse_ideal(F, level))
     mu = parse_element(F, mu_text)
     cert = certify_nonvanishing(params, mu, CertifyBudget(max_x, max_m),
-                                Fraction(eta), precision=st.precision,
+                                eta, precision=st.precision,
                                 enum_budget=st.residue_budget, store=st.store)
     doc = cert.to_json()
-    doc["ledger"] = effective_constants(F, Fraction(eta)).to_json()
+    doc["ledger"] = effective_constants(F, eta).to_json()
     emit(doc, st.format)
     if cert.verdict != "NONZERO":
         sys.exit(3)
@@ -328,19 +343,18 @@ def cmd_certify(d, k, level, mu_text, eta, max_x, max_m, **kw):
 @common_options
 @click.option("--k", type=int, required=True)
 @click.option("--level", default="1")
-@click.option("--eta", default="1/2")
+@click.option("--eta", type=parse_fraction, default="1/2")
 @click.option("--alpha", default="1", help="totally positive alpha for the fractional-ideal threshold")
 def cmd_thresholds(d, k, level, eta, alpha, **kw):
     """Print the constants ledger and the three norm thresholds."""
     st = _settings(kw)
     F = make_field(d)
     lvl = parse_ideal(F, level)
-    eta_f = Fraction(eta)
-    led = effective_constants(F, eta_f)
     alpha_e = parse_element(F, alpha)
+    led = effective_constants(F, eta)
     doc = {"field": F.spec_string(), "k": k, "level": lvl.to_json(),
            "ledger": led.to_json(),
-           "threshold_thm32": mpf_str(threshold_thm32(F, k, unit_ideal(F), lvl, eta_f, led)),
+           "threshold_thm32": mpf_str(threshold_thm32(F, k, unit_ideal(F), lvl, eta, led)),
            "threshold_cor33": mpf_str(threshold_cor33(
                F, k, FractionalIdeal(unit_ideal(F)), lvl, alpha_e)),
            "threshold_thm35": mpf_str(threshold_thm35(F, k, lvl))}

@@ -61,6 +61,8 @@ class PoincareParams:
         self.level = level if level is not None else unit_ideal(field)
         if isinstance(self.level, FractionalIdeal):
             self.level = self.level.as_integral()
+        self._classes: list = []           # [(t, m = N(cnd) t, c_elt, modulus)]
+        self._tmax = 0                     # the table holds every t <= _tmax
 
     def key(self):
         return (self.field.d, self.k, self.cideal.num.key(), self.cideal.den,
@@ -71,6 +73,28 @@ class PoincareParams:
 
     def norm_cnd(self) -> Fraction:
         return self.norm_cd() * self.level.norm()
+
+    def classes_upto(self, X):
+        """Unit-class data for all |N(c)| <= X, balanced representatives: one
+        table per params, read by all its evaluators and extended as X grows."""
+        n_o, F = self.norm_cnd(), self.field
+        tmax = int(Fraction(X) / n_o)
+        if tmax > self._tmax:
+            o_frac = (self.cideal * FractionalIdeal(self.level)
+                      * FractionalIdeal(different_ideal(F)))
+            for t in range(self._tmax + 1, tmax + 1):
+                for J in ideals_of_norm(F, t):
+                    num = ideal_product(o_frac.num, J)
+                    g = is_principal(num)
+                    if g is None:
+                        raise PreconditionViolated(
+                            f"non-principal class ideal {num} (h+ > 1?)")
+                    g, _ = F.balanced_representative(g)
+                    c_elt = g / F.from_int(o_frac.den)
+                    modulus = ideal_product(self.level, J)
+                    self._classes.append((t, n_o * t, c_elt, modulus))
+            self._tmax = tmax
+        return [cl for cl in self._classes if cl[0] <= tmax]
 
     def to_json(self):
         return {"field": self.field.spec_string(), "k": self.k,
@@ -197,8 +221,8 @@ def af_table(field, limit: int):
 class CoefficientEvaluator:
     """Incremental certified evaluation of c_k(nu, mu) for fixed arguments.
 
-    Term intervals are cached by (class ideal, unit exponent), so raising the
-    cutoffs on a certification ladder only adds new terms.
+    Per class, `_terms` keeps the Bessel bases and the partial sum over
+    |j| <= M, so raising the cutoffs on a certification ladder only adds terms.
     """
 
     def __init__(self, params: PoincareParams, nu: Elt, mu: Elt,
@@ -228,37 +252,18 @@ class CoefficientEvaluator:
         self.chi = chi_mu(nu, mu)
         self.n_o = params.norm_cnd()       # N(cnd), the class-norm unit
         self.n_b = params.norm_cd()        # N(cd)
-        self._classes: list = []           # [(t, m=N_o*t, c_elt, modulus)]
-        self._classes_upto = 0
-        self._terms: dict = {}             # (ideal_key, j) -> interval
-        self._abs_c: dict = {}             # ideal_key -> (|s1(c)|, |s2(c)|)
-        with prec_guard(precision):
-            self._four_pi = 4 * iv.pi
+        self._classes = params._classes    # the params' table, not a copy
+        self._terms: dict = {}             # modulus key -> [b1, b2, M, sum]
+        with prec_guard(precision):        # g_i = 4 pi sqrt(s_i(nu mu))
+            self._g = [4 * iv.pi * iv.sqrt(e) for e in (nu * mu).embeddings(precision)]
+            self._a_pows = [iv.mpf(1), F.A_interval(precision)]   # A^|j|
         self._prefactor = None
         self._tc = None                    # tail constants, on first use
 
     # -- enumeration ---------------------------------------------------------
     def classes_upto(self, X):
-        """Unit-class data for all |N(c)| <= X, balanced representatives."""
-        tmax = int(Fraction(X) / self.n_o)
-        if tmax > self._classes_upto:
-            F = self.F
-            o_frac = (self.params.cideal
-                      * FractionalIdeal(self.params.level)
-                      * FractionalIdeal(different_ideal(F)))
-            for t in range(self._classes_upto + 1, tmax + 1):
-                for J in ideals_of_norm(F, t):
-                    num = ideal_product(o_frac.num, J)
-                    g = is_principal(num)
-                    if g is None:
-                        raise PreconditionViolated(
-                            f"non-principal class ideal {num} (h+ > 1?)")
-                    g, _ = F.balanced_representative(g)
-                    c_elt = g / F.from_int(o_frac.den)
-                    modulus = ideal_product(self.params.level, J)
-                    self._classes.append((t, self.n_o * t, c_elt, modulus))
-            self._classes_upto = tmax
-        return [cl for cl in self._classes if Fraction(cl[1]) <= Fraction(X)]
+        """`PoincareParams.classes_upto`."""
+        return self.params.classes_upto(X)
 
     def prefactor(self):
         if self._prefactor is None:
@@ -272,17 +277,21 @@ class CoefficientEvaluator:
 
     # -- individual terms ----------------------------------------------------
     def term(self, cls, j: int, rings=None):
-        """The interval of one (class, unit exponent) term; `rings` is
-        passed on to `kloosterman_exact`."""
+        """One (class, unit exponent) term, not cached; `rings` goes to
+        `kloosterman_exact`.  As s1(eps_plus^j) = A^2j = 1/s2(eps_plus^j), its
+        Bessel arguments are b1 A^j and b2 A^-j, b_i = g_i/|s_i(c)| (in `_terms`)."""
         t, m, c_elt, modulus = cls
-        key = (modulus.key(), j)
-        cached = self._terms.get(key)
-        if cached is not None:
-            return cached
         F = self.F
         with prec_guard(self.precision):
-            eps = F.eps_plus_pow(j)
-            q = KloostermanQuery(F, self.nu, eps * self.mu, modulus, c_elt)
+            b = self._terms.setdefault(modulus.key(), [None, None, -1, None])
+            if b[0] is None:
+                b[:2] = (g / abs(c) for g, c in zip(self._g, c_elt.embeddings(self.precision)))
+            while len(self._a_pows) <= abs(j):
+                self._a_pows.append(self._a_pows[-1] * self._a_pows[1])
+            a = self._a_pows[abs(j)]
+            x1, x2 = (b[0] * a, b[1] / a) if j >= 0 else (b[0] / a, b[1] * a)
+            q = KloostermanQuery(F, self.nu, F.eps_plus_pow(j) * self.mu,
+                                 modulus, c_elt)
             try:
                 s_re = kloosterman_exact(q, self.enum_budget, self.store,
                                          rings).real_interval(self.precision)
@@ -290,19 +299,22 @@ class CoefficientEvaluator:
                 # over budget: S is a sum of phi(m) <= N(m) roots of unity
                 n = modulus.norm()
                 s_re = iv.mpf([-n, n])
-            z = self.nu * eps * self.mu
-            e1, e2 = z.embeddings(self.precision)
-            abs_c = self._abs_c.get(key[0])
-            if abs_c is None:
-                c1, c2 = c_elt.embeddings(self.precision)
-                abs_c = self._abs_c[key[0]] = (abs(c1), abs(c2))
-            x1 = self._four_pi * iv.sqrt(e1) / abs_c[0]
-            x2 = self._four_pi * iv.sqrt(e2) / abs_c[1]
-            val = (s_re * besselJ(self.k - 1, x1, self.precision)
-                   * besselJ(self.k - 1, x2, self.precision)
-                   / iv_from_fraction(Fraction(m)))
-        self._terms[key] = val
-        return val
+            return (s_re * besselJ(self.k - 1, x1, self.precision)
+                    * besselJ(self.k - 1, x2, self.precision)
+                    / iv_from_fraction(Fraction(m)))
+
+    def _class_sum(self, cls, M: int, rings):
+        """One class's sum over |j| <= M, in `evaluate_together`'s order."""
+        entry = self._terms.get(cls[3].key())
+        done, acc = entry[2:] if entry and entry[2] <= M else (-1, None)
+        new = range(done + 1, M + 1)
+        # computed in ascending j, the order a store records new sums in
+        t = {j: self.term(cls, j, rings) for j in sorted({*new, *(-j for j in new)})}
+        for j in new:
+            group = t[j] + t[-j] if j else t[0]
+            acc = group if acc is None else acc + group
+        self._terms[cls[3].key()][2:] = [M, acc]
+        return acc
 
     # -- tail bound -------------------------------------------------------------
     def _tail_constants(self):
@@ -403,23 +415,36 @@ class CoefficientEvaluator:
 
     # -- main entry ----------------------------------------------------------
     def evaluate(self, X, M: int) -> CoefficientValue:
-        """The enclosure at cutoffs X and M.
+        """The enclosure at cutoffs X and M, summed as `evaluate_together` sums."""
+        return evaluate_together([self], X, M)[0]
 
-        All 2M + 1 Kloosterman sums of a class share its modulus, so each
-        class gets its own `rings` dict: the residue ring is enumerated at
-        most once per class and dropped before the next class starts.
-        """
-        if X < 0 or M < 0:
-            raise PreconditionViolated("cutoffs X and M must be >= 0")
-        with prec_guard(self.precision):
-            acc = iv.mpf(0)
-            for cls in self.classes_upto(X):
-                rings = {}
-                for j in range(-M, M + 1):
-                    acc += self.term(cls, j, rings)
-            finite = self.prefactor() * acc
-        tail, split = self.tail_bound(X, M)
-        return CoefficientValue(self.chi, finite, tail, X, M, self.eta, split)
+
+def evaluate_together(evaluators, X, M: int) -> list[CoefficientValue]:
+    """The evaluators' enclosures at cutoffs X and M, in one pass over the
+    classes of their shared params.  A class's `rings` dict serves every
+    evaluator, so its ring is enumerated at most once per pass.  A class is
+    summed j outward, t_0 + (t_1 + t_-1) + (t_2 + t_-2) + ..., extending its
+    stored partial sum (or from j = 0 if M fell); classes add in table order.
+    So a value is bit-identical however the ladder reached it."""
+    if X < 0 or M < 0:
+        raise PreconditionViolated("cutoffs X and M must be >= 0")
+    if not evaluators or any(ev.params is not evaluators[0].params for ev in evaluators):
+        raise PreconditionViolated("evaluators must share one PoincareParams")
+    # tails first: the scratch of their a_F sieve is freed before the pass
+    # fills the Kloosterman cache, so the two do not add up in peak memory
+    tails = [ev.tail_bound(X, M) for ev in evaluators]
+    accs = [iv.mpf(0)] * len(evaluators)
+    for cls in evaluators[0].classes_upto(X):
+        rings = {}
+        for i, ev in enumerate(evaluators):
+            with prec_guard(ev.precision):
+                accs[i] += ev._class_sum(cls, M, rings)
+    out = []
+    for ev, acc, (tail, split) in zip(evaluators, accs, tails):
+        with prec_guard(ev.precision):
+            finite = ev.prefactor() * acc
+        out.append(CoefficientValue(ev.chi, finite, tail, X, M, ev.eta, split))
+    return out
 
 
 def coefficient(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
@@ -739,9 +764,12 @@ def recurrence_check_cor45(params: PoincareParams, nu: Elt, mu: Elt, p: Elt,
             / element_ideal(q_gen) * FractionalIdeal(params.level))
     if not _coprime_to(F, pid, copr):
         raise PreconditionViolated("p must be coprime to nu*mu*q^-2*n")
-    lhs_v = coefficient_tilde(params, nu * p ** m, mu * p ** n, X, M, eta, **kw)
-    t1 = coefficient_tilde(params, nu, mu * p ** (m + n), X, M, eta, **kw)
-    t2 = coefficient_tilde(params, nu * p ** (m - 1), mu * p ** (n - 1), X, M, eta, **kw)
+    args = ((nu * p ** m, mu * p ** n), (nu, mu * p ** (m + n)),
+            (nu * p ** (m - 1), mu * p ** (n - 1)))
+    lhs_v, t1, t2 = evaluate_together(
+        [CoefficientEvaluator(params, a, b, eta, **kw) for a, b in args], X, M)
+    for val, (_, b) in zip((lhs_v, t1, t2), args):
+        val.scale = Fraction(b.norm()) ** (params.k - 1)   # as coefficient_tilde
     with prec_guard(96):
         lhs = lhs_v.enclosure()
         np_pow = iv_from_fraction(Fraction(pid.norm()) ** (params.k - 1))

@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from hilbertpoincare.cli import main
@@ -263,3 +264,47 @@ def test_vacuous_checks_exit_2(tmp_path):
     r = CliRunner().invoke(main, ["kloosterman", "--d", "5", "--nu", "1/delta",
                                   "--mu", "0", "--c", "2", "--config", str(cfg)])
     assert r.exit_code == 2 and "precision" in r.output
+
+
+def _usage_error(args):
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 2, (args, r.output)
+    assert isinstance(r.exception, SystemExit), (args, r.exception)
+    assert len([ln for ln in r.output.splitlines() if ln.startswith("Error:")]) == 1
+    return r.output
+
+
+CERTIFY = ["certify", "--d", "5", "--k", "8", "--mu", "1"]
+THRESHOLDS = ["thresholds", "--d", "5", "--k", "8"]
+KLOOSTERMAN = ["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "0", "--c", "2"]
+RECURRENCE = ["recurrence", "--d", "5", "--k", "8", "--p", "(3,2)", "--x", "200",
+              "--big-m", "2"]
+
+
+@pytest.mark.parametrize("args", [
+    CERTIFY + ["--eta", "x"],
+    THRESHOLDS + ["--eta", "x"],
+    ["kloosterman", "--d", "5", "--nu", "1/0", "--mu", "1", "--c", "2"],
+    ["certify", "--d", "5", "--k", "8", "--mu", "(1,2)/0"],
+    THRESHOLDS + ["--alpha", "1/0"],
+])
+def test_malformed_values_exit_2(args):
+    # a value that does not parse is a usage error, not a traceback
+    _usage_error(args)
+
+
+@pytest.mark.parametrize("doc", [{"precision": "x"}, {"residue_budget": "abc"},
+                                 {"residue_budget": 0}, {"residue_budget": -5},
+                                 {"format": "xml"}])
+def test_malformed_config_values_exit_2(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = _usage_error(KLOOSTERMAN + ["--config", str(cfg)])
+    assert next(iter(doc)) in out
+
+
+@pytest.mark.parametrize("args", [RECURRENCE + ["--residue-budget", "-5"],
+                                  KLOOSTERMAN + ["--residue-budget", "0"]])
+def test_residue_budget_below_1_exits_2(args):
+    # a budget below 1 would refuse every sum and report trivial bounds
+    assert "residue-budget" in _usage_error(args)

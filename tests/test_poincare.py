@@ -8,8 +8,9 @@ import mpmath
 import pytest
 from mpmath import iv, mp
 
-from hilbertpoincare import kloosterman
+from hilbertpoincare import kloosterman, poincare
 from hilbertpoincare.errors import MembershipViolated, PreconditionViolated
+from hilbertpoincare.field import RealQuadraticField, make_field
 from hilbertpoincare.ideals import (FractionalIdeal, ideals_of_norm,
                                     principal_ideal, unit_ideal)
 from hilbertpoincare.intervals import (contains, hi, lo, overlaps, prec_guard,
@@ -19,7 +20,7 @@ from hilbertpoincare.poincare import (CertifyBudget, CoefficientEvaluator,
                                       audit_certificate, certify_nonvanishing,
                                       chi_mu, coefficient, coefficient_tilde,
                                       criterion_unreachable,
-                                      effective_constants,
+                                      effective_constants, evaluate_together,
                                       nonvanishing_relations_report,
                                       recurrence_check_cor45,
                                       threshold_cor33, threshold_thm32,
@@ -251,7 +252,7 @@ def test_over_budget_terms_take_trivial_bound(F5):
 def test_evaluate_shares_one_ring_per_class(F5, monkeypatch):
     # each class's 2M + 1 sums share one ring, built at most once and dead
     # before the next class builds its own; the finite part is bit-identical
-    # to terms summed with a fresh ring per call
+    # to terms summed with a fresh ring per call, in the same j-outward order
     monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
     built = []
     real = kloosterman.residue_ring
@@ -281,10 +282,118 @@ def test_evaluate_shares_one_ring_per_class(F5, monkeypatch):
     with prec_guard(ev2.precision):
         acc = iv.mpf(0)
         for cls in ev2.classes_upto(200):
-            for j in range(-3, 4):
-                acc += ev2.term(cls, j)
+            part = ev2.term(cls, 0)
+            for j in range(1, 4):
+                part += ev2.term(cls, j) + ev2.term(cls, -j)
+            acc += part
         finite = ev2.prefactor() * acc
     assert (lo(finite), hi(finite)) == (lo(val.finite_part), hi(val.finite_part))
+
+
+def test_evaluators_of_one_params_share_the_class_table(F5, monkeypatch):
+    calls = []
+    real = RealQuadraticField.balanced_representative
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(RealQuadraticField, "balanced_representative", counted)
+    params = PoincareParams(F5, 8)
+    a = CoefficientEvaluator(params, F5.one(), F5.one())
+    b = CoefficientEvaluator(params, F5.elt(3, -1), F5.one())
+    a.evaluate(100, 1)
+    b.evaluate(100, 1)
+    assert a._classes is b._classes is params._classes
+    assert len(calls) == len(params.classes_upto(100)) > 0
+    evaluate_together([a, b], 200, 1)
+    assert len(calls) == len(params.classes_upto(200))
+    with pytest.raises(PreconditionViolated):
+        evaluate_together([a, CoefficientEvaluator(PoincareParams(F5, 8),
+                                                   F5.one(), F5.one())], 100, 1)
+
+
+def test_recurrence_builds_one_ring_per_modulus(F5, monkeypatch):
+    # the three coefficients share one pass over the classes: each modulus
+    # is enumerated once in all, and its ring dies with its class
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    built = []
+    real = kloosterman.residue_ring
+
+    def tracked(modulus, *args, **kwargs):
+        if any(r() is not None for _, r in built):
+            gc.collect()
+        assert all(r() is None for _, r in built), "a ring outlived its class"
+        ring = real(modulus, *args, **kwargs)
+        built.append((modulus.key(), weakref.ref(ring)))
+        return ring
+
+    monkeypatch.setattr(kloosterman, "residue_ring", tracked)
+    params = PoincareParams(F5, 8)
+    recurrence_check_cor45(params, F5.one(), F5.one(), F5.elt(3, 2), 1, 1, 200, 2)
+    gc.collect()
+    assert all(r() is None for _, r in built)
+    builds = Counter(key for key, _ in built)
+    moduli = {cls[3].key() for cls in params.classes_upto(200) if cls[3].norm() > 1}
+    assert len(moduli) == 15 and builds == Counter(moduli), builds
+
+
+@pytest.mark.parametrize("d, mu", [(5, (3, -1)), (2, (3, 1))])
+@pytest.mark.parametrize("precision", [64, 96])
+def test_bessel_arguments_from_powers_of_A(d, mu, precision, monkeypatch):
+    # x_i(j) = g_i A^(+-j) / |s_i(c)| must contain the arguments embedded
+    # directly from nu eps_plus^j mu, here at 200 bits
+    F = make_field(d)
+    nu, mu = F.one(), F.elt(*mu)
+    args = []
+    monkeypatch.setattr(poincare, "besselJ",
+                        lambda order, x, prec: args.append(x) or iv.mpf([-1, 1]))
+    ev = CoefficientEvaluator(PoincareParams(F, 8), nu, mu, precision=precision)
+    for cls in ev.classes_upto(30):
+        c1, c2 = cls[2].embeddings(200)
+        for j in range(-12, 13):
+            del args[:]
+            ev.term(cls, j)
+            with prec_guard(200):
+                z1, z2 = (nu * F.eps_plus_pow(j) * mu).embeddings(200)
+                direct = (4 * iv.pi * iv.sqrt(z1) / abs(c1),
+                          4 * iv.pi * iv.sqrt(z2) / abs(c2))
+            for x, y in zip(args, direct):
+                assert lo(x) <= lo(y) and hi(y) <= hi(x), (cls[3], j)
+
+
+def test_ladder_order_is_bit_identical(F5):
+    # a value does not depend on the cutoffs evaluated before it
+    params = PoincareParams(F5, 8)
+    mu = F5.elt(3, -1)
+    ev = CoefficientEvaluator(params, mu, mu)
+    for M in (2, 5, 3):
+        got = ev.evaluate(300, M)
+        fresh = CoefficientEvaluator(PoincareParams(F5, 8), mu, mu).evaluate(300, M)
+        assert (lo(got.finite_part), hi(got.finite_part), got.tail) == \
+            (lo(fresh.finite_part), hi(fresh.finite_part), fresh.tail), M
+
+
+def test_recurrence_coefficients_contain_the_oracle(F5, monkeypatch):
+    # the oracle embeds nu eps_plus^j mu directly, so this checks the
+    # A^j arguments and the shared pass independently
+    seen = []
+    real = poincare.evaluate_together
+
+    def spy(evaluators, X, M):
+        vals = real(evaluators, X, M)
+        seen.extend(zip(evaluators, vals))
+        return vals
+
+    monkeypatch.setattr(poincare, "evaluate_together", spy)
+    params = PoincareParams(F5, 8)
+    recurrence_check_cor45(params, F5.one(), F5.one(), F5.elt(3, 2), 1, 1, 150, 2)
+    assert len(seen) == 3
+    for ev, val in seen:
+        assert val.scale == Fraction(ev.mu.norm()) ** 7
+        oracle = poincare_truncated_oracle(params, ev.nu, ev.mu, 150, 2)
+        acc = iv.mpf(val.chi_term) + val.finite_part
+        assert lo(acc) <= oracle <= hi(acc), (ev.nu, ev.mu)
 
 
 def test_effective_constants(F5):
