@@ -123,9 +123,3 @@ def envelope(k: int, x, eta=Fraction(0)) -> object:
 def envelope_hi(k: int, x, eta=Fraction(0)):
     e = envelope(k, x, eta)
     return hi(e) if hasattr(e, "_mpi_") else e
-
-
-def nj_product(k: int, arg1, arg2, precision: int = 64):
-    """Enclosure of J_{k-1}(arg1) * J_{k-1}(arg2) (the two-embedding factor)."""
-    with prec_guard(precision):
-        return besselJ(k - 1, arg1, precision) * besselJ(k - 1, arg2, precision)

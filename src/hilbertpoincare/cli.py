@@ -35,16 +35,26 @@ from .field import make_field
 from .hecke import CoeffFunction, HeckeContext, check_multiplicativity, hecke_action, pairing
 from .ideals import (FractionalIdeal, IdealHNF, dedekind_a, ideal_sum,
                      ideals_of_norm, is_principal, principal_ideal, unit_ideal)
-from .intervals import hi, iv_str, lo, mpf_str, prec_guard
+from .intervals import DEFAULT_PREC, hi, iv_str, lo, mpf_str, prec_guard
 from .kloosterman import (KloostermanQuery, kloosterman_exact,
                           kloosterman_float, selberg_check, weil_bound)
 from .poincare import (CertifyBudget, PoincareParams, certify_nonvanishing,
                        effective_constants, recurrence_check_cor45,
                        threshold_cor33, threshold_thm32, threshold_thm35)
+from .residues import DEFAULT_ENUM_BUDGET
+
+
+def _path_or_null(value):
+    """A click type for the config's cache_dir: a string, or null for none."""
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
 
 # the config keys, each with the click type that checks it there and as an option
 CONFIG_TYPES = {"residue_budget": click.IntRange(min=1), "precision": click.IntRange(min=1),
-                "cache_dir": click.UNPROCESSED, "format": click.Choice(["json", "csv", "table"])}
+                "cache_dir": click.types.FuncParamType(_path_or_null),
+                "format": click.Choice(["json", "csv", "table"])}
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -58,11 +68,16 @@ def parse_fraction(text: str) -> Fraction:
 class Settings:
     def __init__(self, config_path=None, cache_dir=None, precision=None,
                  residue_budget=None, fmt=None):
-        vals = {"residue_budget": 10**7, "precision": 96,
+        vals = {"residue_budget": DEFAULT_ENUM_BUDGET, "precision": DEFAULT_PREC,
                 "cache_dir": os.environ.get("POINCARE_CACHE_DIR"), "format": "json"}
         if config_path:
             with open(config_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                try:
+                    doc = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise click.UsageError(f"config is not valid JSON: {exc}") from None
+            if not isinstance(doc, dict):
+                raise click.UsageError("config must be a JSON object")
             unknown = set(doc) - set(CONFIG_TYPES)
             if unknown:
                 raise click.UsageError(f"unknown config keys: {sorted(unknown)}")

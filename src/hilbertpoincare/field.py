@@ -79,9 +79,6 @@ class Elt:
         core = f"({self.a},{self.b})" if self.b else f"{self.a}"
         return core if self.den == 1 else f"{core}/{self.den}"
 
-    def coords(self):
-        return (self.a, self.b, self.den)
-
     # -- ring operations -------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)
@@ -187,10 +184,6 @@ class Elt:
                 denom = self.den * (2 if self.field.basis_kind == "half" else 1)
                 out.append((iv.mpf(A) + iv.mpf(B) * sq) / iv.mpf(denom))
             return tuple(out)
-
-    def abs_embedding(self, embedding: int, precision: int = 53):
-        with prec_guard(precision):
-            return abs(self.embeddings(precision)[embedding - 1])
 
     def to_json(self):
         d = {"a": str(self.a), "b": str(self.b)}
@@ -308,12 +301,6 @@ class RealQuadraticField:
                 inv = self.one() / self.eps_plus
                 self._pow_cache[m] = self.eps_plus_pow(m + 1) * inv
         return self._pow_cache[m]
-
-    def totally_positive_unit_reps(self):
-        """Representatives of O^{x+} / (O^x)^2: {1}, or {1, fu} for norm +1."""
-        if self.fu_norm == -1:
-            return [self.one()]
-        return [self.one(), self.fundamental_unit]
 
     def is_unit(self, x: Elt) -> bool:
         return x.is_integral() and abs(x.norm()) == 1

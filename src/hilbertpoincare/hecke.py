@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import NotDivisible, PreconditionViolated
 from .ideals import (IdealHNF, chi0, divisors, ideal_exact_divide,
                      ideal_product, ideal_sum, unit_ideal)
+from .poincare import require_weight
 
 
 class CoeffFunction:
@@ -76,8 +77,7 @@ class HeckeContext:
     level: IdealHNF
 
     def __post_init__(self):
-        if self.k < 4 or self.k % 2:
-            raise PreconditionViolated("weight k must be even and >= 4")
+        require_weight(self.k)
 
 
 def _action_value(ctx: HeckeContext, m: IdealHNF, f: CoeffFunction,

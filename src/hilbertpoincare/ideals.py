@@ -191,36 +191,45 @@ def ideal_pow(x: IdealHNF, e: int) -> IdealHNF:
 class Splitting:
     kind: str               # "split" | "inert" | "ramified"
     primes: tuple           # one or two prime ideals
-    e: int                  # ramification index
-    f: int                  # inertial degree
+
+
+def splitting_type(field, p: int) -> str:
+    """How the rational prime p decomposes in F, read off the Kronecker
+    symbol (D/p): "ramified" when p | D; for p = 2 (then d = 1 mod 4),
+    "split" when d = 1 mod 8, else "inert"; for odd p, Euler's criterion
+    (Cohen, GTM 138, on the decomposition of primes in quadratic fields)."""
+    if field.D % p == 0:
+        return "ramified"
+    if p == 2:
+        return "split" if field.d % 8 == 1 else "inert"
+    return "split" if pow(field.D % p, (p - 1) // 2, p) == 1 else "inert"
+
+
+def local_ideal_count(kind: str, e: int) -> int:
+    """Number of integral ideals of norm p^e, for p of the given splitting type."""
+    if kind == "split":
+        return e + 1
+    if kind == "inert":
+        return 1 - e % 2
+    return 1
 
 
 def prime_splitting(field, p: int) -> Splitting:
     if not arith.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     F = field
-    if p == 2 and F.basis_kind == "half":
-        if F.d % 8 == 1:
-            p1 = ideal_from_generators([F.from_int(2), F.omega()])
-            p2 = ideal_from_generators([F.from_int(2), F.omega() - F.one()])
-            return Splitting("split", (p1, p2), 1, 1)
-        return Splitting("inert", (principal_ideal(F.from_int(2)),), 1, 2)
-    if F.D % p == 0:
-        if p == 2:
-            r = F.d % 2
-        else:
-            r = (F.c1 * pow(2, p - 2, p)) % p  # double root c1/2 mod p
-        pr = ideal_from_generators([F.from_int(p), F.omega() - F.from_int(r)])
-        return Splitting("ramified", (pr,), 2, 1)
-    ls = pow(F.D % p, (p - 1) // 2, p)
-    if ls == 1:
-        s = arith.sqrt_mod_p(F.D % p, p)
-        inv2 = pow(2, p - 2, p)
+    kind = splitting_type(F, p)
+    if kind == "inert":
+        return Splitting(kind, (principal_ideal(F.from_int(p)),))
+    if kind == "ramified":   # the double root of the minimal polynomial mod p
+        roots = [F.d % 2] if p == 2 else [F.c1 * pow(2, p - 2, p) % p]
+    elif p == 2:             # x^2 - x - c0 = x(x - 1) mod 2
+        roots = [0, 1]
+    else:
+        s, inv2 = arith.sqrt_mod_p(F.D % p, p), pow(2, p - 2, p)
         roots = sorted({(F.c1 + s) * inv2 % p, (F.c1 - s) * inv2 % p})
-        ps = tuple(ideal_from_generators([F.from_int(p), F.omega() - F.from_int(r)])
-                   for r in roots)
-        return Splitting("split", ps, 1, 1)
-    return Splitting("inert", (principal_ideal(F.from_int(p)),), 1, 2)
+    return Splitting(kind, tuple(
+        ideal_from_generators([F.from_int(p), F.omega() - F.from_int(r)]) for r in roots))
 
 
 _factor_lock = threading.Lock()
@@ -250,6 +259,14 @@ def factor_ideal(x: IdealHNF):
     """Multiset of (prime ideal, exponent); cached, thread-safe."""
     with _factor_lock:
         return list(_factor_ideal_cached(x))
+
+
+def is_prime_element(p: Elt) -> bool:
+    """Does p generate a prime ideal?"""
+    if p.is_zero() or not p.is_integral() or abs(p.norm()) == 1:
+        return False
+    fac = factor_ideal(principal_ideal(p))
+    return len(fac) == 1 and fac[0][1] == 1
 
 
 def valuation_ideal(x: IdealHNF, pr: IdealHNF) -> int:
@@ -488,11 +505,5 @@ def dedekind_a(field, n: int) -> int:
     """Number of integral ideals of norm n (multiplicative in n)."""
     out = 1
     for p, e in arith.factorint(n).items():
-        sp = prime_splitting(field, p)
-        if sp.kind == "split":
-            out *= e + 1
-        elif sp.kind == "inert":
-            if e % 2:
-                return 0
-        # ramified contributes factor 1
+        out *= local_ideal_count(splitting_type(field, p), e)
     return out

@@ -110,10 +110,10 @@ def iv_min(x, y):
     return iv.mpf([min(lo(x), lo(y)), min(hi(x), hi(y))])
 
 
-def iv_str(x, digits: int = 20) -> str:
-    """Deterministic decimal rendering of an endpoint pair."""
-    return "[%s, %s]" % (mpmath.nstr(lo(x), digits), mpmath.nstr(hi(x), digits))
+def iv_str(x) -> str:
+    """Deterministic decimal rendering of an endpoint pair, 20 digits each."""
+    return "[%s, %s]" % (mpmath.nstr(lo(x), 20), mpmath.nstr(hi(x), 20))
 
 
-def mpf_str(x, digits: int = 20) -> str:
-    return mpmath.nstr(mpmath.mpf(x), digits)
+def mpf_str(x) -> str:
+    return mpmath.nstr(mpmath.mpf(x), 20)

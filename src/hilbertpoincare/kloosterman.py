@@ -16,7 +16,7 @@ from .cyclotomic import CyclotomicInteger
 from .errors import (BudgetExceeded, MembershipViolated, NonPrincipalDivisor,
                      PreconditionViolated)
 from .field import Elt
-from .ideals import (IdealHNF, divisors, factor_ideal, ideal_from_generators,
+from .ideals import (IdealHNF, divisors, ideal_from_generators, is_prime_element,
                      is_principal, N_nu_mu, pr_count, principal_ideal,
                      unit_ideal)
 from .intervals import iv_sqrt_fraction, prec_guard
@@ -145,9 +145,6 @@ class RadicalValue:
             from .intervals import iv_from_fraction
             return iv_from_fraction(self.coeff) * iv_sqrt_fraction(self.radicand)
 
-    def squared(self) -> Fraction:
-        return self.coeff * self.coeff * self.radicand
-
     def __repr__(self):
         return f"{self.coeff}*sqrt({self.radicand})"
 
@@ -173,13 +170,6 @@ def _require_delta(field) -> Elt:
     return field.delta
 
 
-def _is_prime_element(p: Elt) -> bool:
-    if p.is_zero() or not p.is_integral() or abs(p.norm()) == 1:
-        return False
-    fac = factor_ideal(principal_ideal(p))
-    return len(fac) == 1 and fac[0][1] == 1
-
-
 def principal_kloosterman(field, nu: Elt, mu: Elt, c: Elt, **kw) -> CyclotomicInteger:
     """S(nu, mu; c) = S_{(c)}(nu, mu; c) for integral nonzero c."""
     m = principal_ideal(c) if abs(c.norm()) != 1 else unit_ideal(field)
@@ -194,7 +184,7 @@ def lemma41_value(field, p: Elt, eps1: Elt, eps2: Elt, r: Elt, e: int,
     0 when e > 1.
     """
     delta = _require_delta(field)
-    if not _is_prime_element(p):
+    if not is_prime_element(p):
         raise PreconditionViolated(f"{p} is not a prime element")
     if not (field.is_unit(eps1) and field.is_unit(eps2)):
         raise PreconditionViolated("eps1, eps2 must be units")
@@ -257,7 +247,7 @@ def cor43_check(field, nu: Elt, mu: Elt, q: Elt, p: Elt, m: int, n: int,
         raise PreconditionViolated("narrow class number 1 required")
     if m < 1 or n < 1:
         raise PreconditionViolated("m, n must be >= 1")
-    if not _is_prime_element(p):
+    if not is_prime_element(p):
         raise PreconditionViolated(f"{p} is not a prime element")
     pid = principal_ideal(p)
     dnu, dmu = delta * nu, delta * mu

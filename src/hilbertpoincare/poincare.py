@@ -30,27 +30,33 @@ from .bessel import besselJ
 from .errors import BudgetExceeded, MembershipViolated, PreconditionViolated
 from .field import Elt, RealQuadraticField
 from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
-                     ideal_product, ideals_of_norm, is_principal,
-                     prime_splitting, principal_ideal, unit_ideal)
+                     ideal_product, ideal_sum, ideals_of_norm, is_prime_element,
+                     is_principal, local_ideal_count, principal_ideal,
+                     splitting_type, unit_ideal)
 from .intervals import (hi, iv_from_fraction, iv_max, iv_min, iv_pow_frac,
-                        iv_sqrt_fraction, lo, prec_guard, sup_abs, width)
+                        iv_sqrt_fraction, lo, overlaps, prec_guard, sup_abs,
+                        width)
 from .kloosterman import KloostermanQuery, kloosterman_exact
 from .residues import DEFAULT_ENUM_BUDGET
 
 DEFAULT_ETA = Fraction(1, 2)
-ZETA_PARTIAL_TERMS = 10**5
 
 
 # ---------------------------------------------------------------------------
 # parameters and value containers
+
+def require_weight(k: int):
+    """The weights the paper's theorems cover: even k >= 4."""
+    if k < 4 or k % 2:
+        raise PreconditionViolated("weight k must be even and >= 4")
+
 
 class PoincareParams:
     """Weight k, base fractional ideal c (with generator when principal),
     integral level n."""
 
     def __init__(self, field: RealQuadraticField, k: int, cideal=None, level=None):
-        if k < 4 or k % 2:
-            raise PreconditionViolated("weight k must be even and >= 4")
+        require_weight(k)
         self.field = field
         self.k = k
         if cideal is None:
@@ -188,31 +194,27 @@ def af_table(field, limit: int):
     a = [0] * n
     if n > 1:
         a[1] = 1
-    local_cache: dict[tuple[int, int], int] = {}
-
-    def local(p, e):
-        key = (p, e)
-        v = local_cache.get(key)
-        if v is None:
-            sp = prime_splitting(field, p)
-            if sp.kind == "split":
-                v = e + 1
-            elif sp.kind == "inert":
-                v = 1 if e % 2 == 0 else 0
-            else:
-                v = 1
-            local_cache[key] = v
-        return v
-
+    local: dict[tuple[int, int], int] = {}     # (p, e) -> a_F(p^e)
     for t in range(2, n):
         p = spf[t]
         e, m = 0, t
         while m % p == 0:
             m //= p
             e += 1
-        a[t] = a[m] * local(p, e)
+        v = local.get((p, e))
+        if v is None:
+            v = local[p, e] = local_ideal_count(splitting_type(field, p), e)
+        a[t] = a[m] * v
     _af_tables[field.d] = a
     return a
+
+
+def _af_tail(n_o, s: Fraction, T: int):
+    """Upper bound 2 n_o^-s T^(3/2-s)/(s - 3/2) on sum_{t > T} a_F(t) (n_o t)^-s,
+    for s > 3/2, from a_F(t) <= d(t) <= 2 sqrt(t)."""
+    return (2 * iv_pow_frac(iv_from_fraction(n_o), -s)
+            * iv_pow_frac(iv.mpf(T), Fraction(3, 2) - s)
+            / iv_from_fraction(s - Fraction(3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +343,9 @@ class CoefficientEvaluator:
             self._tc = (kt, e0, base, A, fact)
         return self._tc
 
-    def _blocked_af_sum(self, s: Fraction, t_from: int, t_to: int):
-        """Upper bound on sum_{t_from < t <= t_to} a_F(t) (n_o t)^{-s}."""
+    def _omitted_af_sum(self, s: Fraction, t_from: int, t_to: int):
+        """Upper bound on sum_{t > t_from} a_F(t) (n_o t)^{-s}: by blocks up
+        to t_to, then `_af_tail` beyond it."""
         a = af_table(self.F, t_to)
         total = iv.mpf(0)
         t = t_from
@@ -352,7 +355,7 @@ class CoefficientEvaluator:
             if cnt:
                 total += cnt / iv_pow_frac(iv_from_fraction(self.n_o * (t + 1)), s)
             t = t2
-        return total
+        return total + _af_tail(self.n_o, s, t_to)
 
     def tail_bound(self, X, M: int):
         """Upper bound on |prefactor * (all omitted terms)|, and its split.
@@ -375,10 +378,7 @@ class CoefficientEvaluator:
             t0 = min(max(32 * tx, 4096), 3 * 10**5)
             # -- omitted norms (t > tx), all unit exponents ----------------
             # j = 0: product of both factorial envelopes, exact norm m.
-            nt = e0 * (self._blocked_af_sum(Fraction(k - 1), tx, t0)
-                       + 2 * iv_pow_frac(iv_from_fraction(n_o), Fraction(1 - k))
-                       * iv_pow_frac(iv.mpf(t0), Fraction(5 - 2 * k, 2))
-                       / iv_from_fraction(Fraction(2 * k - 5, 2)))
+            nt = e0 * self._omitted_af_sum(Fraction(k - 1), tx, t0)
             # j != 0: min over the interpolation grid.
             best = best_theta = None
             for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
@@ -392,10 +392,7 @@ class CoefficientEvaluator:
                 e1 = (iv_pow_frac(base, Fraction(k - 1) * (1 + theta))
                       / iv_pow_frac(iv_from_fraction(fact), 1 + theta))
                 sa = 2 * r / (1 - r)
-                piece = e1 * sa * (self._blocked_af_sum(s, tx, t0)
-                                   + 2 * iv_pow_frac(iv_from_fraction(n_o), -s)
-                                   * iv_pow_frac(iv.mpf(t0), Fraction(3, 2) - s)
-                                   / iv_from_fraction(s - Fraction(3, 2)))
+                piece = e1 * sa * self._omitted_af_sum(s, tx, t0)
                 if best is None or hi(piece) < hi(best):
                     best, best_theta = piece, theta
             nt0, nt = nt, nt + best
@@ -465,14 +462,13 @@ def coefficient_tilde(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
 
 @dataclass
 class CertifyBudget:
-    """Caps and starting values of the cutoffs X and M."""
+    """Caps of the cutoffs X and M.  The ladder starts at X = max(64, 8 N(cnd))
+    and M = 4, each clamped to its cap."""
     max_X: int = 40000
     max_M: int = 24
-    start_X: int = 0             # 0: max(64, 8 N(cnd))
-    start_M: int = 4
 
     def __post_init__(self):
-        if min(self.max_X, self.max_M, self.start_X, self.start_M) < 0:
+        if min(self.max_X, self.max_M) < 0:
             raise PreconditionViolated("cutoffs X and M must be >= 0")
 
 
@@ -502,8 +498,8 @@ def certify_nonvanishing(params: PoincareParams, mu: Elt,
     """
     budget = budget or CertifyBudget()
     ev = CoefficientEvaluator(params, mu, mu, eta, **kw)
-    X = min(budget.start_X or max(64, int(8 * ev.n_o)), budget.max_X)
-    M = min(budget.start_M, budget.max_M)
+    X = min(max(64, int(8 * ev.n_o)), budget.max_X)
+    M = min(4, budget.max_M)
     best = None
     while True:
         val = ev.evaluate(X, M)
@@ -547,16 +543,13 @@ def c2_constant_squared(d: int) -> Fraction:
     """Exact square of C2 = max over ideals of 2^pr(m)/sqrt(N(m)).
 
     Only primes of norm < 4 increase the ratio, so C2^2 is the product of
-    4/N(p) over primes of norm 2 or 3.
+    4/N(p) over primes of norm 2 or 3: (4/p)^a_F(p) for p = 2, 3.
     """
     from .field import make_field
     F = make_field(d)
     out = Fraction(1)
     for p in (2, 3):
-        sp = prime_splitting(F, p)
-        for pr in sp.primes:
-            if pr.norm() < 4:
-                out *= Fraction(4, pr.norm())
+        out *= Fraction(4, p) ** local_ideal_count(splitting_type(F, p), 1)
     return out
 
 
@@ -564,7 +557,7 @@ def c2_constant(field):
     return iv_sqrt_fraction(c2_constant_squared(field.d))
 
 
-def zeta_F_enclosure(field, s: Fraction, terms: int = ZETA_PARTIAL_TERMS):
+def zeta_F_enclosure(field, s: Fraction, terms: int):
     """Dedekind zeta enclosure via partial sums with a divisor-bound tail."""
     s = Fraction(s)
     if s <= Fraction(3, 2):
@@ -575,9 +568,7 @@ def zeta_F_enclosure(field, s: Fraction, terms: int = ZETA_PARTIAL_TERMS):
         for t in range(1, terms + 1):
             if a[t]:
                 total += a[t] / iv_pow_frac(iv.mpf(t), s)
-        tail_hi = hi(2 * iv_pow_frac(iv.mpf(terms), Fraction(3, 2) - s)
-                     / iv_from_fraction(s - Fraction(3, 2)))
-        return total + iv.mpf([0, tail_hi])
+        return total + iv.mpf([0, hi(_af_tail(1, s, terms))])
 
 
 @dataclass
@@ -609,8 +600,7 @@ class ConstantsLedger:
 _ledger_cache: dict = {}
 
 
-def effective_constants(field, eta: Fraction = DEFAULT_ETA,
-                        zeta_terms: int = 20000) -> ConstantsLedger:
+def effective_constants(field, eta: Fraction = DEFAULT_ETA) -> ConstantsLedger:
     """Assemble the effective-constant chain for the non-vanishing threshold.
 
     The chain bounds, for balanced integral mu and even k >= 4,
@@ -623,7 +613,7 @@ def effective_constants(field, eta: Fraction = DEFAULT_ETA,
     eta = Fraction(eta)
     if not (0 < eta < 1):
         raise PreconditionViolated("eta must lie in (0,1)")
-    ckey = (field.d, eta, zeta_terms)
+    ckey = (field.d, eta)
     if ckey in _ledger_cache:
         return _ledger_cache[ckey]
     with prec_guard(96):
@@ -642,7 +632,7 @@ def effective_constants(field, eta: Fraction = DEFAULT_ETA,
         r1 = 1 / iv_pow_frac(A, eta)
         sa = 1 + 2 * r1 / (1 - r1)
         c6 = c5 * sa
-        zf = zeta_F_enclosure(field, Fraction(3) - eta, zeta_terms)
+        zf = zeta_F_enclosure(field, Fraction(3) - eta, 20000)
         c7 = c6 * zf
         r2 = 1 / iv_pow_frac(A, 2 * eta)
         c8 = 1 + 2 * r2 / (1 - r2)
@@ -668,6 +658,7 @@ def threshold_thm32(field, k: int, cideal, level, eta: Fraction = DEFAULT_ETA,
 
     Returns the displayed value C (k-1)^((2k-2)/(k-1/2)) N(cn)^((k-1-eta)/(k-1/2)).
     """
+    require_weight(k)
     if isinstance(cideal, FractionalIdeal):
         if not cideal.is_integral():
             raise PreconditionViolated("threshold requires an integral base ideal")
@@ -686,6 +677,7 @@ def threshold_cor33(field, k: int, cideal: FractionalIdeal, level,
                     alpha: Elt, ledger: ConstantsLedger | None = None):
     """Fractional-ideal threshold, eta fixed at 1/2:
     C (k-1)^((4k-4)/(2k-1)) N(cn)^((2k-3)/(2k-1)) N(alpha)^(-2/(2k-1))."""
+    require_weight(k)
     if isinstance(cideal, IdealHNF):
         cideal = FractionalIdeal(cideal)
     if not alpha.is_totally_positive():
@@ -708,6 +700,7 @@ def threshold_cor33(field, k: int, cideal: FractionalIdeal, level,
 def threshold_thm35(field, k: int, level, ledger: ConstantsLedger | None = None):
     """Threshold formula for the SL2(O)-type series (formula level only):
     C (k-1)^(2 - 6/(2k-1)) N(n)^((4k-3)/(4k-2))."""
+    require_weight(k)
     ledger = ledger or effective_constants(field, Fraction(1, 2))
     with prec_guard(96):
         val = (ledger.C
@@ -729,11 +722,30 @@ class RecurrenceReport:
     scale: object
 
 
-def _coprime_to(field, pid: IdealHNF, frac: FractionalIdeal) -> bool:
-    from .ideals import ideal_sum
-    if not frac.is_integral():
+def _cor45_hypotheses(params: PoincareParams, p: Elt, exponents: dict,
+                      elements: dict):
+    """Check, in this order: narrow class number 1, a totally positive
+    generator q of c, each exponent >= 1, p a totally positive prime element,
+    and p coprime to (product of elements) q^-len(elements) n."""
+    F = params.field
+    if not F.narrow_h1:
+        raise PreconditionViolated("narrow class number 1 required")
+    q_gen = is_principal(params.cideal.num)
+    if q_gen is None or not q_gen.is_totally_positive():
+        raise PreconditionViolated("base ideal needs a totally positive generator")
+    q_gen = q_gen / F.from_int(params.cideal.den)
+    if min(exponents.values()) < 1:
+        raise PreconditionViolated(f"{', '.join(exponents)} must be >= 1")
+    if not (is_prime_element(p) and p.is_totally_positive()):
+        raise PreconditionViolated("p must be a totally positive prime element")
+    copr = FractionalIdeal(params.level)
+    for x in elements.values():
+        copr = copr * element_ideal(x) / element_ideal(q_gen)
+    if not copr.is_integral():
         raise PreconditionViolated("coprimality data is not integral")
-    return ideal_sum(pid, frac.as_integral()).is_unit_ideal()
+    if not ideal_sum(principal_ideal(p), copr.num).is_unit_ideal():
+        raise PreconditionViolated(
+            f"p must be coprime to {'*'.join(elements)}*q^-{len(elements)}*n")
 
 
 def recurrence_check_cor45(params: PoincareParams, nu: Elt, mu: Elt, p: Elt,
@@ -747,23 +759,7 @@ def recurrence_check_cor45(params: PoincareParams, nu: Elt, mu: Elt, p: Elt,
     sum.  Enclosures too wide relative to the identity's scale come back
     "inconclusive" rather than a hollow "consistent".
     """
-    from .kloosterman import _is_prime_element
-    F = params.field
-    if not F.narrow_h1:
-        raise PreconditionViolated("narrow class number 1 required")
-    q_gen = is_principal(params.cideal.num)
-    if q_gen is None or not q_gen.is_totally_positive():
-        raise PreconditionViolated("base ideal needs a totally positive generator")
-    q_gen = q_gen / F.from_int(params.cideal.den)
-    if m < 1 or n < 1:
-        raise PreconditionViolated("m, n must be >= 1")
-    if not (_is_prime_element(p) and p.is_totally_positive()):
-        raise PreconditionViolated("p must be a totally positive prime element")
-    pid = principal_ideal(p)
-    copr = (element_ideal(nu) * element_ideal(mu) / element_ideal(q_gen)
-            / element_ideal(q_gen) * FractionalIdeal(params.level))
-    if not _coprime_to(F, pid, copr):
-        raise PreconditionViolated("p must be coprime to nu*mu*q^-2*n")
+    _cor45_hypotheses(params, p, {"m": m, "n": n}, {"nu": nu, "mu": mu})
     args = ((nu * p ** m, mu * p ** n), (nu, mu * p ** (m + n)),
             (nu * p ** (m - 1), mu * p ** (n - 1)))
     lhs_v, t1, t2 = evaluate_together(
@@ -772,12 +768,11 @@ def recurrence_check_cor45(params: PoincareParams, nu: Elt, mu: Elt, p: Elt,
         val.scale = Fraction(b.norm()) ** (params.k - 1)   # as coefficient_tilde
     with prec_guard(96):
         lhs = lhs_v.enclosure()
-        np_pow = iv_from_fraction(Fraction(pid.norm()) ** (params.k - 1))
+        np_pow = iv_from_fraction(p.norm() ** (params.k - 1))
         rhs = t1.enclosure() + np_pow * t2.enclosure()
-        meets = lo(lhs) <= hi(rhs) and lo(rhs) <= hi(lhs)
         shared = max(width(lhs), width(rhs))
         scale = max(sup_abs(lhs), sup_abs(rhs), mpmath.mpf(1))
-        if not meets:
+        if not overlaps(lhs, rhs):
             status = "inconsistent"
         elif shared < mpmath.mpf(float(Fraction(rel_tol))) * scale:
             status = "consistent"
@@ -809,21 +804,7 @@ def nonvanishing_relations_report(params: PoincareParams, mu: Elt, p: Elt,
     either the middle one is nonzero, or both neighbors are.  INCONCLUSIVE
     certificates cannot refute it, so the report is advisory in that case.
     """
-    from .kloosterman import _is_prime_element
-    F = params.field
-    if not F.narrow_h1:
-        raise PreconditionViolated("narrow class number 1 required")
-    if m < 1:
-        raise PreconditionViolated("m must be >= 1")
-    if not (_is_prime_element(p) and p.is_totally_positive()):
-        raise PreconditionViolated("p must be a totally positive prime element")
-    q_gen = is_principal(params.cideal.num)
-    if q_gen is None:
-        raise PreconditionViolated("base ideal must be principal")
-    q_gen = q_gen / F.from_int(params.cideal.den)
-    copr = element_ideal(mu) / element_ideal(q_gen) * FractionalIdeal(params.level)
-    if not _coprime_to(F, principal_ideal(p), copr):
-        raise PreconditionViolated("p must be coprime to mu*q^-1*n")
+    _cor45_hypotheses(params, p, {"m": m}, {"mu": mu})
     base = certify_nonvanishing(params, mu, budget, **kw)
     outcomes = {e: certify_nonvanishing(params, mu * p ** e, budget, **kw)
                 for e in (m - 1, m, m + 1) if e >= 0}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from .errors import BudgetExceeded, NotInvertible
-from .field import Elt
 from .ideals import IdealHNF, factor_ideal
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -29,15 +28,6 @@ class ResidueRing:
         self._unit_data = None
 
     # -- representatives ------------------------------------------------------
-    def reduce(self, x: Elt) -> Elt:
-        u, v = self.modulus.reduce_coords(x.a, x.b)
-        return self.field.elt(u, v)
-
-    def reps(self):
-        m = self.modulus
-        F = self.field
-        return [F.elt(u, v) for v in range(m.c) for u in range(m.a)]
-
     def _primes(self):
         if self._prime_data is None:
             self._prime_data = [pr for pr, _ in factor_ideal(self.modulus)]
@@ -48,9 +38,6 @@ class ResidueRing:
             if v % pr.c == 0 and (u - (v // pr.c) * pr.b) % pr.a == 0:
                 return False
         return True
-
-    def unit_reps(self):
-        return [self.field.elt(u, v, 1) for (u, v, _, _) in self.unit_data()]
 
     def unit_data(self):
         """List of (u, v, ui, vi): unit coset reps with inverse coordinates."""
@@ -68,23 +55,7 @@ class ResidueRing:
                 self._unit_data = out
         return self._unit_data
 
-    def euler_phi(self) -> int:
-        out = 1
-        for pr, e in factor_ideal(self.modulus):
-            n = pr.norm()
-            out *= n ** (e - 1) * (n - 1)
-        return out if self.size > 1 else 1
-
     # -- inversion --------------------------------------------------------------
-    def inverse(self, x: Elt) -> Elt:
-        if self.size == 1:
-            return self.field.zero()
-        u, v = self.modulus.reduce_coords(x.a, x.b)
-        if not self.is_invertible_coords(u, v):
-            raise NotInvertible(f"{x} is not a unit mod {self.modulus}")
-        ui, vi = self._inverse_coords(u, v)
-        return self.field.elt(ui, vi)
-
     def _inverse_coords(self, u: int, v: int):
         F = self.field
         nm = self.size

@@ -7,8 +7,8 @@ from mpmath.libmp import to_rational
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertpoincare.bessel import besselJ, besselj_eval, envelope_hi, nj_product
-from hilbertpoincare.intervals import hi, lo
+from hilbertpoincare.bessel import besselJ, besselj_eval, envelope_hi
+from hilbertpoincare.intervals import hi, lo, prec_guard
 
 from oracles import besselj_rational, besselj_upward_recurrence
 
@@ -58,10 +58,13 @@ def test_envelope_monotone_eta():
 
 
 def test_nj_examples():
-    z = nj_product(8, iv.mpf(0), iv.mpf(3.3))
+    # the two-embedding factor J_{k-1}(x1) J_{k-1}(x2) as a coefficient term
+    # multiplies it
+    z = besselJ(7, iv.mpf(0)) * besselJ(7, iv.mpf(3.3))
     assert lo(z) == 0 and hi(z) == 0
     s = besselJ(7, iv.mpf(2.2), 64)
-    both = nj_product(8, iv.mpf(2.2), iv.mpf(2.2), 64)
+    with prec_guard(64):
+        both = besselJ(7, iv.mpf(2.2), 64) * besselJ(7, iv.mpf(2.2), 64)
     sq_hi = mpmath.fmul(hi(s), hi(s), exact=True)
     sq_lo = mpmath.fmul(lo(s), lo(s), exact=True)
     assert lo(both) <= sq_hi and hi(both) >= sq_lo

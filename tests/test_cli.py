@@ -308,3 +308,23 @@ def test_malformed_config_values_exit_2(tmp_path, doc):
 def test_residue_budget_below_1_exits_2(args):
     # a budget below 1 would refuse every sum and report trivial bounds
     assert "residue-budget" in _usage_error(args)
+
+
+@pytest.mark.parametrize("text", ["{bad", "5", "null", "[]", '{"cache_dir": 5}'])
+def test_malformed_config_file_exits_2(tmp_path, text):
+    # not JSON, not an object, or a cache_dir that is not a path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = _usage_error(["field-info", "--d", "5", "--config", str(cfg)])
+    assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("k", ["-4", "0", "1", "2", "3", "5"])
+def test_thresholds_weight_outside_the_theorems_exits_2(k):
+    # the threshold formulas take their infima over even k >= 4
+    assert "even and >= 4" in _usage_error(["thresholds", "--d", "5", "--k", k])
+
+
+def test_thresholds_weight_4_exits_0():
+    r = run(["thresholds", "--d", "5", "--k", "4"])
+    assert r.exit_code == 0 and json.loads(r.output)["k"] == 4

@@ -14,17 +14,17 @@ from oracles import pell_search_fundamental_unit
 
 def test_make_field_d5(F5):
     assert F5.basis_kind == "half" and F5.D == 5
-    assert F5.fundamental_unit.coords() == (0, 1, 1) and F5.fu_norm == -1
-    assert F5.eps_plus.coords() == (1, 1, 1)
-    assert F5.delta.coords() == (2, 1, 1) and F5.delta.norm() == 5
+    assert F5.fundamental_unit == F5.elt(0, 1) and F5.fu_norm == -1
+    assert F5.eps_plus == F5.elt(1, 1)
+    assert F5.delta == F5.elt(2, 1) and F5.delta.norm() == 5
     assert F5.f2 == 2
 
 
 def test_make_field_d2(F2):
     assert F2.basis_kind == "sqrt" and F2.D == 8
-    assert F2.fundamental_unit.coords() == (1, 1, 1) and F2.fu_norm == -1
-    assert F2.eps_plus.coords() == (3, 2, 1)
-    assert F2.delta.coords() == (4, 2, 1) and F2.delta.norm() == 8
+    assert F2.fundamental_unit == F2.elt(1, 1) and F2.fu_norm == -1
+    assert F2.eps_plus == F2.elt(3, 2)
+    assert F2.delta == F2.elt(4, 2) and F2.delta.norm() == 8
     assert F2.f2 == 1
 
 
@@ -100,7 +100,7 @@ def test_balanced_invariants(F5):
         assert m2 == 0
         # |sigma_i(y)| within [sqrt|N|/A, sqrt|N| A] (checked with outward slack)
         for emb in (1, 2):
-            val = y.abs_embedding(emb, 96)
+            val = abs(y.embeddings(96)[emb - 1])
             with mpmath.workprec(200):
                 nsq = mpmath.sqrt(abs(mpmath.mpf(x.norm().numerator)))
                 assert lo(val) <= nsq * hi(A) * (1 + mpmath.mpf("1e-20"))
@@ -108,10 +108,12 @@ def test_balanced_invariants(F5):
 
 
 def test_unit_reps(F5, F2, F3):
-    assert F5.totally_positive_unit_reps() == [F5.one()]
-    assert F2.totally_positive_unit_reps() == [F2.one()]
-    reps = F3.totally_positive_unit_reps()
-    assert len(reps) == 2 and reps[1].coords() == (2, 1, 1)
+    # O^{x+} / (O^x)^2 is {1} when the fundamental unit has norm -1 and
+    # {1, fu} when it has norm +1, so eps_plus is fu^2 or fu
+    assert F5.eps_plus == F5.fundamental_unit ** 2 and F5.fu_norm == -1
+    assert F2.eps_plus == F2.fundamental_unit ** 2 and F2.fu_norm == -1
+    assert F3.fu_norm == 1 and F3.eps_plus == F3.fundamental_unit == F3.elt(2, 1)
+    assert F3.eps_plus.is_totally_positive()
     # exhaustive Pell search oracle: no unit of Q(sqrt 3) below 2+sqrt(3) > 1
     for b in range(1, 2):
         for a in range(0, 2):
@@ -140,7 +142,7 @@ def test_cf_oracle_matches_pell():
             continue
         a, b, n = pell_search_fundamental_unit(d)
         F = make_field(d)
-        assert F.fundamental_unit.coords() == (a, b, 1), d
+        assert F.fundamental_unit == F.elt(a, b), d
         assert F.fu_norm == n, d
 
 

@@ -13,8 +13,13 @@ from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, chi0,
                                     ideal_pow, ideal_product, ideal_sum,
                                     ideals_of_norm, is_principal, N_nu_mu,
                                     pr_count, prime_splitting, principal_ideal,
-                                    unit_ideal, valuation_elt, valuation_ideal,
-                                    wide_class_number_is_one)
+                                    splitting_type, unit_ideal, valuation_elt,
+                                    valuation_ideal, wide_class_number_is_one)
+from hilbertpoincare.arith import is_probable_prime
+from hilbertpoincare.poincare import af_table
+
+# between them these fields make 2 ramified (2, 3), inert (5, 13) and split (17)
+SPLITTING_FIELDS = (2, 3, 5, 13, 17)
 
 
 def rand_ideal(F, rng, span=9):
@@ -120,6 +125,28 @@ def test_ideals_of_norm_vs_dedekind_a(F5, F2):
     for F in (F5, F2):
         for n in range(1, 60):
             assert len(ideals_of_norm(F, n)) == dedekind_a(F, n)
+
+
+@pytest.mark.parametrize("d", SPLITTING_FIELDS)
+def test_splitting_type_matches_prime_splitting(d):
+    F = make_field(d)
+    kinds = set()
+    for p in filter(is_probable_prime, range(2, 2000)):
+        kind = splitting_type(F, p)
+        assert kind == prime_splitting(F, p).kind, (d, p)
+        kinds.add(kind)
+    assert kinds == {"split", "inert", "ramified"}
+    assert splitting_type(F, 2) == {2: "ramified", 3: "ramified", 5: "inert",
+                                    13: "inert", 17: "split"}[d]
+
+
+@pytest.mark.parametrize("d", SPLITTING_FIELDS)
+def test_af_table_matches_dedekind_a_and_ideal_lists(d):
+    F = make_field(d)
+    table = af_table(F, 20000)
+    assert table[0] == 0
+    assert all(table[n] == dedekind_a(F, n) for n in range(1, 20001))
+    assert all(table[n] == len(ideals_of_norm(F, n)) for n in range(1, 1001))
 
 
 def test_norm_multiplicativity_random(F5):

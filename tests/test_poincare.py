@@ -11,6 +11,7 @@ from mpmath import iv, mp
 from hilbertpoincare import kloosterman, poincare
 from hilbertpoincare.errors import MembershipViolated, PreconditionViolated
 from hilbertpoincare.field import RealQuadraticField, make_field
+from hilbertpoincare.hecke import HeckeContext
 from hilbertpoincare.ideals import (FractionalIdeal, ideals_of_norm,
                                     principal_ideal, unit_ideal)
 from hilbertpoincare.intervals import (contains, hi, lo, overlaps, prec_guard,
@@ -147,13 +148,12 @@ def test_certify_k8_and_audit(F5):
 
 def test_certify_degenerate_budget(F5):
     cert = certify_nonvanishing(PoincareParams(F5, 8), F5.one(),
-                                CertifyBudget(max_X=0, max_M=0, start_X=0,
-                                              start_M=0))
-    # with X clamped to the tiny start and M = 0 the tail exceeds the margin
+                                CertifyBudget(max_X=0, max_M=0))
+    # with X and M clamped to caps of 0 the tail exceeds the margin
     assert cert.verdict in ("NONZERO", "INCONCLUSIVE")
     zero_cert = certify_nonvanishing(
         PoincareParams(F5, 8), F5.one(),
-        CertifyBudget(max_X=1, max_M=0, start_X=1, start_M=0))
+        CertifyBudget(max_X=1, max_M=0))
     assert zero_cert.verdict == "INCONCLUSIVE"
 
 
@@ -227,7 +227,7 @@ def test_negative_cutoffs_rejected(F5):
     for X, M in ((-5, 2), (100, -1)):
         with pytest.raises(PreconditionViolated):
             coefficient(params, F5.one(), F5.one(), X, M)
-    for kw in ({"max_X": -5}, {"max_M": -1}, {"start_X": -1}, {"start_M": -2}):
+    for kw in ({"max_X": -5}, {"max_M": -1}):
         with pytest.raises(PreconditionViolated):
             CertifyBudget(**kw)
 
@@ -433,6 +433,31 @@ def test_zeta_factorization_oracle(F5):
     l4 = sum(mpmath.mpf(chi5(n)) / mpmath.mpf(n) ** 4 for n in range(1, 4000))
     prod = z4 * l4
     assert lo(enc) - mpmath.mpf("1e-8") <= prod <= hi(enc) + mpmath.mpf("1e-8")
+
+
+def test_a_f_tails_are_bit_identical(F5):
+    # endpoints as (mantissa, exponent) at the change that gave the a_F tail
+    # bound 2 n_o^-s T^(3/2-s)/(s - 3/2) one helper; the sums must not move
+    enc = zeta_F_enclosure(F5, Fraction(5, 2), 4000)
+    assert [(man, exp) for (_, man, exp, _) in enc._mpi_] == [
+        (42131981276693377595202608319, -95), (21075894158660971839800497539, -94)]
+    ev = CoefficientEvaluator(PoincareParams(F5, 8), F5.one(), F5.one())
+    tail, split = ev.tail_bound(500, 3)
+    assert [v._mpf_[1:3] for v in (tail, split.norms0, split.norms, split.window)] == [
+        (33682629874127780659164879289, -106), (40241877804432010025990021097, -137),
+        (21115409609206701378335497685, -122), (16841153829903750433229018069, -105)]
+    assert split.theta == Fraction(13, 14)
+
+
+@pytest.mark.parametrize("k", [-4, 0, 1, 2, 3, 5])
+def test_weights_outside_the_theorems_rejected(F5, k):
+    O = unit_ideal(F5)
+    for build in (lambda: PoincareParams(F5, k), lambda: HeckeContext(k, O),
+                  lambda: threshold_thm32(F5, k, O, O),
+                  lambda: threshold_cor33(F5, k, FractionalIdeal(O), O, F5.one()),
+                  lambda: threshold_thm35(F5, k, O)):
+        with pytest.raises(PreconditionViolated, match="even and >= 4"):
+            build()
 
 
 def test_threshold_monotonicity(F5):

@@ -1,0 +1,101 @@
+"""No library helper that only tests call.
+
+Walks `src/` with `ast`.  A public module-level function, or a public method
+of a public class, must be named somewhere in `src/` besides its own
+definition; otherwise it is surface that only tests (or nobody) use.  A name
+kept on purpose is listed in KEEP with its reason.  CLI command callbacks
+and dunders are exempt.  Names are matched as identifiers, not resolved: a
+function counts as used when a bare name, an import or `module.name` names
+it, a method when any attribute of the same name is used.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hilbertpoincare"
+
+KEEP = {
+    "residue_ring": "a test seam: the ring-count tests monkeypatch it",
+    "trace_data": "benchmark/tracing.py wraps KloostermanQuery.trace_data",
+    "classes_upto": "benchmark/tracing.py wraps CoefficientEvaluator.classes_upto",
+    "kloosterman_symmetry_check": "an identity checker of the paper (S symmetric in nu, mu)",
+    "unit_twist_check": "an identity checker of the paper (unit twist of S)",
+    "lemma41_value": "the closed form of Lemma 4.1",
+    "cor43_check": "the identity of Cor. 4.3",
+    "check_linear_relation": "the grid check of the paper's operator relation",
+    "audit_certificate": "re-audits a certificate from its stored enclosure",
+    "nonvanishing_relations_report": "the dichotomy report of Cor. 4.5",
+    "envelope": "the Bessel envelope bound that acceptance 10 reads",
+    "envelope_hi": "the Bessel envelope bound that acceptance 10 reads",
+    "is_real": "CyclotomicInteger.is_real, an exact test on Z[zeta_M] values",
+    "additive_character": "e(alpha) as an exact Z[zeta_M] value",
+    "contains": "intervals.contains, the outward containment test of an exact "
+                "Fraction that the enclosure tests check their oracles with",
+}
+
+
+def _is_command(fn):
+    """A click command callback: decorated with `@<group>.command(...)`."""
+    for dec in fn.decorator_list:
+        call = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(call, ast.Attribute) and call.attr == "command":
+            return True
+    return False
+
+
+def _definitions(tree):
+    """(name, node, is_method) of the public functions and public-class methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_") and not _is_command(node):
+                yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield item.name, item, True
+
+
+def _mentions(trees):
+    """Identifiers that can refer to a module-level function (a bare name, an
+    import, `module.name`) and to a method (any attribute)."""
+    modules = set(trees)
+    functions, methods = Counter(), Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                functions[node.id] += 1
+            elif isinstance(node, ast.alias):
+                functions[node.asname or node.name.split(".")[-1]] += 1
+            elif isinstance(node, ast.Attribute):
+                methods[node.attr] += 1
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    functions[node.attr] += 1
+    return functions, methods
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _unused():
+    trees = _trees()
+    functions, methods = _mentions(trees)
+    return sorted(f"{module}.{name} (line {node.lineno})"
+                  for module, tree in trees.items()
+                  for name, node, is_method in _definitions(tree)
+                  if not (methods if is_method else functions)[name]
+                  and name not in KEEP)
+
+
+def test_every_public_function_is_used_in_src():
+    assert _unused() == []
+
+
+def test_keep_lists_only_names_that_exist():
+    # a helper deleted from src/ takes its KEEP entry with it
+    defined = {name for tree in _trees().values() for name, _, _ in _definitions(tree)}
+    assert sorted(set(KEEP) - defined) == []
+    assert all(KEEP.values())
