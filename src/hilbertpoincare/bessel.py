@@ -19,7 +19,7 @@ from fractions import Fraction
 from mpmath import iv
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
-from .intervals import hi, iv_pow_frac, lo, prec_guard
+from .intervals import ESTIMATE_PREC, hi, iv_pow_frac, lo, prec_guard
 
 # Beyond this the series is not attempted and [-1, 1] is returned: a huge
 # argument pairs with a negligible partner factor in a coefficient term.
@@ -43,7 +43,7 @@ def _floor_ceil(num: int, shift: int, den: int):
     return num // den, -(-num // den)
 
 
-def besselj_eval(order: int, x, precision: int = 64) -> BesselEval:
+def besselj_eval(order: int, x, precision: int) -> BesselEval:
     """Enclosure of J_order over the nonnegative interval x.
 
     The alternating series is summed at the left endpoint a of the argument
@@ -96,7 +96,7 @@ def besselj_eval(order: int, x, precision: int = 64) -> BesselEval:
                 return BesselEval(order, x, iv.make_mpf(ends), rem < tol)
 
 
-def besselJ(order: int, x, precision: int = 64):
+def besselJ(order: int, x, precision: int):
     """Enclosure interval of J_order(x); always within [-1, 1]."""
     return besselj_eval(order, x, precision).value
 
@@ -110,10 +110,8 @@ def envelope(k: int, x, eta=Fraction(0)) -> object:
     eta = Fraction(eta)
     if not (0 <= eta < 1):
         raise ValueError("eta must be in [0, 1)")
-    with prec_guard(64):
-        xh = hi(x) if hasattr(x, "_mpi_") else iv.mpf(x)
-        if hasattr(xh, "_mpi_"):
-            xh = hi(xh)
+    with prec_guard(ESTIMATE_PREC):
+        xh = hi(x if hasattr(x, "_mpi_") else iv.mpf(x))
         if xh <= 0:
             return iv.mpf(0)
         base = iv.e * iv.mpf(xh) / iv.mpf(2 * k - 2)
@@ -121,5 +119,4 @@ def envelope(k: int, x, eta=Fraction(0)) -> object:
 
 
 def envelope_hi(k: int, x, eta=Fraction(0)):
-    e = envelope(k, x, eta)
-    return hi(e) if hasattr(e, "_mpi_") else e
+    return hi(envelope(k, x, eta))

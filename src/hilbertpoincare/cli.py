@@ -35,7 +35,7 @@ from .field import make_field
 from .hecke import CoeffFunction, HeckeContext, check_multiplicativity, hecke_action, pairing
 from .ideals import (FractionalIdeal, IdealHNF, dedekind_a, ideal_sum,
                      ideals_of_norm, is_principal, principal_ideal, unit_ideal)
-from .intervals import DEFAULT_PREC, hi, iv_str, lo, mpf_str, prec_guard
+from .intervals import DEFAULT_PREC, dec_str, hi, iv_ends, iv_str, prec_guard
 from .kloosterman import (KloostermanQuery, kloosterman_exact,
                           kloosterman_float, selberg_check, weil_bound)
 from .poincare import (CertifyBudget, PoincareParams, certify_nonvanishing,
@@ -66,8 +66,13 @@ def parse_fraction(text: str) -> Fraction:
 
 
 class Settings:
-    def __init__(self, config_path=None, cache_dir=None, precision=None,
-                 residue_budget=None, fmt=None):
+    """What a command reads, popped from its arguments `kw`: each option it
+    takes, else the config file, else the default.  A config key it does not
+    read is checked, then ignored: without --cache-dir it builds no store."""
+
+    def __init__(self, kw):
+        given = {name: kw.pop(name) for name in CONFIG_TYPES if name in kw}
+        config_path = kw.pop("config_path")
         vals = {"residue_budget": DEFAULT_ENUM_BUDGET, "precision": DEFAULT_PREC,
                 "cache_dir": os.environ.get("POINCARE_CACHE_DIR"), "format": "json"}
         if config_path:
@@ -87,17 +92,12 @@ class Settings:
                 except click.BadParameter as exc:
                     exc.param_hint = f"config {name}"
                     raise
-        for name, arg in (("cache_dir", cache_dir), ("precision", precision),
-                          ("residue_budget", residue_budget), ("format", fmt)):
-            if arg is not None:
-                vals[name] = arg
+        vals.update((name, arg) for name, arg in given.items() if arg is not None)
         self.residue_budget = vals["residue_budget"]
         self.precision = vals["precision"]
         self.format = vals["format"]
-        self.store = KloostermanStore(vals["cache_dir"]) if vals["cache_dir"] else None
-
-    def kloosterman_kwargs(self):
-        return {"enum_budget": self.residue_budget, "store": self.store}
+        self.store = (KloostermanStore(vals["cache_dir"])
+                      if "cache_dir" in given and vals["cache_dir"] else None)
 
 
 _ELT_RE = re.compile(r"^\(?\s*(-?\d+)\s*(?:,\s*(-?\d+)\s*)?\)?\s*(?:/\s*(\d+))?$")
@@ -163,25 +163,30 @@ def emit(doc, fmt: str, csv_columns=None):
             click.echo("")
 
 
-def common_options(fn):
-    fn = click.option("--d", "d", type=int, required=True,
-                      help="squarefree d of Q(sqrt d)")(fn)
-    fn = click.option("--format", "fmt", type=CONFIG_TYPES["format"],
-                      default=None, help="output format (default json)")(fn)
-    fn = click.option("--config", "config_path", type=click.Path(exists=True),
-                      default=None, help="JSON config file")(fn)
-    fn = click.option("--cache-dir", default=None,
-                      help="Kloosterman cache directory (env POINCARE_CACHE_DIR)")(fn)
-    fn = click.option("--precision", type=CONFIG_TYPES["precision"], default=None,
-                      help="interval bits")(fn)
-    fn = click.option("--residue-budget", type=CONFIG_TYPES["residue_budget"], default=None,
-                      help="max residue ring size")(fn)
-    return fn
+OPTIONS = {
+    "d": click.option("--d", "d", type=int, required=True, help="squarefree d of Q(sqrt d)"),
+    "format": click.option("--format", type=CONFIG_TYPES["format"], default=None,
+                           help="output format (default json)"),
+    "config_path": click.option("--config", "config_path", type=click.Path(exists=True),
+                                default=None, help="JSON config file"),
+    "cache_dir": click.option("--cache-dir", default=None,
+                              help="Kloosterman cache directory (env POINCARE_CACHE_DIR)"),
+    "precision": click.option("--precision", type=CONFIG_TYPES["precision"], default=None,
+                              help="interval bits"),
+    "residue_budget": click.option("--residue-budget", type=CONFIG_TYPES["residue_budget"],
+                                   default=None, help="max residue ring size"),
+}
 
 
-def _settings(kw):
-    return Settings(kw.pop("config_path"), kw.pop("cache_dir"), kw.pop("precision"),
-                    kw.pop("residue_budget"), kw.pop("fmt"))
+def common_options(*reads):
+    """--d, --format, --config and, of the other OPTIONS, those named in
+    `reads`: a command takes only the options it reads."""
+    def decorate(fn):
+        for name, option in OPTIONS.items():
+            if name in ("d", "format", "config_path", *reads):
+                fn = option(fn)
+        return fn
+    return decorate
 
 
 class _Group(click.Group):
@@ -203,10 +208,10 @@ def main():
 
 
 @main.command("field-info")
-@common_options
+@common_options("precision")
 def cmd_field_info(d, **kw):
     """Print the field's derived data."""
-    st = _settings(kw)
+    st = Settings(kw)
     F = make_field(d)
     doc = {"field": F.spec_string(), "basis": F.basis_kind, "D": F.D,
            "fundamental_unit": F.fundamental_unit.to_json(),
@@ -218,26 +223,25 @@ def cmd_field_info(d, **kw):
 
 
 @main.command("kloosterman")
-@common_options
+@common_options("cache_dir", "precision", "residue_budget")
 @click.option("--nu", required=True)
 @click.option("--mu", required=True)
 @click.option("--c", "c_text", required=True)
 @click.option("--modulus", default=None, help="HNF a,b,c; default (c)")
 def cmd_kloosterman(d, nu, mu, c_text, modulus, **kw):
     """Evaluate one Kloosterman sum (exact + interval + Weil bound)."""
-    st = _settings(kw)
+    st = Settings(kw)
     F = make_field(d)
     nu_e, mu_e, c_e = (parse_element(F, t) for t in (nu, mu, c_text))
     mod = parse_ideal(F, modulus) if modulus else \
         (principal_ideal(c_e) if abs(c_e.norm()) != 1 else unit_ideal(F))
     q = KloostermanQuery(F, nu_e, mu_e, mod, c_e)
-    val = kloosterman_exact(q, **st.kloosterman_kwargs())
+    val = kloosterman_exact(q, st.residue_budget, st.store)
     doc = {"query": q.to_json(),
            "exact": {"order": val.order,
                      "value_as_rational_if_real": val.as_int()}}
     re_iv, im_iv = val.complex_interval(st.precision)
-    doc["float"] = {"re": [mpf_str(lo(re_iv)), mpf_str(hi(re_iv))],
-                    "im": [mpf_str(lo(im_iv)), mpf_str(hi(im_iv))]}
+    doc["float"] = {"re": iv_ends(re_iv), "im": iv_ends(im_iv)}
     wb = weil_bound(q)
     doc["weil_bound"] = {"coeff": str(wb.coeff), "radicand": str(wb.radicand),
                          "interval": iv_str(wb.interval(st.precision))}
@@ -252,13 +256,13 @@ def _selberg_grid(F, qgen, size):
 
 
 @main.command("selberg-check")
-@common_options
+@common_options("cache_dir", "residue_budget")
 @click.option("--max-norm-q", type=click.IntRange(min=1), default=200)
 @click.option("--grid", type=click.Choice(["small", "full"]), default="small")
 def cmd_selberg_check(d, max_norm_q, grid, **kw):
     """Sweep Selberg's identity over q with |N(q)| <= bound; exit 1 on any
     exact mismatch."""
-    st = _settings(kw)
+    st = Settings(kw)
     F = make_field(d)
     checked = failures = 0
     for n in range(1, max_norm_q + 1):
@@ -270,7 +274,7 @@ def cmd_selberg_check(d, max_norm_q, grid, **kw):
             for nu in _selberg_grid(F, g, grid):
                 for mu in _selberg_grid(F, g, grid):
                     rep = selberg_check(F, nu, mu, g, rings=rings,
-                                        **st.kloosterman_kwargs())
+                                        enum_budget=st.residue_budget, store=st.store)
                     checked += 1
                     if not rep.holds:
                         failures += 1
@@ -282,12 +286,12 @@ def cmd_selberg_check(d, max_norm_q, grid, **kw):
 
 
 @main.command("weil-audit")
-@common_options
+@common_options("precision", "residue_budget")
 @click.option("--samples", type=click.IntRange(min=1), default=500)
 @click.option("--seed", type=int, default=20260808)
 def cmd_weil_audit(d, samples, seed, **kw):
     """Sample random queries and report max |S| / weil_bound (must be <= 1)."""
-    st = _settings(kw)
+    st = Settings(kw)
     F = make_field(d)
     rng = random.Random(seed)
     from .ideals import different_ideal, element_ideal, ideal_product
@@ -325,13 +329,13 @@ def cmd_weil_audit(d, samples, seed, **kw):
             violations += 1
         done += 1
     emit({"field": F.spec_string(), "samples": samples,
-          "max_ratio": mpf_str(max_ratio), "violations": violations}, st.format)
+          "max_ratio": dec_str(max_ratio, True), "violations": violations}, st.format)
     if violations:
         sys.exit(1)
 
 
 @main.command("certify")
-@common_options
+@common_options("cache_dir", "precision", "residue_budget")
 @click.option("--k", type=int, required=True)
 @click.option("--level", default="1")
 @click.option("--mu", "mu_text", required=True)
@@ -340,7 +344,7 @@ def cmd_weil_audit(d, samples, seed, **kw):
 @click.option("--max-m", type=int, default=16)
 def cmd_certify(d, k, level, mu_text, eta, max_x, max_m, **kw):
     """Certify non-vanishing of the mu-th Poincare series (c = O)."""
-    st = _settings(kw)
+    st = Settings(kw)
     F = make_field(d)
     params = PoincareParams(F, k, level=parse_ideal(F, level))
     mu = parse_element(F, mu_text)
@@ -355,29 +359,30 @@ def cmd_certify(d, k, level, mu_text, eta, max_x, max_m, **kw):
 
 
 @main.command("thresholds")
-@common_options
+@common_options()
 @click.option("--k", type=int, required=True)
 @click.option("--level", default="1")
 @click.option("--eta", type=parse_fraction, default="1/2")
 @click.option("--alpha", default="1", help="totally positive alpha for the fractional-ideal threshold")
 def cmd_thresholds(d, k, level, eta, alpha, **kw):
     """Print the constants ledger and the three norm thresholds."""
-    st = _settings(kw)
+    st = Settings(kw)
     F = make_field(d)
     lvl = parse_ideal(F, level)
     alpha_e = parse_element(F, alpha)
     led = effective_constants(F, eta)
     doc = {"field": F.spec_string(), "k": k, "level": lvl.to_json(),
            "ledger": led.to_json(),
-           "threshold_thm32": mpf_str(threshold_thm32(F, k, unit_ideal(F), lvl, eta, led)),
-           "threshold_cor33": mpf_str(threshold_cor33(
-               F, k, FractionalIdeal(unit_ideal(F)), lvl, alpha_e)),
-           "threshold_thm35": mpf_str(threshold_thm35(F, k, lvl))}
+           "threshold_thm32": dec_str(threshold_thm32(F, k, unit_ideal(F), lvl, eta, led),
+                                      False),
+           "threshold_cor33": dec_str(threshold_cor33(
+               F, k, FractionalIdeal(unit_ideal(F)), lvl, alpha_e), False),
+           "threshold_thm35": dec_str(threshold_thm35(F, k, lvl), False)}
     emit(doc, st.format)
 
 
 @main.command("recurrence")
-@common_options
+@common_options("cache_dir", "precision", "residue_budget")
 @click.option("--k", type=int, required=True)
 @click.option("--nu", default="1")
 @click.option("--mu", default="1")
@@ -389,17 +394,15 @@ def cmd_thresholds(d, k, level, eta, alpha, **kw):
 @click.option("--level", default="1")
 def cmd_recurrence(d, k, nu, mu, p_text, m, n, x_cut, big_m, level, **kw):
     """Check the symmetric-coefficient recurrence at the given cutoffs."""
-    st = _settings(kw)
+    st = Settings(kw)
     F = make_field(d)
     params = PoincareParams(F, k, level=parse_ideal(F, level))
     rep = recurrence_check_cor45(
         params, parse_element(F, nu), parse_element(F, mu),
         parse_element(F, p_text), m, n, x_cut, big_m,
         precision=st.precision, enum_budget=st.residue_budget, store=st.store)
-    emit({"status": rep.status,
-          "lhs": [mpf_str(lo(rep.lhs)), mpf_str(hi(rep.lhs))],
-          "rhs": [mpf_str(lo(rep.rhs)), mpf_str(hi(rep.rhs))],
-          "shared_width": mpf_str(rep.shared_width)}, st.format)
+    emit({"status": rep.status, "lhs": iv_ends(rep.lhs), "rhs": iv_ends(rep.rhs),
+          "shared_width": dec_str(rep.shared_width, True)}, st.format)
     if rep.status == "inconsistent":
         sys.exit(1)
     if rep.status == "inconclusive":
@@ -407,14 +410,14 @@ def cmd_recurrence(d, k, nu, mu, p_text, m, n, x_cut, big_m, level, **kw):
 
 
 @main.command("hecke-check")
-@common_options
+@common_options()
 @click.option("--k", type=int, default=8)
 @click.option("--level", default="1")
 @click.option("--samples", type=click.IntRange(min=1), default=200)
 @click.option("--seed", type=int, default=20260808)
 def cmd_hecke_check(d, k, level, samples, seed, **kw):
     """Randomized pairing-symmetry / identity / multiplicativity audit."""
-    st = _settings(kw)
+    st = Settings(kw)
     F = make_field(d)
     ctx = HeckeContext(k, parse_ideal(F, level))
     rng = random.Random(seed)

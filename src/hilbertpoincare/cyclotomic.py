@@ -179,12 +179,12 @@ class CyclotomicInteger:
         return f"CycInt(order={self.order}, coeffs={self.reduced()})"
 
     # -- numerics ---------------------------------------------------------------
-    def complex_interval(self, precision: int = 64):
+    def complex_interval(self, precision: int):
         """(re, im) interval enclosure of the complex value, from the
         fixed-point cosine and sine tables of the order."""
         return self._table_sum(precision, False), self._table_sum(precision, True)
 
-    def real_interval(self, precision: int = 64):
+    def real_interval(self, precision: int):
         """Enclosure of the real part, from the fixed-point cosine table."""
         return self._table_sum(precision, False)
 

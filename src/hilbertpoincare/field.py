@@ -17,7 +17,7 @@ from mpmath import iv
 
 from . import arith
 from .errors import NotSquarefree, ZeroElement
-from .intervals import lo, prec_guard
+from .intervals import ESTIMATE_PREC, lo, prec_guard
 
 
 def _sign_a_plus_b_sqrt(a: int, b: int, d: int) -> int:
@@ -174,7 +174,7 @@ class Elt:
             raise ZeroElement("total positivity undefined for 0")
         return self.sign_at(1) > 0 and self.sign_at(2) > 0
 
-    def embeddings(self, precision: int = 53):
+    def embeddings(self, precision: int):
         """Pair of intervals enclosing (sigma_1(x), sigma_2(x))."""
         with prec_guard(precision):
             sq = iv.sqrt(iv.mpf(self.field.d))
@@ -306,7 +306,7 @@ class RealQuadraticField:
         return x.is_integral() and abs(x.norm()) == 1
 
     # -- balancing ------------------------------------------------------------
-    def A_interval(self, precision: int = 64):
+    def A_interval(self, precision: int):
         """The balancing constant A = sqrt(sigma_1(eps_plus))."""
         with prec_guard(precision):
             return iv.sqrt(self.eps_plus.embeddings(precision)[0])
@@ -319,10 +319,10 @@ class RealQuadraticField:
         """
         if x.is_zero():
             raise ZeroElement("cannot balance 0")
-        with prec_guard(64):
-            s1, s2 = x.embeddings(64)
+        with prec_guard(ESTIMATE_PREC):
+            s1, s2 = x.embeddings(ESTIMATE_PREC)
             ratio = abs(s1) / abs(s2)
-            lam = self.eps_plus.embeddings(64)[0]  # = A^2 ; sigma2 = 1/A^2
+            lam = self.eps_plus.embeddings(ESTIMATE_PREC)[0]  # = A^2 ; sigma2 = 1/A^2
             est = -float(lo(iv.log(ratio))) / (2 * float(lo(iv.log(lam))))
         m0 = int(math.floor(est + 0.5))
         cands = sorted(range(m0 - 2, m0 + 3), key=lambda m: (abs(m), m))

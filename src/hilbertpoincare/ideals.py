@@ -18,6 +18,7 @@ from . import arith
 from .errors import (NotDivisible, NotIntegral, PreconditionViolated,
                      SearchBudgetExceeded, ZeroIdeal)
 from .field import Elt
+from .intervals import ESTIMATE_PREC, hi
 
 PRINCIPALITY_BUDGET = 10**6
 
@@ -359,8 +360,7 @@ def _prefer_totally_positive(F, g):
 def _norm_equation_search(x: IdealHNF):
     F = x.field
     n = x.norm()
-    import mpmath
-    A_hi = float(mpmath.mpf(F.A_interval(64)._mpi_[1]))
+    A_hi = float(hi(F.A_interval(ESTIMATE_PREC)))
     bound = A_hi * math.sqrt(n) * 1.0000001
     # v-range from |sigma1 - sigma2| <= 2*A*sqrt(n); omega1 - omega2 = sqrt(D)
     disc_w = F.c1 * F.c1 + 4 * F.c0

@@ -3,35 +3,42 @@
 All rigorous real enclosures in this package are mpmath ``iv.mpf`` values.
 mpmath rounds interval endpoints outward, so any sequence of interval
 operations started from exact inputs yields a true enclosure.  These helpers
-centralize exact-rational conversion, endpoint extraction and the working
-precision, which mpmath keeps as context state.
+centralize exact-rational conversion, endpoint extraction and rendering.
+
+mpmath keeps the working precision as process state, in two contexts: ``iv``
+for intervals and ``mp`` for the plain mpfs that endpoint arithmetic (``abs``,
+``-``) rounds at.  So the precision is an argument: a function that computes
+an enclosure takes it and runs under ``prec_guard(bits)``, which sets both
+contexts to exactly that many bits, so a result never depends on the
+precision of its caller.  Printed numbers are outward too: ``dec_str`` rounds
+a lower bound down and an upper bound up.
 """
 
 from __future__ import annotations
 
+import decimal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
 from mpmath import iv
 
 DEFAULT_PREC = 96
+# for estimates that an exact test decides afterwards, or bounds whose
+# tightness nothing relies on
+ESTIMATE_PREC = 64
 
 
-class prec_guard:
-    """Context manager: run a block at (at least) the given precision."""
-
-    def __init__(self, bits):
-        self.bits = max(int(bits), 16)
-
-    def __enter__(self):
-        self.old = iv.prec
-        if iv.prec < self.bits:
-            iv.prec = self.bits
-        return iv
-
-    def __exit__(self, *exc):
-        iv.prec = self.old
-        return False
+@contextmanager
+def prec_guard(bits):
+    """Run a block with both mpmath contexts at exactly `bits` (at least 16),
+    and restore both on exit."""
+    old = iv.prec, mpmath.mp.prec
+    iv.prec = mpmath.mp.prec = max(int(bits), 16)
+    try:
+        yield
+    finally:
+        iv.prec, mpmath.mp.prec = old
 
 
 def iv_from_fraction(q) -> "iv.mpf":
@@ -63,7 +70,8 @@ def hi(x) -> mpmath.mpf:
 
 
 def width(x) -> mpmath.mpf:
-    return hi(x) - lo(x)
+    """Upper bound for the width of the interval."""
+    return mpmath.fsub(hi(x), lo(x), rounding="u")
 
 
 def sup_abs(x) -> mpmath.mpf:
@@ -110,10 +118,28 @@ def iv_min(x, y):
     return iv.mpf([min(lo(x), lo(y)), min(hi(x), hi(y))])
 
 
+DIGITS = 20
+
+
+def dec_str(x, up: bool) -> str:
+    """The mpf x in DIGITS significant digits, rounded up (toward +inf) if
+    `up`, else down: its exact value man * 2^exp divided out by the decimal
+    module, laid out as mpmath.nstr lays it out."""
+    sign, man, exp, _ = x._mpf_
+    if not man:                   # 0, +-inf and nan print exactly
+        return mpmath.nstr(x, DIGITS)
+    ctx = decimal.Context(DIGITS, rounding=decimal.ROUND_CEILING if up else decimal.ROUND_FLOOR)
+    d = ctx.divide((-1) ** sign * man << max(exp, 0), 1 << max(-exp, 0))
+    e = d.adjusted()
+    fixed = -6 < e < DIGITS
+    head, _, tail = format(d if fixed else d.scaleb(-e), "f").partition(".")
+    return head + "." + (tail.rstrip("0") or "0") + ("" if fixed else "e%+d" % e)
+
+
+def iv_ends(x) -> list:
+    """The endpoints of the interval x as decimal strings, rounded outward."""
+    return [dec_str(lo(x), False), dec_str(hi(x), True)]
+
+
 def iv_str(x) -> str:
-    """Deterministic decimal rendering of an endpoint pair, 20 digits each."""
-    return "[%s, %s]" % (mpmath.nstr(lo(x), 20), mpmath.nstr(hi(x), 20))
-
-
-def mpf_str(x) -> str:
-    return mpmath.nstr(mpmath.mpf(x), 20)
+    return "[%s, %s]" % tuple(iv_ends(x))

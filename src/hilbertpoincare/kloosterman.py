@@ -19,7 +19,7 @@ from .field import Elt
 from .ideals import (IdealHNF, divisors, ideal_from_generators, is_prime_element,
                      is_principal, N_nu_mu, pr_count, principal_ideal,
                      unit_ideal)
-from .intervals import iv_sqrt_fraction, prec_guard
+from .intervals import iv_from_fraction, iv_sqrt_fraction, prec_guard
 from .residues import DEFAULT_ENUM_BUDGET, residue_ring
 
 
@@ -128,7 +128,7 @@ def _put_cache(key, val):
     _EXACT_CACHE[key] = val
 
 
-def kloosterman_float(q: KloostermanQuery, precision: int = 64,
+def kloosterman_float(q: KloostermanQuery, precision: int,
                       enum_budget: int = DEFAULT_ENUM_BUDGET):
     """(re, im) interval enclosure of the exact value."""
     return kloosterman_exact(q, enum_budget).complex_interval(precision)
@@ -140,9 +140,8 @@ class RadicalValue:
     coeff: Fraction
     radicand: Fraction
 
-    def interval(self, precision: int = 64):
+    def interval(self, precision: int):
         with prec_guard(precision):
-            from .intervals import iv_from_fraction
             return iv_from_fraction(self.coeff) * iv_sqrt_fraction(self.radicand)
 
     def __repr__(self):

@@ -33,9 +33,9 @@ from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
                      ideal_product, ideal_sum, ideals_of_norm, is_prime_element,
                      is_principal, local_ideal_count, principal_ideal,
                      splitting_type, unit_ideal)
-from .intervals import (hi, iv_from_fraction, iv_max, iv_min, iv_pow_frac,
-                        iv_sqrt_fraction, lo, overlaps, prec_guard, sup_abs,
-                        width)
+from .intervals import (DEFAULT_PREC, dec_str, hi, iv_ends, iv_from_fraction,
+                        iv_max, iv_min, iv_pow_frac, iv_sqrt_fraction, iv_str, lo,
+                        overlaps, prec_guard, sup_abs, width)
 from .kloosterman import KloostermanQuery, kloosterman_exact
 from .residues import DEFAULT_ENUM_BUDGET
 
@@ -128,16 +128,13 @@ class CoefficientValue:
     scale: Fraction = Fraction(1)   # N(mu)^(k-1) for the symmetric variant
 
     def enclosure(self):
-        """Interval certain to contain the true coefficient."""
-        t = mpmath.mpf(self.tail)
+        """Interval certain to contain the true coefficient, at the caller's precision."""
         return (iv.mpf(self.chi_term) + self.finite_part
-                + iv.mpf([-t, t])) * iv_from_fraction(self.scale)
+                + iv.mpf([-self.tail, self.tail])) * iv_from_fraction(self.scale)
 
     def to_json(self):
-        from .intervals import mpf_str
-        return {"chi": self.chi_term,
-                "finite_part": [mpf_str(lo(self.finite_part)), mpf_str(hi(self.finite_part))],
-                "tail": mpf_str(self.tail),
+        return {"chi": self.chi_term, "finite_part": iv_ends(self.finite_part),
+                "tail": dec_str(self.tail, True),
                 "cutoffs": {"X": str(self.X), "M": self.M, "eta": str(self.eta)}}
 
 
@@ -152,10 +149,9 @@ class Certificate:
                                  # or "budget exhausted"
 
     def to_json(self):
-        from .intervals import mpf_str
         doc = {"schema": "v1", "params": self.params.to_json(),
                "mu": self.mu.to_json(), "verdict": self.verdict,
-               "margin": mpf_str(self.margin), **self.coefficient.to_json()}
+               "margin": dec_str(self.margin, False), **self.coefficient.to_json()}
         if self.reason is not None:
             doc["reason"] = self.reason
         return doc
@@ -228,13 +224,13 @@ class CoefficientEvaluator:
     """
 
     def __init__(self, params: PoincareParams, nu: Elt, mu: Elt,
-                 eta: Fraction = DEFAULT_ETA, precision: int = 96,
+                 eta: Fraction = DEFAULT_ETA, precision: int = DEFAULT_PREC,
                  enum_budget: int = DEFAULT_ENUM_BUDGET, store=None):
         F = params.field
         if not F.narrow_h1:
             raise PreconditionViolated(
                 "coefficient evaluation requires narrow class number 1")
-        for name, t in (("nu", nu), ("mu", mu)):
+        for name, t in (("mu", mu), ("nu", nu)):
             if t.is_zero() or not t.is_totally_positive():
                 raise MembershipViolated(f"{name} must be totally positive")
             if not params.cideal.contains(t):
@@ -322,11 +318,11 @@ class CoefficientEvaluator:
     def _tail_constants(self):
         if self._tc is not None:
             return self._tc
-        with prec_guard(96):
+        with prec_guard(self.precision):
             F, k = self.F, self.k
-            A = F.A_interval(96)
+            A = F.A_interval(self.precision)
             nu_mu = self.nu * self.mu
-            w1, w2 = nu_mu.embeddings(96)
+            w1, w2 = nu_mu.embeddings(self.precision)
             gmax = iv.sqrt(iv_max(w1, w2))
             # per-term Kloosterman bound: min(trivial |S| <= N(m), Weil)
             nbar = Fraction(element_ideal(self.nu).num.norm())
@@ -370,7 +366,7 @@ class CoefficientEvaluator:
         Returns (tail, TailSplit): the pieces are bounded from the same
         intervals as the tail itself.
         """
-        with prec_guard(96):
+        with prec_guard(self.precision):
             k = self.k
             kt, e0, base, A, fact = self._tail_constants()
             n_o = self.n_o
@@ -422,26 +418,23 @@ def evaluate_together(evaluators, X, M: int) -> list[CoefficientValue]:
     evaluator, so its ring is enumerated at most once per pass.  A class is
     summed j outward, t_0 + (t_1 + t_-1) + (t_2 + t_-2) + ..., extending its
     stored partial sum (or from j = 0 if M fell); classes add in table order.
-    So a value is bit-identical however the ladder reached it."""
+    So a value is bit-identical however the ladder reached it.  The pass runs
+    at the evaluators' shared precision."""
     if X < 0 or M < 0:
         raise PreconditionViolated("cutoffs X and M must be >= 0")
-    if not evaluators or any(ev.params is not evaluators[0].params for ev in evaluators):
-        raise PreconditionViolated("evaluators must share one PoincareParams")
+    if len({(id(ev.params), ev.precision) for ev in evaluators}) != 1:
+        raise PreconditionViolated("evaluators must share one PoincareParams and precision")
     # tails first: the scratch of their a_F sieve is freed before the pass
     # fills the Kloosterman cache, so the two do not add up in peak memory
     tails = [ev.tail_bound(X, M) for ev in evaluators]
     accs = [iv.mpf(0)] * len(evaluators)
-    for cls in evaluators[0].classes_upto(X):
-        rings = {}
-        for i, ev in enumerate(evaluators):
-            with prec_guard(ev.precision):
+    with prec_guard(evaluators[0].precision):
+        for cls in evaluators[0].classes_upto(X):
+            rings = {}
+            for i, ev in enumerate(evaluators):
                 accs[i] += ev._class_sum(cls, M, rings)
-    out = []
-    for ev, acc, (tail, split) in zip(evaluators, accs, tails):
-        with prec_guard(ev.precision):
-            finite = ev.prefactor() * acc
-        out.append(CoefficientValue(ev.chi, finite, tail, X, M, ev.eta, split))
-    return out
+        return [CoefficientValue(ev.chi, ev.prefactor() * acc, tail, X, M, ev.eta, split)
+                for ev, acc, (tail, split) in zip(evaluators, accs, tails)]
 
 
 def coefficient(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
@@ -503,36 +496,37 @@ def certify_nonvanishing(params: PoincareParams, mu: Elt,
     best = None
     while True:
         val = ev.evaluate(X, M)
-        dist = sup_abs(iv.mpf(val.chi_term) + val.finite_part - 1)
-        # rounded down at both steps: a positive margin must be provable
-        margin = mpmath.fsub(mpmath.fsub(1, dist, rounding="d"),
-                             mpmath.mpf(val.tail), rounding="d")
-        if margin > 0:
-            return Certificate(params, mu, "NONZERO", val, margin)
-        if criterion_unreachable(val):
-            return Certificate(params, mu, "INCONCLUSIVE", val, margin,
-                               "criterion unreachable")
-        if best is None or margin > best[0]:
-            best = (margin, val)
-        if X >= budget.max_X and M >= budget.max_M:
-            return Certificate(params, mu, "INCONCLUSIVE", best[1], best[0],
-                               "budget exhausted")
-        split = val.tail_split
-        if M >= budget.max_M or (X < budget.max_X
-                                 and split.norms0 + split.norms >= split.window):
-            X = min(2 * X, budget.max_X)
-        else:
-            M = min(M + 2, budget.max_M)
+        with prec_guard(ev.precision):
+            dist = sup_abs(iv.mpf(val.chi_term) + val.finite_part - 1)
+            # rounded down at both steps: a positive margin must be provable
+            margin = mpmath.fsub(mpmath.fsub(1, dist, rounding="d"), val.tail, rounding="d")
+            if margin > 0:
+                return Certificate(params, mu, "NONZERO", val, margin)
+            if criterion_unreachable(val):
+                return Certificate(params, mu, "INCONCLUSIVE", val, margin,
+                                   "criterion unreachable")
+            if best is None or margin > best[0]:
+                best = (margin, val)
+            if X >= budget.max_X and M >= budget.max_M:
+                return Certificate(params, mu, "INCONCLUSIVE", best[1], best[0],
+                                   "budget exhausted")
+            split = val.tail_split
+            if M >= budget.max_M or (X < budget.max_X
+                                     and split.norms0 + split.norms >= split.window):
+                X = min(2 * X, budget.max_X)
+            else:
+                M = min(M + 2, budget.max_M)
 
 
 def audit_certificate(cert: Certificate) -> bool:
     """Re-check a certificate's claim from its stored enclosure: the NONZERO
     criterion, or that the criterion is unreachable."""
     val = cert.coefficient
-    if cert.verdict != "NONZERO":
-        return cert.reason != "criterion unreachable" or criterion_unreachable(val)
-    dist = sup_abs(iv.mpf(val.chi_term) + val.finite_part - 1)
-    return bool(mpmath.fadd(dist, mpmath.mpf(val.tail), rounding="u") < 1)
+    with prec_guard(DEFAULT_PREC):
+        if cert.verdict != "NONZERO":
+            return cert.reason != "criterion unreachable" or criterion_unreachable(val)
+        dist = sup_abs(iv.mpf(val.chi_term) + val.finite_part - 1)
+        return bool(mpmath.fadd(dist, val.tail, rounding="u") < 1)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +557,7 @@ def zeta_F_enclosure(field, s: Fraction, terms: int):
     if s <= Fraction(3, 2):
         raise PreconditionViolated("zeta_F enclosure requires s > 3/2")
     a = af_table(field, terms)
-    with prec_guard(96):
+    with prec_guard(DEFAULT_PREC):
         total = iv.mpf(0)
         for t in range(1, terms + 1):
             if a[t]:
@@ -589,7 +583,6 @@ class ConstantsLedger:
     C: object          # final threshold constant (interval; use lower end)
 
     def to_json(self):
-        from .intervals import iv_str
         out = {"eta": str(self.eta)}
         for name in ("A", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
                      "C9", "zetaF", "C"):
@@ -616,8 +609,8 @@ def effective_constants(field, eta: Fraction = DEFAULT_ETA) -> ConstantsLedger:
     ckey = (field.d, eta)
     if ckey in _ledger_cache:
         return _ledger_cache[ckey]
-    with prec_guard(96):
-        A = field.A_interval(96)
+    with prec_guard(DEFAULT_PREC):
+        A = field.A_interval(DEFAULT_PREC)
         c1 = A * A
         c2 = c2_constant(field)
         two = iv.mpf(2)
@@ -664,7 +657,7 @@ def threshold_thm32(field, k: int, cideal, level, eta: Fraction = DEFAULT_ETA,
             raise PreconditionViolated("threshold requires an integral base ideal")
         cideal = cideal.as_integral()
     ledger = ledger or effective_constants(field, eta)
-    with prec_guard(96):
+    with prec_guard(DEFAULT_PREC):
         ncn = Fraction(cideal.norm()) * Fraction(level.norm())
         gamma = Fraction(2 * k - 1, 2)     # k - 1/2
         val = (ledger.C
@@ -687,7 +680,7 @@ def threshold_cor33(field, k: int, cideal: FractionalIdeal, level,
         from .errors import NotIntegral
         raise NotIntegral("alpha * c must be an integral ideal")
     ledger = ledger or effective_constants(field, Fraction(1, 2))
-    with prec_guard(96):
+    with prec_guard(DEFAULT_PREC):
         ncn = cideal.norm() * Fraction(level.norm())
         q = Fraction(2 * k - 1)
         val = (ledger.C
@@ -702,7 +695,7 @@ def threshold_thm35(field, k: int, level, ledger: ConstantsLedger | None = None)
     C (k-1)^(2 - 6/(2k-1)) N(n)^((4k-3)/(4k-2))."""
     require_weight(k)
     ledger = ledger or effective_constants(field, Fraction(1, 2))
-    with prec_guard(96):
+    with prec_guard(DEFAULT_PREC):
         val = (ledger.C
                * iv_pow_frac(iv.mpf(k - 1), Fraction(2) - Fraction(6, 2 * k - 1))
                * iv_pow_frac(iv_from_fraction(Fraction(level.norm())),
@@ -762,11 +755,11 @@ def recurrence_check_cor45(params: PoincareParams, nu: Elt, mu: Elt, p: Elt,
     _cor45_hypotheses(params, p, {"m": m, "n": n}, {"nu": nu, "mu": mu})
     args = ((nu * p ** m, mu * p ** n), (nu, mu * p ** (m + n)),
             (nu * p ** (m - 1), mu * p ** (n - 1)))
-    lhs_v, t1, t2 = evaluate_together(
-        [CoefficientEvaluator(params, a, b, eta, **kw) for a, b in args], X, M)
+    evs = [CoefficientEvaluator(params, a, b, eta, **kw) for a, b in args]
+    lhs_v, t1, t2 = evaluate_together(evs, X, M)
     for val, (_, b) in zip((lhs_v, t1, t2), args):
         val.scale = Fraction(b.norm()) ** (params.k - 1)   # as coefficient_tilde
-    with prec_guard(96):
+    with prec_guard(evs[0].precision):
         lhs = lhs_v.enclosure()
         np_pow = iv_from_fraction(p.norm() ** (params.k - 1))
         rhs = t1.enclosure() + np_pow * t2.enclosure()

@@ -14,7 +14,7 @@ from oracles import besselj_rational, besselj_upward_recurrence
 
 
 def test_zero_argument():
-    v = besselJ(5, iv.mpf(0))
+    v = besselJ(5, iv.mpf(0), 64)
     assert lo(v) == 0 and hi(v) == 0
 
 
@@ -60,7 +60,7 @@ def test_envelope_monotone_eta():
 def test_nj_examples():
     # the two-embedding factor J_{k-1}(x1) J_{k-1}(x2) as a coefficient term
     # multiplies it
-    z = besselJ(7, iv.mpf(0)) * besselJ(7, iv.mpf(3.3))
+    z = besselJ(7, iv.mpf(0), 64) * besselJ(7, iv.mpf(3.3), 64)
     assert lo(z) == 0 and hi(z) == 0
     s = besselJ(7, iv.mpf(2.2), 64)
     with prec_guard(64):

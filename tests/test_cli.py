@@ -1,10 +1,18 @@
 import json
 import os
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from mpmath import iv
 
+from hilbertpoincare import cli
 from hilbertpoincare.cli import main
+from hilbertpoincare.field import make_field
+from hilbertpoincare.intervals import (DEFAULT_PREC, dec_str, hi, iv_from_fraction,
+                                       lo, prec_guard)
+from hilbertpoincare.poincare import audit_certificate
 
 
 def run(args, **kw):
@@ -328,3 +336,165 @@ def test_thresholds_weight_outside_the_theorems_exits_2(k):
 def test_thresholds_weight_4_exits_0():
     r = run(["thresholds", "--d", "5", "--k", "4"])
     assert r.exit_code == 0 and json.loads(r.output)["k"] == 4
+
+
+@pytest.mark.parametrize("mu", ["0", "-1"])
+def test_certify_error_names_mu(mu):
+    # certify has no --nu: it passes nu = mu, so mu is checked first
+    assert "mu must be totally positive" in _usage_error(CERTIFY[:-1] + [mu])
+
+
+FIELD_INFO = ["field-info", "--d", "5"]
+SELBERG = ["selberg-check", "--d", "5", "--max-norm-q", "10"]
+WEIL = ["weil-audit", "--d", "5", "--samples", "5"]
+HECKE = ["hecke-check", "--d", "5", "--samples", "5"]
+OPTION_VALUES = {"--cache-dir": None, "--precision": "80", "--residue-budget": "100000"}
+
+
+@pytest.mark.parametrize("args, option", [
+    (FIELD_INFO, "--cache-dir"), (FIELD_INFO, "--residue-budget"),
+    (SELBERG, "--precision"), (WEIL, "--cache-dir"),
+    (THRESHOLDS, "--cache-dir"), (THRESHOLDS, "--precision"),
+    (THRESHOLDS, "--residue-budget"), (HECKE, "--cache-dir"),
+    (HECKE, "--precision"), (HECKE, "--residue-budget"),
+])
+def test_option_a_command_does_not_read_exits_2(tmp_path, args, option):
+    value = OPTION_VALUES[option] or str(tmp_path)
+    assert "No such option" in _usage_error(args + [option, value])
+
+
+@pytest.mark.parametrize("args, option", [
+    (FIELD_INFO, "--precision"),
+    (KLOOSTERMAN, "--cache-dir"), (KLOOSTERMAN, "--precision"),
+    (KLOOSTERMAN, "--residue-budget"),
+    (SELBERG, "--cache-dir"), (SELBERG, "--residue-budget"),
+    (WEIL, "--precision"), (WEIL, "--residue-budget"),
+    (CERTIFY, "--cache-dir"), (CERTIFY, "--precision"), (CERTIFY, "--residue-budget"),
+    (RECURRENCE, "--cache-dir"), (RECURRENCE, "--precision"),
+    (RECURRENCE, "--residue-budget"),
+])
+def test_option_a_command_reads_is_accepted(tmp_path, args, option):
+    value = OPTION_VALUES[option] or str(tmp_path)
+    r = run(args + [option, value])
+    assert r.exit_code in (0, 3), r.output
+    json.loads(r.output)
+    if option == "--cache-dir":
+        assert os.path.exists(os.path.join(value, "kloosterman-v1.jsonl"))
+
+
+def test_commands_without_cache_dir_build_no_store(tmp_path, monkeypatch):
+    # neither the environment nor a config cache_dir makes them load a store
+    def refuse(path):
+        raise AssertionError(f"store built at {path}")
+
+    monkeypatch.setattr(cli, "KloostermanStore", refuse)
+    monkeypatch.setenv("POINCARE_CACHE_DIR", str(tmp_path))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cache_dir": str(tmp_path)}))
+    for args in (FIELD_INFO, THRESHOLDS, HECKE, WEIL):
+        assert run(args).exit_code == 0, args
+        assert run(args + ["--config", str(cfg)]).exit_code == 0, args
+
+
+def _exact(x):
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _encloses(printed, x):
+    """A printed [lo, hi] pair, or "[lo, hi]" string, contains the interval x."""
+    if isinstance(printed, str):
+        printed = printed.strip("[]").split(", ")
+    a, b = (Fraction(t) for t in printed)
+    return a <= _exact(lo(x)) and _exact(hi(x)) <= b
+
+
+def _spy(monkeypatch, name):
+    """Record (args, result) of each call the CLI makes to `name`."""
+    calls = []
+    real = getattr(cli, name)
+
+    def spy(*args, **kw):
+        calls.append((args, real(*args, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def _ledger_encloses(doc, led):
+    return all(_encloses(text, getattr(led, name)) for name, text in doc.items()
+               if name != "eta")
+
+
+@pytest.mark.parametrize("args", [CERTIFY, CERTIFY[:4] + ["6"] + CERTIFY[5:],
+                                  CERTIFY[:-1] + ["(3,-1)"]])
+def test_printed_certificate_is_outward_and_audits(monkeypatch, args):
+    certs = _spy(monkeypatch, "certify_nonvanishing")
+    ledgers = _spy(monkeypatch, "effective_constants")
+    doc = json.loads(run(args).output)
+    cert = certs[0][1]
+    val = cert.coefficient
+    assert _encloses(doc["finite_part"], val.finite_part)
+    assert Fraction(doc["tail"]) >= _exact(val.tail)
+    assert Fraction(doc["margin"]) <= _exact(cert.margin)
+    assert _ledger_encloses(doc["ledger"], ledgers[0][1])
+    # the certificate re-audited from its printed numbers alone
+    with prec_guard(DEFAULT_PREC):
+        f_lo, f_hi = (iv_from_fraction(Fraction(t)) for t in doc["finite_part"])
+        printed = replace(val, chi_term=doc["chi"], finite_part=iv.mpf([lo(f_lo), hi(f_hi)]),
+                          tail=hi(iv_from_fraction(Fraction(doc["tail"]))))
+    parsed = replace(cert, verdict=doc["verdict"], reason=doc.get("reason"),
+                     coefficient=printed)
+    assert audit_certificate(parsed) and audit_certificate(cert)
+
+
+def test_printed_numbers_are_outward(monkeypatch):
+    exact = _spy(monkeypatch, "kloosterman_exact")
+    bounds = _spy(monkeypatch, "weil_bound")
+    doc = json.loads(run(KLOOSTERMAN).output)
+    re_iv, im_iv = exact[0][1].complex_interval(DEFAULT_PREC)
+    assert _encloses(doc["float"]["re"], re_iv) and _encloses(doc["float"]["im"], im_iv)
+    assert _encloses(doc["weil_bound"]["interval"], bounds[0][1].interval(DEFAULT_PREC))
+
+    reps = _spy(monkeypatch, "recurrence_check_cor45")
+    doc = json.loads(run(RECURRENCE).output)
+    rep = reps[0][1]
+    assert _encloses(doc["lhs"], rep.lhs) and _encloses(doc["rhs"], rep.rhs)
+    assert Fraction(doc["shared_width"]) >= _exact(rep.shared_width)
+
+    ledgers = _spy(monkeypatch, "effective_constants")
+    thresholds = [_spy(monkeypatch, f"threshold_{name}") for name in ("thm32", "cor33", "thm35")]
+    doc = json.loads(run(THRESHOLDS).output)
+    assert _ledger_encloses(doc["ledger"], ledgers[0][1])
+    for name, calls in zip(("thm32", "cor33", "thm35"), thresholds):
+        assert Fraction(doc[f"threshold_{name}"]) <= _exact(calls[0][1])
+
+    doc = json.loads(run(FIELD_INFO + ["--precision", "30"]).output)
+    assert _encloses(doc["A"], make_field(5).A_interval(30))
+
+    rendered = _spy(monkeypatch, "dec_str")
+    doc = json.loads(run(WEIL).output)
+    (max_ratio, up), text = rendered[-1]
+    assert up and text == doc["max_ratio"] and Fraction(text) >= _exact(max_ratio)
+
+
+def test_dec_str_rounds_in_its_direction_and_keeps_the_layout():
+    # one of the two directed renderings is mpmath's nearest one, so the
+    # layout (fixed or exponent, stripped zeros) is nstr's
+    import random
+
+    import mpmath
+    rng = random.Random(3)
+    for _ in range(3000):
+        prec = rng.choice([20, 53, 96, 300])
+        man = rng.getrandbits(prec) * rng.choice([1, -1]) or 1
+        with mpmath.workprec(prec):
+            x = mpmath.ldexp(man, rng.randint(-400, 300))
+        down, up = dec_str(x, False), dec_str(x, True)
+        assert Fraction(down) <= _exact(x) <= Fraction(up)
+        assert mpmath.nstr(x, 20) in (down, up)
+    for value in (0, 1, -2.5, 2 ** -10, -10 ** 30, 10 ** 19, 10 ** 20):
+        with mpmath.workprec(200):   # exact, and at most 20 digits
+            x = mpmath.mpf(value)
+        assert dec_str(x, False) == dec_str(x, True) == mpmath.nstr(x, 20)

@@ -311,6 +311,9 @@ def test_evaluators_of_one_params_share_the_class_table(F5, monkeypatch):
     with pytest.raises(PreconditionViolated):
         evaluate_together([a, CoefficientEvaluator(PoincareParams(F5, 8),
                                                    F5.one(), F5.one())], 100, 1)
+    with pytest.raises(PreconditionViolated):   # one pass runs at one precision
+        evaluate_together([a, CoefficientEvaluator(params, F5.one(), F5.one(),
+                                                   precision=64)], 100, 1)
 
 
 def test_recurrence_builds_one_ring_per_modulus(F5, monkeypatch):
@@ -372,6 +375,56 @@ def test_ladder_order_is_bit_identical(F5):
         fresh = CoefficientEvaluator(PoincareParams(F5, 8), mu, mu).evaluate(300, M)
         assert (lo(got.finite_part), hi(got.finite_part), got.tail) == \
             (lo(fresh.finite_part), hi(fresh.finite_part), fresh.tail), M
+
+
+def _raw(x):
+    return x._mpi_ if hasattr(x, "_mpi_") else x._mpf_
+
+
+def _decisions(F):
+    """Raw endpoints of a certificate, the recurrence's coefficients, the
+    ledger and the thresholds, each computed from scratch."""
+    poincare._ledger_cache.clear()
+    cert = certify_nonvanishing(PoincareParams(F, 8), F.elt(3, -1),
+                                CertifyBudget(1500, 10))
+    val = cert.coefficient
+    out = [cert.verdict, cert.reason, _raw(val.finite_part), _raw(val.tail),
+           _raw(cert.margin)]
+    one, p = F.one(), F.elt(3, 2)
+    params = PoincareParams(F, 8)
+    for val in evaluate_together([CoefficientEvaluator(params, a, b)
+                                  for a, b in ((p, p), (one, p * p), (one, one))], 200, 2):
+        out += [_raw(val.finite_part), _raw(val.tail)]
+    led = effective_constants(F)
+    out += [_raw(getattr(led, name)) for name in
+            ("A", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "zetaF", "C")]
+    n = unit_ideal(F)
+    out += [_raw(threshold_thm32(F, 8, n, n)),
+            _raw(threshold_cor33(F, 8, FractionalIdeal(n), n, F.one())),
+            _raw(threshold_thm35(F, 8, n))]
+    return out
+
+
+def test_results_do_not_depend_on_the_ambient_precision(F5):
+    # each function runs at its own precision, whatever its caller's is
+    runs = []
+    for bits in (20, 53, 300):
+        iv.prec = mp.prec = bits
+        runs.append(_decisions(F5))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_evaluator_precision_ignores_call_order(F5):
+    # a prefactor computed first, or by the tail bound, is the same value
+    mu = F5.elt(3, -1)
+
+    def finite(prefactor_first):
+        ev = CoefficientEvaluator(PoincareParams(F5, 8), mu, mu, precision=64)
+        if prefactor_first:
+            ev.prefactor()
+        return _raw(ev.evaluate(200, 2).finite_part)
+
+    assert finite(True) == finite(False)
 
 
 def test_recurrence_coefficients_contain_the_oracle(F5, monkeypatch):

@@ -99,3 +99,32 @@ def test_keep_lists_only_names_that_exist():
     defined = {name for tree in _trees().values() for name, _, _ in _definitions(tree)}
     assert sorted(set(KEEP) - defined) == []
     assert all(KEEP.values())
+
+
+# the position of the precision argument of each function that takes one
+PRECISION_ARG = {"prec_guard": 0, "embeddings": 0, "A_interval": 0, "besselJ": 2,
+                 "besselj_eval": 2, "real_interval": 0, "complex_interval": 0,
+                 "kloosterman_float": 1, "interval": 0}
+
+
+def _literal_precisions():
+    """Calls in src/ that pass an integer literal as the precision."""
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in PRECISION_ARG:
+                continue
+            pos = PRECISION_ARG[name]
+            args = node.args[pos:pos + 1] + [kw.value for kw in node.keywords
+                                             if kw.arg in ("precision", "bits")]
+            if any(isinstance(a, ast.Constant) and isinstance(a.value, int) for a in args):
+                yield f"{module}.{name} (line {node.lineno})"
+
+
+def test_no_literal_precision_in_src():
+    # a precision is DEFAULT_PREC, ESTIMATE_PREC or the caller's argument,
+    # never a number that drifts apart from them
+    assert sorted(_literal_precisions()) == []
