@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 
 from .cyclotomic import CyclotomicInteger
 
@@ -31,7 +30,6 @@ class KloostermanStore:
         self.directory = directory
         self.path = os.path.join(directory, FILENAME)
         self._mem: dict[str, CyclotomicInteger] = {}
-        self._lock = threading.Lock()
         self.corrupt_lines = 0
         self._load()
 
@@ -60,13 +58,12 @@ class KloostermanStore:
 
     def put(self, key, val: CyclotomicInteger):
         ks = _key_str(key)
-        with self._lock:
-            if ks in self._mem:
-                return
-            self._mem[ks] = val
-            os.makedirs(self.directory, exist_ok=True)
-            line = json.dumps({"v": SCHEMA_VERSION, "key": ks, "val": val.to_json()},
-                              separators=(",", ":"))
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
+        if ks in self._mem:
+            return
+        self._mem[ks] = val
+        os.makedirs(self.directory, exist_ok=True)
+        line = json.dumps({"v": SCHEMA_VERSION, "key": ks, "val": val.to_json()},
+                          separators=(",", ":"))
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+            fh.flush()

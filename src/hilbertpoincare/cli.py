@@ -33,8 +33,9 @@ from .cache import KloostermanStore
 from .errors import HPError
 from .field import make_field
 from .hecke import CoeffFunction, HeckeContext, check_multiplicativity, hecke_action, pairing
-from .ideals import (FractionalIdeal, IdealHNF, dedekind_a, ideal_sum,
-                     ideals_of_norm, is_principal, principal_ideal, unit_ideal)
+from .ideals import (FractionalIdeal, IdealHNF, dedekind_a, different_ideal,
+                     element_ideal, ideal_product, ideal_sum, ideals_of_norm,
+                     is_principal, principal_ideal, unit_ideal)
 from .intervals import DEFAULT_PREC, dec_str, hi, iv_ends, iv_str, prec_guard
 from .kloosterman import (KloostermanQuery, kloosterman_exact,
                           kloosterman_float, selberg_check, weil_bound)
@@ -294,7 +295,7 @@ def cmd_weil_audit(d, samples, seed, **kw):
     st = Settings(kw)
     F = make_field(d)
     rng = random.Random(seed)
-    from .ideals import different_ideal, element_ideal, ideal_product
+    diff = different_ideal(F)
     max_ratio = mpmath.mpf(0)
     violations = 0
     done = 0
@@ -304,7 +305,7 @@ def cmd_weil_audit(d, samples, seed, **kw):
         if not opts:
             continue
         mod = rng.choice(opts)
-        box = ideal_product(mod, different_ideal(F))
+        box = ideal_product(mod, diff)
         s, t = rng.randint(-4, 4), rng.randint(-4, 4)
         if s == 0 and t == 0:
             s = 1

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from mpmath import iv
 
 from . import arith
 from .errors import NotSquarefree, ZeroElement
-from .intervals import ESTIMATE_PREC, lo, prec_guard
+from .intervals import ESTIMATE_PREC, hi, lo, prec_guard
 
 
 def _sign_a_plus_b_sqrt(a: int, b: int, d: int) -> int:
@@ -95,10 +95,7 @@ class Elt:
     def __mul__(self, other):
         other = self._coerce(other)
         F = self.field
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        # omega^2 = c0 + c1*omega
-        a = a1 * a2 + b1 * b2 * F.c0
-        b = a1 * b2 + a2 * b1 + b1 * b2 * F.c1
+        a, b = F.mul_coords(self.a, self.b, other.a, other.b)
         return Elt(F, a, b, self.den * other.den)
 
     __radd__ = __add__
@@ -111,11 +108,12 @@ class Elt:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero element")
-        n = other.norm()  # Fraction, nonzero
-        inv = other.conj() * Elt(other.field, n.denominator, 0, 1)
-        res = self * inv
-        return Elt(res.field, res.a * _sgn(n.numerator), res.b * _sgn(n.numerator),
-                   res.den * abs(n.numerator))
+        # 1/other = den(other) * conj(n) / N(n) for the numerator n of other
+        F = self.field
+        ca, cb = other.a + other.b * F.c1, -other.b
+        a, b = F.mul_coords(self.a, self.b, ca, cb)
+        n = other.a * ca + other.b * cb * F.c0
+        return Elt(F, a * other.den, b * other.den, self.den * n)
 
     def __pow__(self, m: int):
         F = self.field
@@ -192,10 +190,6 @@ class Elt:
         return d
 
 
-def _sgn(n):
-    return 1 if n >= 0 else -1
-
-
 class RealQuadraticField:
     """Q(sqrt(d)) with its integral basis, units and different."""
 
@@ -243,6 +237,10 @@ class RealQuadraticField:
 
     def omega(self) -> Elt:
         return Elt(self, 0, 1, 1)
+
+    def mul_coords(self, x0, x1, y0, y1):
+        """Coordinates of (x0 + x1*omega)(y0 + y1*omega): omega^2 = c0 + c1*omega."""
+        return x0 * y0 + x1 * y1 * self.c0, x0 * y1 + x1 * y0 + x1 * y1 * self.c1
 
     def __repr__(self):
         return f"Q(sqrt {self.d})"
@@ -310,6 +308,11 @@ class RealQuadraticField:
         """The balancing constant A = sqrt(sigma_1(eps_plus))."""
         with prec_guard(precision):
             return iv.sqrt(self.eps_plus.embeddings(precision)[0])
+
+    @cached_property
+    def A_hi(self) -> float:
+        """A's ESTIMATE_PREC upper bound as a float, read on first use."""
+        return float(hi(self.A_interval(ESTIMATE_PREC)))
 
     def balanced_representative(self, x: Elt):
         """(y, m) with y = x * eps_plus^m minimizing |log |sigma1(y)/sigma2(y)||.

@@ -4,12 +4,16 @@ An integral ideal is the Z-lattice spanned by (a, 0) and (b, c) in the
 integral basis (1, omega), normalized to Hermite form: a, c > 0, 0 <= b < a,
 c | a, c | b, closed under multiplication by omega.  Equality is structural,
 so ideals can be used as dict keys.
+
+Sums, products and conjugates are the HNFs of integer Z-basis vectors: the
+sum and the product of two O-modules are again O-modules, spanned over Z by
+the union and by the four products of their Z-bases.  A known generator is
+carried as its coordinate pair (u, v) of u + v*omega.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +22,6 @@ from . import arith
 from .errors import (NotDivisible, NotIntegral, PreconditionViolated,
                      SearchBudgetExceeded, ZeroIdeal)
 from .field import Elt
-from .intervals import ESTIMATE_PREC, hi
 
 PRINCIPALITY_BUDGET = 10**6
 
@@ -40,7 +43,7 @@ class IdealHNF:
         self.a = a
         self.b = b
         self.c = c
-        self.gen = gen  # optional known generator (not part of identity)
+        self.gen = gen  # coordinates of a known generator, or None (not identity)
 
     # -- structure ----------------------------------------------------------
     def norm(self) -> int:
@@ -61,16 +64,12 @@ class IdealHNF:
     def is_unit_ideal(self):
         return self.a == 1 and self.c == 1
 
-    def basis_elements(self):
-        F = self.field
-        return [F.elt(self.a, 0), F.elt(self.b, self.c)]
-
     def contains(self, x: Elt) -> bool:
-        if not x.is_integral():
-            return False
-        if x.b % self.c:
-            return False
-        return (x.a - (x.b // self.c) * self.b) % self.a == 0
+        return x.is_integral() and self._has(x.a, x.b)
+
+    def _has(self, u: int, v: int) -> bool:
+        """Does u + v*omega lie in the lattice?"""
+        return v % self.c == 0 and (u - (v // self.c) * self.b) % self.a == 0
 
     def reduce_coords(self, u: int, v: int):
         """Canonical coset representative of u + v*omega modulo the lattice."""
@@ -85,34 +84,21 @@ class IdealHNF:
         return (self.norm(), self.a, self.b, self.c)
 
 
-def _hnf_from_vectors(field, vecs) -> tuple[int, int, int]:
-    vecs = [(u, v) for (u, v) in vecs if u or v]
-    if not vecs:
+def _hnf_from_vectors(vecs) -> tuple[int, int, int]:
+    """(a, b, c) of the Z-lattice spanned by the integer vectors (u, v)."""
+    a = pu = pv = 0     # the pivot (pu, pv) carries the gcd of the v seen so far
+    for u, v in vecs:
+        while v:        # Euclid on the omega-coordinates, a unimodular change
+            q = pv // v
+            pu, pv, u, v = u, v, pu - q * u, pv - q * v
+        a = math.gcd(a, u)
+    if a == 0 and pv == 0:
         raise ZeroIdeal("all generators are zero")
-    # Euclid on the omega-coordinate, leaving one vector with v != 0
-    while True:
-        nz = [w for w in vecs if w[1] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda w: abs(w[1]))
-        p = nz[0]
-        vecs = [w if w[1] == 0 or w is p else
-                (w[0] - (w[1] // p[1]) * p[0], w[1] - (w[1] // p[1]) * p[1])
-                for w in vecs]
-        vecs = [w for w in vecs if w != (0, 0)]
-    pivot = next((w for w in vecs if w[1] != 0), None)
-    if pivot is None:
+    if a == 0 or pv == 0:
         raise ZeroIdeal("generators span a rank-1 module, not an O-ideal")
-    if pivot[1] < 0:
-        pivot = (-pivot[0], -pivot[1])
-    a = 0
-    for (u, v) in vecs:
-        if v == 0:
-            a = math.gcd(a, abs(u))
-    if a == 0:
-        raise ZeroIdeal("generators span a rank-1 module, not an O-ideal")
-    b, c = pivot[0] % a, pivot[1]
-    return a, b, c
+    if pv < 0:
+        pu, pv = -pu, -pv
+    return a, pu % a, pv
 
 
 def ideal_from_generators(gens) -> IdealHNF:
@@ -125,11 +111,9 @@ def ideal_from_generators(gens) -> IdealHNF:
     for g in gens:
         if not g.is_integral():
             raise NotIntegral(f"generator {g} is not integral")
-        gw = g * F.omega()
-        vecs.append((g.a, g.b))
-        vecs.append((gw.a, gw.b))
-    a, b, c = _hnf_from_vectors(F, vecs)
-    return IdealHNF(F, a, b, c, gen=gens[0] if len(gens) == 1 else None)
+        vecs += ((g.a, g.b), (g.b * F.c0, g.a + g.b * F.c1))   # g and g*omega
+    a, b, c = _hnf_from_vectors(vecs)
+    return IdealHNF(F, a, b, c, gen=(gens[0].a, gens[0].b) if len(gens) == 1 else None)
 
 
 def principal_ideal(g: Elt) -> IdealHNF:
@@ -137,7 +121,7 @@ def principal_ideal(g: Elt) -> IdealHNF:
 
 
 def unit_ideal(field) -> IdealHNF:
-    return IdealHNF(field, 1, 0, 1, gen=field.one())
+    return IdealHNF(field, 1, 0, 1, gen=(1, 0))
 
 
 def different_ideal(field) -> IdealHNF:
@@ -146,27 +130,32 @@ def different_ideal(field) -> IdealHNF:
 
 
 def ideal_sum(x: IdealHNF, y: IdealHNF) -> IdealHNF:
-    return ideal_from_generators(x.basis_elements() + y.basis_elements())
+    a, b, c = _hnf_from_vectors(((x.a, 0), (x.b, x.c), (y.a, 0), (y.b, y.c)))
+    return IdealHNF(x.field, a, b, c)
 
 
 def ideal_product(x: IdealHNF, y: IdealHNF) -> IdealHNF:
-    gens = [gx * gy for gx in x.basis_elements() for gy in y.basis_elements()]
-    out = ideal_from_generators(gens)
+    F = x.field
+    a, b, c = _hnf_from_vectors((
+        (x.a * y.a, 0), (x.a * y.b, x.a * y.c), (x.b * y.a, x.c * y.a),
+        F.mul_coords(x.b, x.c, y.b, y.c)))
+    gen = None
     if x.gen is not None and y.gen is not None:
-        out.gen = x.gen * y.gen
-    return out
+        gen = F.mul_coords(*x.gen, *y.gen)
+    return IdealHNF(F, a, b, c, gen)
 
 
 def ideal_conj(x: IdealHNF) -> IdealHNF:
-    out = ideal_from_generators([g.conj() for g in x.basis_elements()])
-    if x.gen is not None:
-        out.gen = x.gen.conj()
-    return out
+    """conj(b + c*omega) = (b + c*c1) - c*omega, so the conjugate's HNF is
+    (a, -(b + c*c1) mod a, c)."""
+    c1 = x.field.c1
+    gen = None if x.gen is None else (x.gen[0] + x.gen[1] * c1, -x.gen[1])
+    return IdealHNF(x.field, x.a, -(x.b + x.c * c1), x.c, gen)
 
 
 def ideal_divides(y: IdealHNF, x: IdealHNF) -> bool:
     """Does y divide x (equivalently x subset of y)?"""
-    return all(y.contains(g) for g in x.basis_elements())
+    return y._has(x.a, 0) and y._has(x.b, x.c)
 
 
 def ideal_exact_divide(x: IdealHNF, y: IdealHNF) -> IdealHNF:
@@ -233,9 +222,6 @@ def prime_splitting(field, p: int) -> Splitting:
         ideal_from_generators([F.from_int(p), F.omega() - F.from_int(r)]) for r in roots))
 
 
-_factor_lock = threading.Lock()
-
-
 @lru_cache(maxsize=4096)
 def _factor_ideal_cached(x: IdealHNF):
     out = []
@@ -257,9 +243,8 @@ def _factor_ideal_cached(x: IdealHNF):
 
 
 def factor_ideal(x: IdealHNF):
-    """Multiset of (prime ideal, exponent); cached, thread-safe."""
-    with _factor_lock:
-        return list(_factor_ideal_cached(x))
+    """Multiset of (prime ideal, exponent), sorted; cached."""
+    return list(_factor_ideal_cached(x))
 
 
 def is_prime_element(p: Elt) -> bool:
@@ -339,12 +324,12 @@ def is_principal(x: IdealHNF):
     """
     F = x.field
     if x.gen is not None:
-        g = x.gen
+        g = F.elt(*x.gen)
     else:
         g = _norm_equation_search(x)
         if g is None:
             return None
-        x.gen = g
+        x.gen = (g.a, g.b)
     return _prefer_totally_positive(F, g)
 
 
@@ -360,8 +345,7 @@ def _prefer_totally_positive(F, g):
 def _norm_equation_search(x: IdealHNF):
     F = x.field
     n = x.norm()
-    A_hi = float(hi(F.A_interval(ESTIMATE_PREC)))
-    bound = A_hi * math.sqrt(n) * 1.0000001
+    bound = F.A_hi * math.sqrt(n) * 1.0000001
     # v-range from |sigma1 - sigma2| <= 2*A*sqrt(n); omega1 - omega2 = sqrt(D)
     disc_w = F.c1 * F.c1 + 4 * F.c0
     vmax = int(2 * bound / math.sqrt(disc_w)) + 2
@@ -476,27 +460,24 @@ def element_ideal(x: Elt) -> FractionalIdeal:
 
 
 def ideals_of_norm(field, n: int):
-    """All integral ideals of norm n, sorted canonically."""
+    """All integral ideals of norm n, sorted canonically.
+
+    Locally at p^e they are the products of P_i^e_i over the primes P_i above
+    p with sum f_i*e_i = e, where N(P_i) = p^f_i.  local[k] holds the ideals
+    built so far times those of norm p^k, each made by one more prime factor.
+    """
     if n <= 0:
         return []
-    if n == 1:
-        return [unit_ideal(field)]
     parts = [unit_ideal(field)]
     for p, e in arith.factorint(n).items():
-        sp = prime_splitting(field, p)
-        local = []
-        if sp.kind == "split":
-            p1, p2 = sp.primes
-            local = [ideal_product(ideal_pow(p1, i), ideal_pow(p2, e - i))
-                     for i in range(e + 1)]
-        elif sp.kind == "inert":
-            if e % 2 == 0:
-                local = [ideal_pow(sp.primes[0], e // 2)]
-        else:
-            local = [ideal_pow(sp.primes[0], e)]
-        if not local:
+        local = [parts] + [[] for _ in range(e)]
+        for pr in prime_splitting(field, p).primes:
+            f = 1 if pr.norm() == p else 2
+            for k in range(f, e + 1):
+                local[k] += [ideal_product(x, pr) for x in local[k - f]]
+        parts = local[e]
+        if not parts:
             return []
-        parts = [ideal_product(x, y) for x in parts for y in local]
     parts.sort(key=lambda i: i.sort_key())
     return parts
 

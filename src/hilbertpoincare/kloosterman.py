@@ -33,6 +33,8 @@ class KloostermanQuery:
     for y = nu/c, mu/c; on the HNF basis {a, b + c*omega} of m that is
     a*r1 in Z and b*r1 + c*r2 in Z.  Since a*omega lies in m too, every
     slope denominator divides a, so the cyclotomic order is at most N(m).
+    The traces are computed as integers over one denominator, from
+    Tr(t/c) = Tr(t*conj(c))/N(c); only the four reduced slopes are Fractions.
     """
 
     __slots__ = ("field", "nu", "mu", "modulus", "c", "slopes")
@@ -40,15 +42,21 @@ class KloostermanQuery:
     def __init__(self, field, nu: Elt, mu: Elt, modulus: IdealHNF, c: Elt):
         if c.is_zero():
             raise MembershipViolated("c must be nonzero")
-        w = field.omega()
+        c0, c1 = field.c0, field.c1
+        # 1/c = den(c) * conj(c_num) / N(c_num) for c = c_num / den(c)
+        ca, cb = c.a + c.b * c1, -c.b
+        nc = c.a * ca + c.b * cb * c0
         slopes = []
         for name, t in (("nu", nu), ("mu", mu)):
-            y = t / c
-            r1, r2 = y.trace(), (y * w).trace()
-            if ((modulus.a * r1).denominator != 1
-                    or (modulus.b * r1 + modulus.c * r2).denominator != 1):
+            # t/c = P * den(c) / (den(t) * N(c_num)), P = t_num * conj(c_num);
+            # Tr(P) = 2*pa + pb*c1, Tr(P*omega) = pa*c1 + pb*(c1^2 + 2*c0)
+            pa, pb = field.mul_coords(t.a, t.b, ca, cb)
+            R1 = (2 * pa + pb * c1) * c.den
+            R2 = (pa * c1 + pb * (c1 * c1 + 2 * c0)) * c.den
+            D = t.den * nc    # for D < 0, R % D lies in (D, 0], so (R % D)/D in [0, 1)
+            if (modulus.a * R1) % D or (modulus.b * R1 + modulus.c * R2) % D:
                 raise MembershipViolated(f"{name}={t} outside c*(m d)^(-1)")
-            slopes += (r1 - math.floor(r1), r2 - math.floor(r2))
+            slopes += (Fraction(R1 % D, D), Fraction(R2 % D, D))
         self.field = field
         self.nu = nu
         self.mu = mu
@@ -111,7 +119,7 @@ def kloosterman_exact(q: KloostermanQuery,
     ring = rings.get(mkey)
     if ring is None:
         ring = rings[mkey] = residue_ring(q.modulus, enum_budget)
-    R1, R2, S1, S2 = (int(t * M) for t in q.slopes)
+    R1, R2, S1, S2 = (t.numerator * (M // t.denominator) for t in q.slopes)
     coeffs = [0] * M
     for (u, v, ui, vi) in ring.unit_data():
         coeffs[(R1 * u + R2 * v + S1 * ui + S2 * vi) % M] += 1
@@ -226,11 +234,12 @@ def selberg_check(field, nu: Elt, mu: Elt, q: Elt, **kw) -> IdentityReport:
     gens = [g for g in (nu, mu, q) if not g.is_zero()]
     gcd_ideal = ideal_from_generators(gens)
     rhs = CyclotomicInteger.zero()
+    one_over_delta = field.one() / delta
     for dd in divisors(gcd_ideal):
         g = is_principal(dd)
         if g is None:
             raise NonPrincipalDivisor(dd)
-        term = principal_kloosterman(field, field.one() / delta,
+        term = principal_kloosterman(field, one_over_delta,
                                      (nu * mu) / (g * g) / delta, q / g, **kw)
         rhs = rhs + dd.norm() * term
     return IdentityReport((lhs - rhs).is_zero(), lhs, rhs, outside)

@@ -3,8 +3,10 @@
 These deliberately avoid the package's interval/cyclotomic code paths:
 rational-arithmetic Bessel series, mpmath high-precision reference values,
 a direct floating summation of the truncated Poincare coefficient sum, an
-exhaustive search for the fundamental unit, and Kloosterman membership by
-fractional-ideal arithmetic.
+exhaustive search for the fundamental unit, Kloosterman membership by
+fractional-ideal arithmetic, the HNF of an ideal generated by field
+elements from 2x2 minors and a Bezout combination, and Kloosterman slopes
+from Fraction traces.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv, mp
 
-from hilbertpoincare.ideals import (FractionalIdeal, different_ideal,
+from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, different_ideal,
                                     element_ideal)
 from hilbertpoincare.kloosterman import KloostermanQuery
 from hilbertpoincare.poincare import CoefficientEvaluator, chi_mu
@@ -163,6 +165,66 @@ def pell_search_fundamental_unit(d: int):
                 if s * s == s2 and (s - b) % 2 == 0:
                     return (s - b) // 2, b, nrm
     raise AssertionError(f"no unit with b < 10^6 for d = {d}")
+
+
+# -- ideals generated by elements: the Z-span of every g and g*omega ------------
+
+def _index(vecs):
+    """gcd of the 2x2 minors: the index of a full-rank lattice in Z^2."""
+    return math.gcd(*(u1 * v2 - u2 * v1 for i, (u1, v1) in enumerate(vecs)
+                      for (u2, v2) in vecs[i + 1:]))
+
+
+def _bezout(ks):
+    """(g, s) with g = gcd(ks) > 0 and sum(s_i * k_i) = g."""
+    g, s = 0, []
+    for k in ks:
+        x0, y0, r0, x1, y1, r1 = 1, 0, g, 0, 1, k
+        while r1:
+            q = r0 // r1
+            x0, x1, y0, y1, r0, r1 = x1, x0 - q * x1, y1, y0 - q * y1, r1, r0 - q * r1
+        g, s = r0, [x0 * t for t in s] + [y0]
+    return (g, s) if g > 0 else (-g, [-t for t in s])
+
+
+def ideal_from_elements(gens) -> IdealHNF:
+    """HNF of the O-module generated by integral elements, with Elt products.
+
+    The lattice is the Z-span of every g and g*omega.  Its index a*c is the
+    gcd of the 2x2 minors and c the gcd of the omega-coordinates.  A vector
+    (u, v) lies on the lattice {a, b + c*omega} exactly when u = (v/c)*b mod
+    a; a Bezout combination of the v/c gives b, checked on every vector."""
+    F = gens[0].field
+    vecs = [(h.a, h.b) for g in gens for h in (g, g * F.omega())]
+    c = math.gcd(*(v for _, v in vecs))
+    a = _index(vecs) // c
+    one, s = _bezout([v // c for _, v in vecs])
+    assert one == 1
+    b = sum(t * u for t, (u, _) in zip(s, vecs)) % a
+    assert all((u - (v // c) * b) % a == 0 for u, v in vecs)
+    return IdealHNF(F, a, b, c)
+
+
+def z_basis(x: IdealHNF):
+    """The ideal's Z-basis {a, b + c*omega} as field elements."""
+    return [x.field.elt(x.a, 0), x.field.elt(x.b, x.c)]
+
+
+# -- Kloosterman slopes by Fraction traces --------------------------------------
+
+def slopes_by_fractions(field, nu, mu, modulus, c):
+    """(slopes, member): Tr(t/c) and Tr(t*omega/c) mod 1 for t = nu, mu, with
+    1/c = conj(c)/N(c) from Fraction norms, and the trace-integrality test of
+    membership on the HNF basis of the modulus."""
+    inv_c = c.conj() * field.from_fraction(1 / c.norm())
+    slopes, member = [], True
+    for t in (nu, mu):
+        y = t * inv_c
+        r1, r2 = y.trace(), (y * field.omega()).trace()
+        member = member and ((modulus.a * r1).denominator == 1
+                             and (modulus.b * r1 + modulus.c * r2).denominator == 1)
+        slopes += (r1 - math.floor(r1), r2 - math.floor(r2))
+    return tuple(slopes), member
 
 
 # -- Kloosterman membership by fractional ideals ------------------------------

@@ -176,3 +176,16 @@ def test_embedding_identities(a, b):
     prod, tot = e1 * e2, e1 + e2
     assert contains(prod, Fraction(x.norm()))
     assert contains(tot, Fraction(x.trace()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 13)), st.integers(-30, 30), st.integers(-30, 30),
+       st.integers(1, 9), st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 9))
+def test_division_matches_fraction_inverse(d, a, b, p, c, e, q):
+    # x / y is x * conj(y) * (1 / N(y)), with the norm as a Fraction
+    F = make_field(d)
+    x, y = F.elt(a, b, p), F.elt(c, e, q)
+    if y.is_zero():
+        return
+    assert x / y == x * y.conj() * F.from_fraction(1 / y.norm())
+    assert (x / y) * y == x

@@ -8,7 +8,7 @@ from hilbertpoincare.errors import NotDivisible, PreconditionViolated, ZeroIdeal
 from hilbertpoincare.field import make_field
 from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, chi0,
                                     dedekind_a, different_ideal, divisors,
-                                    element_ideal, factor_ideal,
+                                    element_ideal, factor_ideal, ideal_conj,
                                     ideal_exact_divide, ideal_from_generators,
                                     ideal_pow, ideal_product, ideal_sum,
                                     ideals_of_norm, is_principal, N_nu_mu,
@@ -18,8 +18,12 @@ from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, chi0,
 from hilbertpoincare.arith import is_probable_prime
 from hilbertpoincare.poincare import af_table
 
+from oracles import ideal_from_elements, z_basis
+
 # between them these fields make 2 ramified (2, 3), inert (5, 13) and split (17)
 SPLITTING_FIELDS = (2, 3, 5, 13, 17)
+# both integral bases, narrow class number 1 (2, 5, 13, 17) and not (3, 6, 7)
+KERNEL_FIELDS = (2, 3, 5, 6, 7, 13, 17)
 
 
 def rand_ideal(F, rng, span=9):
@@ -173,7 +177,7 @@ def test_gcd_lcm_identity(F5):
     for _ in range(60):
         x, y = rand_ideal(F5, rng), rand_ideal(F5, rng)
         g = ideal_sum(x, y)
-        assert all(g.contains(b) for b in x.basis_elements())
+        assert all(g.contains(b) for b in z_basis(x))
         l = ideal_exact_divide(ideal_product(x, y), g)
         assert ideal_product(g, l) == ideal_product(x, y)
 
@@ -194,3 +198,47 @@ def test_malformed_hnf_triples_rejected(F5):
     with pytest.raises(PreconditionViolated, match="omega"):
         IdealHNF(F5, 3, 1, 1)
     assert IdealHNF(F5, 2, 0, 2) == principal_ideal(F5.from_int(2))
+
+
+@pytest.mark.parametrize("d", KERNEL_FIELDS)
+def test_integer_kernel_matches_element_generators(d):
+    """Products, sums, conjugates, principal ideals and generated ideals from
+    the integer HNF kernel equal the oracle's ideals generated by Elt products."""
+    F = make_field(d)
+    rng = random.Random(d)
+    for _ in range(40):
+        gens = [F.elt(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(2)]
+        if any(g.is_zero() for g in gens):
+            continue
+        x, y = (principal_ideal(g) for g in gens)
+        assert x == ideal_from_elements(gens[:1]) and y == ideal_from_elements(gens[1:])
+        assert ideal_from_generators(gens) == ideal_from_elements(gens)
+        for u, v in ((x, y), (ideal_from_generators(gens), x)):
+            assert ideal_product(u, v) == ideal_from_elements(
+                [gu * gv for gu in z_basis(u) for gv in z_basis(v)])
+            assert ideal_conj(u) == ideal_from_elements([g.conj() for g in z_basis(u)])
+            assert ideal_sum(u, v) == ideal_from_elements(z_basis(u) + z_basis(v))
+
+
+@pytest.mark.parametrize("d", KERNEL_FIELDS)
+def test_norm_conjugate_and_product_laws(d):
+    F = make_field(d)
+    rng = random.Random(100 + d)
+    for _ in range(60):
+        x, y = rand_ideal(F, rng), rand_ideal(F, rng)
+        assert ideal_product(x, y).norm() == x.norm() * y.norm()
+        assert ideal_product(x, y) == ideal_product(y, x)
+        assert ideal_product(x, ideal_conj(x)) == principal_ideal(F.from_int(x.norm()))
+        assert ideal_conj(ideal_conj(x)) == x
+
+
+@pytest.mark.parametrize("d", KERNEL_FIELDS)
+def test_ideals_of_norm_one_rule(d):
+    # one rule for every splitting type: the count, distinctness and norms
+    F = make_field(d)
+    for n in range(1, 401):
+        ideals = ideals_of_norm(F, n)
+        assert len(ideals) == dedekind_a(F, n), (d, n)
+        assert len(set(ideals)) == len(ideals)
+        assert all(x.norm() == n for x in ideals)
+        assert ideals == sorted(ideals, key=lambda x: x.sort_key())

@@ -20,7 +20,7 @@ from hilbertpoincare.kloosterman import (KloostermanQuery, cor43_check,
                                          selberg_check, unit_twist_check,
                                          weil_bound)
 
-from oracles import in_kloosterman_domain
+from oracles import in_kloosterman_domain, slopes_by_fractions
 
 
 def test_membership_check(F5):
@@ -68,6 +68,59 @@ def test_membership_matches_ideal_oracle():
                 members += 1
             done += 1
     assert members >= 150 and outsiders >= 150, (members, outsiders)
+
+
+def _domain_element(F, mod, c, rng):
+    """A random lattice point of c*(m d)^{-1}: a member, carrying a denominator."""
+    dom = element_ideal(c) / FractionalIdeal(ideal_product(mod, different_ideal(F)))
+    u, v = rng.randint(-9, 9), rng.randint(-9, 9)
+    return F.elt(u * dom.num.a + v * dom.num.b, v * dom.num.c, dom.den)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 13))
+def test_integer_slopes_match_fraction_traces(d):
+    """The integer slopes and membership test agree with Tr(t/c), Tr(t*omega/c)
+    mod 1 from Fraction traces, for nu, mu and c with denominators and signs."""
+    F = make_field(d)
+    rng = random.Random(400 + d)
+    members = outsiders = 0
+    while members + outsiders < 300:
+        opts = ideals_of_norm(F, rng.randint(1, 50))
+        if not opts:
+            continue
+        mod = rng.choice(opts)
+        c = F.elt(rng.randint(-7, 7), rng.randint(-7, 7), rng.choice((1, 2, 3, 7)))
+        if c.is_zero():
+            continue
+        if rng.random() < 0.5:
+            nu, mu = (_domain_element(F, mod, c, rng) for _ in range(2))
+        else:
+            nu, mu = (F.elt(rng.randint(-9, 9), rng.randint(-9, 9),
+                            rng.choice((1, 2, 5, mod.a, F.D))) for _ in range(2))
+        slopes, member = slopes_by_fractions(F, nu, mu, mod, c)
+        try:
+            q = KloostermanQuery(F, nu, mu, mod, c)
+        except MembershipViolated:
+            assert not member, (d, nu, mu, mod, c)
+            outsiders += 1
+        else:
+            assert member and q.trace_data() == slopes, (d, nu, mu, mod, c)
+            members += 1
+    assert members >= 120 and outsiders >= 60, (members, outsiders)
+
+
+def test_cache_keys_pinned():
+    # the store is keyed by these tuples: (d, modulus key, four reduced slopes)
+    F5, F2, F13 = make_field(5), make_field(2), make_field(13)
+    q = KloostermanQuery(F5, F5.one() / F5.delta, F5.one() / F5.delta,
+                         principal_ideal(F5.from_int(2)), F5.from_int(2))
+    assert q.cache_key() == (5, (5, 2, 0, 2), (1, 2), (0, 1), (1, 2), (0, 1))
+    q = KloostermanQuery(F2, F2.elt(-11, 1, 70), F2.elt(0, -1, 20),
+                         ideals_of_norm(F2, 7)[-1], F2.elt(-3, 2, 5))
+    assert q.cache_key() == (2, (2, 7, 4, 1), (1, 7), (3, 7), (0, 1), (0, 1))
+    q = KloostermanQuery(F13, F13.elt(4167, -1, 234), F13.elt(-4047, -5, 234),
+                         ideals_of_norm(F13, 12)[-1], F13.elt(2, -3, 3))
+    assert q.cache_key() == (13, (13, 6, 4, 2), (1, 6), (1, 6), (5, 6), (5, 6))
 
 
 def test_exact_examples(F5):

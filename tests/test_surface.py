@@ -32,6 +32,8 @@ KEEP = {
     "additive_character": "e(alpha) as an exact Z[zeta_M] value",
     "contains": "intervals.contains, the outward containment test of an exact "
                 "Fraction that the enclosure tests check their oracles with",
+    "conj": "Elt.conj, the Galois conjugate of an element: src conjugates in "
+            "coordinates, and the slope and ideal oracles are built with it",
 }
 
 
