@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from mpmath import iv
 
 from . import arith
 from .errors import NotSquarefree, ZeroElement
-from .intervals import ESTIMATE_PREC, hi, lo, prec_guard
+from .intervals import ESTIMATE_PREC, hi, prec_guard
 
 
 def _sign_a_plus_b_sqrt(a: int, b: int, d: int) -> int:
@@ -225,10 +225,6 @@ class RealQuadraticField:
     def from_int(self, n: int) -> Elt:
         return Elt(self, n, 0, 1)
 
-    def from_fraction(self, q: Fraction) -> Elt:
-        q = Fraction(q)
-        return Elt(self, q.numerator, 0, q.denominator)
-
     def one(self) -> Elt:
         return Elt(self, 1, 0, 1)
 
@@ -292,13 +288,16 @@ class RealQuadraticField:
         return cand
 
     def eps_plus_pow(self, m: int) -> Elt:
-        if m not in self._pow_cache:
-            if m > 0:
-                self._pow_cache[m] = self.eps_plus_pow(m - 1) * self.eps_plus
-            else:
-                inv = self.one() / self.eps_plus
-                self._pow_cache[m] = self.eps_plus_pow(m + 1) * inv
-        return self._pow_cache[m]
+        """eps_plus^m, cached; filled in a loop from the nearest cached exponent."""
+        pows, step = self._pow_cache, 1 if m > 0 else -1
+        n = m
+        while n not in pows:
+            n -= step
+        if n != m:
+            unit = self.eps_plus if m > 0 else self.one() / self.eps_plus
+            for n in range(n + step, m + step, step):
+                pows[n] = pows[n - step] * unit
+        return pows[m]
 
     def is_unit(self, x: Elt) -> bool:
         return x.is_integral() and abs(x.norm()) == 1
@@ -317,57 +316,30 @@ class RealQuadraticField:
     def balanced_representative(self, x: Elt):
         """(y, m) with y = x * eps_plus^m minimizing |log |sigma1(y)/sigma2(y)||.
 
-        Ties are broken toward smaller |m|, then smaller m.  Candidate m comes
-        from an interval estimate; the comparison among candidates is exact.
+        Ties are broken toward smaller |m|, then smaller m.  With
+        q(m) = sigma1(x eps_plus^m)^2 / |N(x)|, |log q(m)| <= |log q(m+1)|
+        exactly when sigma1(x^2 eps_plus^(2m+1)) >= |N(x)|, one exact sign
+        test that is monotone in m.  The least m passing it is the answer
+        (m + 1 on equality with m < 0); doubling and bisection find it.
         """
         if x.is_zero():
             raise ZeroElement("cannot balance 0")
-        with prec_guard(ESTIMATE_PREC):
-            s1, s2 = x.embeddings(ESTIMATE_PREC)
-            ratio = abs(s1) / abs(s2)
-            lam = self.eps_plus.embeddings(ESTIMATE_PREC)[0]  # = A^2 ; sigma2 = 1/A^2
-            est = -float(lo(iv.log(ratio))) / (2 * float(lo(iv.log(lam))))
-        m0 = int(math.floor(est + 0.5))
-        cands = sorted(range(m0 - 2, m0 + 3), key=lambda m: (abs(m), m))
-        best = None
-        for m in cands:
-            if best is None or self._balance_cmp(x, m, best) < 0:
-                best = m
-        return x * self.eps_plus_pow(best), best
+        x2, nx, eps = x * x, abs(x.norm()), self.eps_plus
 
-    def _balance_quality_parts(self, x: Elt, m: int):
-        """Exact data for comparing |log(|sigma1(y)|^2 / |N(x)|)| across m."""
-        y = x * self.eps_plus_pow(m)
-        y2 = y * y  # sigma1(y)^2 = sigma1(y^2), positive
-        return y2
+        @cache
+        def excess(m):  # sign of sigma1(x^2 eps_plus^(2m+1)) - |N(x)|
+            return (x2 * eps ** (2 * m + 1) - nx).sign_at(1)
 
-    def _balance_cmp(self, x: Elt, m1: int, m2: int) -> int:
-        """-1/0/+1 comparison of balance quality for exponents m1, m2 (exact).
-
-        Quality(m) = max(q, 1/q) with q = sigma1(y_m)^2 / |N(x)|; the max and
-        the cross comparison reduce to exact embedding sign tests.
-        """
-        nx = abs(x.norm())
-        a1 = self._balance_quality_parts(x, m1)
-        a2 = self._balance_quality_parts(x, m2)
-
-        def key_pair(y2):
-            # returns (p, q) elements with quality = sigma1(p)/sigma1(q), both > 0
-            n_elt = self.from_fraction(nx)
-            # compare sigma1(y2) vs nx to pick max(q, 1/q)
-            if (y2 - n_elt).sign_at(1) >= 0:
-                return y2, n_elt
-            return n_elt, y2
-
-        p1, q1 = key_pair(a1)
-        p2, q2 = key_pair(a2)
-        # quality1 ? quality2  <=>  sigma1(p1*q2) ? sigma1(p2*q1)
-        diff = p1 * q2 - p2 * q1
-        s = diff.sign_at(1)
-        if s != 0:
-            return -1 if s < 0 else 1
-        t1, t2 = (abs(m1), m1), (abs(m2), m2)
-        return -1 if t1 < t2 else (0 if t1 == t2 else 1)
+        lo_m, hi_m = (-1, 0) if excess(0) >= 0 else (0, 1)
+        while excess(lo_m) >= 0:
+            lo_m, hi_m = 2 * lo_m, lo_m
+        while excess(hi_m) < 0:
+            lo_m, hi_m = hi_m, 2 * hi_m
+        while hi_m - lo_m > 1:
+            mid = (lo_m + hi_m) // 2
+            lo_m, hi_m = (lo_m, mid) if excess(mid) >= 0 else (mid, hi_m)
+        m = hi_m + 1 if hi_m < 0 and excess(hi_m) == 0 else hi_m
+        return x * eps ** m, m
 
     # -- narrow class number ----------------------------------------------------
     @property

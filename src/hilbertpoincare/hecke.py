@@ -80,21 +80,6 @@ class HeckeContext:
         require_weight(self.k)
 
 
-def _action_value(ctx: HeckeContext, m: IdealHNF, f: CoeffFunction,
-                  a: IdealHNF) -> Fraction:
-    total = Fraction(0)
-    for r in divisors(ideal_sum(a, m)):
-        if chi0(r, ctx.level):
-            rr = ideal_product(r, r)
-            arg = ideal_product(a, m)
-            # r | a and r | m, so a*m*r^-2 is integral
-            arg = ideal_exact_divide(arg, rr)
-            val = f[arg]
-            if val:
-                total += Fraction(r.norm()) ** (ctx.k - 1) * val
-    return total
-
-
 def hecke_action(ctx: HeckeContext, m: IdealHNF, f: CoeffFunction) -> CoeffFunction:
     """T_m acting on f; output support is finite and computed exactly."""
     if m.norm() < 1:
@@ -112,7 +97,7 @@ def hecke_action(ctx: HeckeContext, m: IdealHNF, f: CoeffFunction) -> CoeffFunct
             candidates.add(a)
     out = CoeffFunction()
     for a in sorted(candidates, key=lambda i: i.sort_key()):
-        out[a] = _action_value(ctx, m, f, a)
+        out[a] = pairing(ctx, a, m, f)
     return out
 
 

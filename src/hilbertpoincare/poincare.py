@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath import iv
@@ -532,23 +531,16 @@ def audit_certificate(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 # effective constants and thresholds
 
-@lru_cache(maxsize=None)
-def c2_constant_squared(d: int) -> Fraction:
-    """Exact square of C2 = max over ideals of 2^pr(m)/sqrt(N(m)).
+def c2_constant(field):
+    """C2 = max over ideals of 2^pr(m)/sqrt(N(m)), enclosed.
 
     Only primes of norm < 4 increase the ratio, so C2^2 is the product of
     4/N(p) over primes of norm 2 or 3: (4/p)^a_F(p) for p = 2, 3.
     """
-    from .field import make_field
-    F = make_field(d)
-    out = Fraction(1)
+    square = Fraction(1)
     for p in (2, 3):
-        out *= Fraction(4, p) ** local_ideal_count(splitting_type(F, p), 1)
-    return out
-
-
-def c2_constant(field):
-    return iv_sqrt_fraction(c2_constant_squared(field.d))
+        square *= Fraction(4, p) ** local_ideal_count(splitting_type(field, p), 1)
+    return iv_sqrt_fraction(square)
 
 
 def zeta_F_enclosure(field, s: Fraction, terms: int):

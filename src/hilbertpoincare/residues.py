@@ -2,9 +2,8 @@
 
 Coset representatives are the canonical box {u + v*omega : 0 <= u < a,
 0 <= v < c} determined by the HNF basis; there are exactly N(m) = a*c of
-them.  Inverses are found by integer linear algebra on the 2x4 system
-[mult-by-x | lattice-basis] * y = e1 (a conjugate shortcut covers the common
-case where N(x) is already invertible modulo N(m)).
+them.  An inverse is conj(x) * N(x)^-1 when N(x) is invertible modulo N(m),
+and x^(phi(m) - 1) by Euler's theorem otherwise.
 """
 
 from __future__ import annotations
@@ -57,47 +56,26 @@ class ResidueRing:
 
     # -- inversion --------------------------------------------------------------
     def _inverse_coords(self, u: int, v: int):
-        F = self.field
-        nm = self.size
+        """x^-1 = conj(x) * N(x)^-1 when N(x) is invertible modulo N(m), else
+        x^(phi(m) - 1) by Euler's theorem, checked against x * x^-1 = 1."""
+        F, m, nm = self.field, self.modulus, self.size
         nx = u * u + u * v * F.c1 - v * v * F.c0  # N(u + v*omega)
         if math.gcd(nx % nm, nm) == 1:
-            # x^{-1} = conj(x) * N(x)^{-1} mod m
             t = pow(nx % nm, -1, nm)
-            cu, cv = (u + v * F.c1) * t, -v * t
-            return self.modulus.reduce_coords(cu, cv)
-        return self._solve_inverse(u, v)
-
-    def _solve_inverse(self, u: int, v: int):
-        """Column-HNF solve of [M_x | L] w = (1, 0) over Z."""
-        F, m = self.field, self.modulus
-        cols = [(u, v), (v * F.c0, u + v * F.c1), (m.a, 0), (m.b, m.c)]
-        tr = [[1 if i == j else 0 for i in range(4)] for j in range(4)]
-
-        def reduce_row(row, active):
-            while True:
-                nz = [j for j in active if cols[j][row] != 0]
-                if len(nz) <= 1:
-                    return nz[0] if nz else None
-                nz.sort(key=lambda j: abs(cols[j][row]))
-                p = nz[0]
-                for j in nz[1:]:
-                    q = cols[j][row] // cols[p][row]
-                    cols[j] = (cols[j][0] - q * cols[p][0], cols[j][1] - q * cols[p][1])
-                    tr[j] = [tr[j][i] - q * tr[p][i] for i in range(4)]
-
-        p0 = reduce_row(0, [0, 1, 2, 3])
-        p1 = reduce_row(1, [j for j in range(4) if j != p0])
-        h00, h10, h11 = cols[p0][0], cols[p0][1], cols[p1][1]
-        if h00 == 0 or 1 % abs(h00):
-            raise NotInvertible("element not invertible (lattice solve)")
-        w0 = 1 // h00
-        r = -w0 * h10
-        if r % h11:
-            raise NotInvertible("element not invertible (lattice solve)")
-        w1 = r // h11
-        yu = w0 * tr[p0][0] + w1 * tr[p1][0]
-        yv = w0 * tr[p0][1] + w1 * tr[p1][1]
-        return m.reduce_coords(yu, yv)
+            return m.reduce_coords((u + v * F.c1) * t, -v * t)
+        phi = nm
+        for pr in self._primes():
+            phi = phi // pr.norm() * (pr.norm() - 1)
+        one = m.reduce_coords(1, 0)
+        y, base, e = one, m.reduce_coords(u, v), phi - 1
+        while e:
+            if e & 1:
+                y = m.reduce_coords(*F.mul_coords(*y, *base))
+            base = m.reduce_coords(*F.mul_coords(*base, *base))
+            e >>= 1
+        if m.reduce_coords(*F.mul_coords(u, v, *y)) != one:
+            raise NotInvertible("element not invertible modulo the ideal")
+        return y
 
 
 def residue_ring(modulus: IdealHNF, budget: int = DEFAULT_ENUM_BUDGET) -> ResidueRing:

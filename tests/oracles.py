@@ -167,6 +167,36 @@ def pell_search_fundamental_unit(d: int):
     raise AssertionError(f"no unit with b < 10^6 for d = {d}")
 
 
+# -- balanced exponent: minimize |log|s1/s2|| in high-precision floats ----------
+
+def balanced_exponent_oracle(field, x, candidates=None):
+    """The m minimizing |log|s1(y)/s2(y)|| for y = x * eps_plus^m, ties to
+    smaller |m| then smaller m, from mpmath logs of the embeddings.
+
+    The precision grows with the coordinates, so the cancellation in
+    a + b*omega_2 stays far inside it; qualities within 2^(-prec/2) count as
+    ties.  Without candidates, the window around the real minimizer is used.
+    """
+    bits = max(abs(t).bit_length() for t in (x.a, x.b, x.den))
+    with mpmath.workprec(4 * bits + 128):
+        root = mp.sqrt(field.d)
+        w1, w2 = ((1 + root) / 2, (1 - root) / 2) if field.d % 4 == 1 else (root, -root)
+        s1, s2 = ((x.a + x.b * w) / x.den for w in (w1, w2))
+        e = field.eps_plus
+        r = mp.log(abs(s1)) - mp.log(abs(s2))
+        step = 2 * mp.log((e.a + e.b * w1) / e.den)  # log|s1/s2| of eps_plus
+        if candidates is None:
+            m0 = int(mp.nint(-r / step))
+            candidates = range(m0 - 2, m0 + 3)
+        tol = mp.mpf(2) ** (-mp.prec // 2)
+        best = None
+        for m in sorted(candidates, key=lambda m: (abs(m), m)):
+            q = abs(r + m * step)
+            if best is None or q < best[1] - tol:
+                best = (m, q)
+        return best[0]
+
+
 # -- ideals generated by elements: the Z-span of every g and g*omega ------------
 
 def _index(vecs):
@@ -216,7 +246,7 @@ def slopes_by_fractions(field, nu, mu, modulus, c):
     """(slopes, member): Tr(t/c) and Tr(t*omega/c) mod 1 for t = nu, mu, with
     1/c = conj(c)/N(c) from Fraction norms, and the trace-integrality test of
     membership on the HNF basis of the modulus."""
-    inv_c = c.conj() * field.from_fraction(1 / c.norm())
+    inv_c = c.conj() * (1 / c.norm())
     slopes, member = [], True
     for t in (nu, mu):
         y = t * inv_c

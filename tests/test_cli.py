@@ -147,6 +147,27 @@ def test_recurrence_cli():
     assert doc["status"] in ("consistent", "inconclusive")
 
 
+def test_recurrence_far_unit_window_exits_without_traceback():
+    # M = 1100 asks for eps_plus^-1100 before any nearer power
+    r = run(["recurrence", "--d", "5", "--k", "8", "--p", "(3,2)", "--x", "5",
+             "--big-m", "1100"])
+    assert r.exit_code in (0, 3)
+    assert json.loads(r.output)["status"] in ("consistent", "inconclusive")
+
+
+@pytest.mark.parametrize("d, level", [
+    (5, "(28944668049352442,46833456696935370)"),   # 2 * eps_plus^40
+    (17, "(102559065442,-40037849280)"),            # 2 * eps_plus^-6
+])
+def test_certify_level_generator_does_not_change_the_output(d, level):
+    # an unbalanced generator of the level is balanced again in every class
+    args = ["certify", "--d", str(d), "--k", "8", "--mu", "1", "--max-x", "200",
+            "--max-m", "6", "--level"]
+    plain, far = run(args + ["2"]), run(args + [level])
+    assert plain.exit_code == far.exit_code == 0
+    assert far.output == plain.output
+
+
 def test_hecke_check_cli():
     r = run(["hecke-check", "--d", "5", "--k", "8", "--level", "1",
              "--samples", "60"])

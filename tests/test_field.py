@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from hilbertpoincare.arith import is_squarefree
 from hilbertpoincare.errors import NotSquarefree, ZeroElement
-from hilbertpoincare.field import make_field
+from hilbertpoincare.field import RealQuadraticField, make_field
 from hilbertpoincare.intervals import contains, hi, lo
 
-from oracles import pell_search_fundamental_unit
+from oracles import balanced_exponent_oracle, pell_search_fundamental_unit
 
 
 def test_make_field_d5(F5):
@@ -71,21 +72,16 @@ def test_balanced_representative_examples(F5, F2):
     y, m = F5.balanced_representative(F5.elt(2, 1))
     assert m == 0 and y == F5.elt(2, 1)
     # derived: multiply out exactly, confirm returned m by scanning m in [-5,5]
-    # with the exact comparison criterion
+    # with the float oracle
     x = F5.elt(2, 1) * F5.eps_plus_pow(2)
     y2, m2 = F5.balanced_representative(x)
     assert m2 == -2 and y2 == F5.elt(2, 1)
-    top = -5
-    for mm in range(-4, 6):
-        if F5._balance_cmp(x, mm, top) < 0:
-            top = mm
-    assert top == -2
+    assert balanced_exponent_oracle(F5, x, range(-5, 6)) == -2
     y3, m3 = F2.balanced_representative(F2.one())
     assert m3 == 0 and y3 == F2.one()
 
 
 def test_balanced_invariants(F5):
-    import random
     rng = random.Random(3)
     A = F5.A_interval(96)
     n_sqrt_hi = None
@@ -105,6 +101,45 @@ def test_balanced_invariants(F5):
                 nsq = mpmath.sqrt(abs(mpmath.mpf(x.norm().numerator)))
                 assert lo(val) <= nsq * hi(A) * (1 + mpmath.mpf("1e-20"))
                 assert hi(val) >= nsq / hi(A) * (1 - mpmath.mpf("1e-20"))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 17])
+def test_balanced_exponent_matches_oracle(d):
+    F = make_field(d)
+    rng = random.Random(d)
+    xs = [F.elt(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), rng.randint(1, 9))
+          for _ in range(40)]
+    xs = [x for x in xs if not x.is_zero()]
+    # far outside any 64-bit estimate: eps_plus^1200 has over 500 digits
+    xs += [x * F.eps_plus ** j for x in xs[:3] for j in (40, -40, 1200, -1200)]
+    for x in xs:
+        y, m = F.balanced_representative(x)
+        assert m == balanced_exponent_oracle(F, x) and y == x * F.eps_plus ** m
+
+
+def test_balanced_ties_over_q_sqrt3(F3):
+    # (1 + sqrt 3)^2 = 2 eps_plus, so x_j = (1 + sqrt 3) eps_plus^j is exactly
+    # as balanced at -j - 1 as at -j; the tie goes to the smaller |m|
+    x = F3.elt(1, 1)
+    assert F3.balanced_representative(x) == (x, 0)
+    assert F3.balanced_representative(x * F3.eps_plus ** 5) == (x, -5)
+    for j in range(-6, 7):
+        xj = x * F3.eps_plus ** j
+        expected = -j if j >= 0 else -j - 1
+        assert F3.balanced_representative(xj)[1] == expected
+        assert balanced_exponent_oracle(F3, xj) == expected
+
+
+def test_balanced_representative_of_a_far_unit(F5):
+    assert F5.balanced_representative(F5.eps_plus ** 1200) == (F5.one(), -1200)
+
+
+def test_eps_plus_pow_far_exponents():
+    # a fresh field, so the first exponents asked for are far from its cache
+    F = RealQuadraticField(5)
+    assert F.eps_plus_pow(-1500) == F.eps_plus ** -1500
+    assert F.eps_plus_pow(1500) == F.eps_plus ** 1500
+    assert F.eps_plus_pow(-7) * F.eps_plus_pow(7) == F.one()
 
 
 def test_unit_reps(F5, F2, F3):
@@ -164,7 +199,7 @@ def test_trace_norm_homomorphism(a, b, c, d):
     x, y = F.elt(a, b), F.elt(c, d)
     assert (x + y).trace() == x.trace() + y.trace()
     assert (x * y).norm() == x.norm() * y.norm()
-    assert x * x.conj() == F.from_fraction(x.norm())
+    assert x * x.conj() == F.one() * x.norm()
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,5 +222,5 @@ def test_division_matches_fraction_inverse(d, a, b, p, c, e, q):
     x, y = F.elt(a, b, p), F.elt(c, e, q)
     if y.is_zero():
         return
-    assert x / y == x * y.conj() * F.from_fraction(1 / y.norm())
+    assert x / y == x * y.conj() * (1 / y.norm())
     assert (x / y) * y == x

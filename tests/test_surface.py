@@ -130,3 +130,29 @@ def test_no_literal_precision_in_src():
     # a precision is DEFAULT_PREC, ESTIMATE_PREC or the caller's argument,
     # never a number that drifts apart from them
     assert sorted(_literal_precisions()) == []
+
+
+# the estimates that may read ESTIMATE_PREC: a bound read once per field and
+# the Bessel envelope.  An exact choice is never decided from a float estimate.
+ESTIMATE_READERS = {"field.RealQuadraticField.A_hi", "bessel.envelope"}
+
+
+def _estimate_readers():
+    """module.qualname of each scope in src/ that reads ESTIMATE_PREC."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+            elif ((isinstance(child, ast.Name) and child.id == "ESTIMATE_PREC"
+                   and isinstance(child.ctx, ast.Load))
+                  or (isinstance(child, ast.Attribute) and child.attr == "ESTIMATE_PREC")):
+                yield ".".join(scope)
+            else:
+                yield from walk(child, scope)
+
+    for module, tree in _trees().items():
+        yield from walk(tree, (module,))
+
+
+def test_estimate_precision_read_only_by_the_estimates():
+    assert sorted(set(_estimate_readers()) - ESTIMATE_READERS) == []
