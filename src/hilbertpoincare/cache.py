@@ -12,6 +12,7 @@ import json
 import os
 
 from .cyclotomic import CyclotomicInteger
+from .errors import HPError
 
 SCHEMA_VERSION = "v1"
 FILENAME = f"kloosterman-{SCHEMA_VERSION}.jsonl"
@@ -26,12 +27,19 @@ def _key_str(key) -> str:
 
 
 class KloostermanStore:
+    """The store in `directory`, created when opened.  A directory that
+    cannot be created, read or appended to raises HPError."""
+
     def __init__(self, directory: str):
         self.directory = directory
         self.path = os.path.join(directory, FILENAME)
         self._mem: dict[str, CyclotomicInteger] = {}
         self.corrupt_lines = 0
-        self._load()
+        try:
+            os.makedirs(directory, exist_ok=True)
+            self._load()
+        except OSError as exc:
+            raise HPError(f"cache dir {directory}: {exc.strerror}") from None
 
     def _load(self):
         if not os.path.exists(self.path):
@@ -61,9 +69,11 @@ class KloostermanStore:
         if ks in self._mem:
             return
         self._mem[ks] = val
-        os.makedirs(self.directory, exist_ok=True)
         line = json.dumps({"v": SCHEMA_VERSION, "key": ks, "val": val.to_json()},
                           separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+                fh.flush()
+        except OSError as exc:
+            raise HPError(f"cache dir {self.directory}: {exc.strerror}") from None

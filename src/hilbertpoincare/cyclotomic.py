@@ -1,9 +1,17 @@
 """Exact arithmetic in Z[zeta_M], represented in Z[x]/(x^M - 1).
 
 Addition and multiplication act coefficientwise / by cyclic convolution with
-no basis choice; only the zero test reduces modulo the M-th cyclotomic
-polynomial.  Values of different orders are compared after lifting to the lcm
-order.
+no basis choice.  Values of different orders are compared after lifting to
+the lcm order.
+
+The zero test is one projection.  For a prime p | M let T_p(w)[j] =
+sum_{i<p} w[(j + i M/p) mod M], multiplication by sum_i x^(i M/p).  Then
+v(zeta_M) = 0 exactly when prod_{p | M} (p - T_p) v = 0 in Z[x]/(x^M - 1).
+Proof: x -> zeta_d splits Q[x]/(x^M - 1) into prod_{d | M} Q(zeta_d).  There
+zeta_d^(M/p) is a p-th root of unity, so T_p acts as p when d | M/p and as
+0 otherwise.  Every proper divisor d of M divides some M/p, so the product acts as rad(M) on
+the zeta_M factor and as 0 on every other factor.  The projection costs one
+running sum per residue mod M/p for each p.
 
 A value becomes an interval in one way: its coefficients are summed in
 integers against a fixed-point table of outward-rounded 2^precision *
@@ -21,49 +29,8 @@ from functools import lru_cache
 from mpmath import iv
 from mpmath.libmp import round_ceiling, round_floor, to_int
 
+from . import arith
 from .intervals import prec_guard
-
-
-@lru_cache(maxsize=512)
-def cyclotomic_poly(M: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the M-th cyclotomic polynomial."""
-    if M == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (M - 1) + [1]  # x^M - 1
-    for d in range(1, M):
-        if M % d == 0:
-            poly = _polydiv_exact(poly, cyclotomic_poly(d))
-    return tuple(poly)
-
-
-def _polydiv_exact(num, den):
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
-    dend = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dend)
-    for i in range(len(num) - 1, dend - 1, -1):
-        q, r = divmod(num[i], lead)
-        assert r == 0
-        out[i - dend] = q
-        if q:
-            for j in range(dend + 1):
-                num[i - dend + j] -= q * den[j]
-    assert all(v == 0 for v in num), "non-exact polynomial division"
-    return out
-
-
-def _polymod(coeffs, mod):
-    """Remainder of an integer polynomial modulo a monic integer polynomial."""
-    rem = list(coeffs)
-    dm = len(mod) - 1
-    for i in range(len(rem) - 1, dm - 1, -1):
-        q = rem[i]
-        if q:
-            for j in range(dm + 1):
-                rem[i - dm + j] -= q * mod[j]
-    del rem[dm:]
-    return rem
 
 
 class CyclotomicInteger:
@@ -145,12 +112,18 @@ class CyclotomicInteger:
         return CyclotomicInteger(self.order, c)
 
     # -- predicates ----------------------------------------------------------
-    def reduced(self):
-        """Remainder mod the cyclotomic polynomial of the order (canonical)."""
-        return _polymod(self.coeffs, cyclotomic_poly(self.order))
+    def _projection(self):
+        """prod_{p | M} (p - T_p) applied to the coefficients; zero exactly
+        when the value is (module docstring)."""
+        M, w = self.order, self.coeffs
+        for p in arith.factorint(M):
+            step = M // p
+            sums = [sum(w[r::step]) for r in range(step)]   # T_p(w)[j] = sums[j % step]
+            w = [p * v - t for v, t in zip(w, sums * p)]
+        return w
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.reduced())
+        return not any(self._projection())
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -166,17 +139,14 @@ class CyclotomicInteger:
         return (self - self.conjugate()).is_zero()
 
     def as_int(self):
-        """The value as an integer when it lies in Z, else None."""
-        r = self.reduced()
-        if all(v == 0 for v in r[1:]):
-            return r[0] if r else 0
-        return None
+        """The value as an integer when it lies in Z, else None.  The
+        projection of an integer n has constant term n * prod_{p | M} (p - 1)."""
+        n, r = divmod(self._projection()[0],
+                      math.prod(p - 1 for p in arith.factorint(self.order)))
+        return n if r == 0 and (self - n).is_zero() else None
 
     def __repr__(self):
-        n = self.as_int()
-        if n is not None:
-            return f"CycInt({n})"
-        return f"CycInt(order={self.order}, coeffs={self.reduced()})"
+        return f"CycInt(order={self.order}, coeffs={self.coeffs})"
 
     # -- numerics ---------------------------------------------------------------
     def complex_interval(self, precision: int):

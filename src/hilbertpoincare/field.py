@@ -216,7 +216,6 @@ class RealQuadraticField:
             self.eps_plus = self.fundamental_unit  # norm +1 units are totally positive
         self.delta = self._totally_positive_different_generator()
         self._narrow_h1 = None
-        self._pow_cache = {0: self.one()}
 
     # -- constructors ------------------------------------------------------
     def elt(self, a, b=0, den=1) -> Elt:
@@ -286,18 +285,6 @@ class RealQuadraticField:
             cand = -cand
         assert cand.is_totally_positive() and cand.norm() == self.D
         return cand
-
-    def eps_plus_pow(self, m: int) -> Elt:
-        """eps_plus^m, cached; filled in a loop from the nearest cached exponent."""
-        pows, step = self._pow_cache, 1 if m > 0 else -1
-        n = m
-        while n not in pows:
-            n -= step
-        if n != m:
-            unit = self.eps_plus if m > 0 else self.one() / self.eps_plus
-            for n in range(n + step, m + step, step):
-                pows[n] = pows[n - step] * unit
-        return pows[m]
 
     def is_unit(self, x: Elt) -> bool:
         return x.is_integral() and abs(x.norm()) == 1

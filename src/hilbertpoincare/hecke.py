@@ -66,10 +66,6 @@ class CoeffFunction:
         items = sorted(self.support.items(), key=lambda t: t[0].sort_key())
         return "CoeffFunction({%s})" % ", ".join(f"{i!r}: {v}" for i, v in items)
 
-    def to_json(self):
-        items = sorted(self.support.items(), key=lambda t: t[0].sort_key())
-        return [{"ideal": i.to_json(), "value": str(v)} for i, v in items]
-
 
 @dataclass
 class HeckeContext:

@@ -69,10 +69,6 @@ class PoincareParams:
         self._classes: list = []           # [(t, m = N(cnd) t, c_elt, modulus)]
         self._tmax = 0                     # the table holds every t <= _tmax
 
-    def key(self):
-        return (self.field.d, self.k, self.cideal.num.key(), self.cideal.den,
-                self.level.key())
-
     def norm_cd(self) -> Fraction:
         return self.cideal.norm() * different_ideal(self.field).norm()
 
@@ -254,6 +250,7 @@ class CoefficientEvaluator:
         with prec_guard(precision):        # g_i = 4 pi sqrt(s_i(nu mu))
             self._g = [4 * iv.pi * iv.sqrt(e) for e in (nu * mu).embeddings(precision)]
             self._a_pows = [iv.mpf(1), F.A_interval(precision)]   # A^|j|
+        self._eps_mu = [(mu, mu)]          # (eps_plus^i mu, eps_plus^-i mu)
         self._prefactor = None
         self._tc = None                    # tail constants, on first use
 
@@ -285,9 +282,12 @@ class CoefficientEvaluator:
                 b[:2] = (g / abs(c) for g, c in zip(self._g, c_elt.embeddings(self.precision)))
             while len(self._a_pows) <= abs(j):
                 self._a_pows.append(self._a_pows[-1] * self._a_pows[1])
+            while len(self._eps_mu) <= abs(j):   # eps_plus^-1 = conj(eps_plus)
+                up, down = self._eps_mu[-1]
+                self._eps_mu.append((up * F.eps_plus, down * F.eps_plus.conj()))
             a = self._a_pows[abs(j)]
             x1, x2 = (b[0] * a, b[1] / a) if j >= 0 else (b[0] / a, b[1] * a)
-            q = KloostermanQuery(F, self.nu, F.eps_plus_pow(j) * self.mu,
+            q = KloostermanQuery(F, self.nu, self._eps_mu[abs(j)][j < 0],
                                  modulus, c_elt)
             try:
                 s_re = kloosterman_exact(q, self.enum_budget, self.store,
@@ -772,12 +772,6 @@ class RelationsReport:
     outcomes: dict       # exponent -> Certificate
     advisory: bool       # base certificate inconclusive => advisory only
     dichotomy_witnessed: bool | None
-
-    def to_json(self):
-        return {"base": self.base.to_json(),
-                "outcomes": {str(k): v.to_json() for k, v in self.outcomes.items()},
-                "advisory": self.advisory,
-                "dichotomy_witnessed": self.dichotomy_witnessed}
 
 
 def nonvanishing_relations_report(params: PoincareParams, mu: Elt, p: Elt,

@@ -5,14 +5,16 @@ rational-arithmetic Bessel series, mpmath high-precision reference values,
 a direct floating summation of the truncated Poincare coefficient sum, an
 exhaustive search for the fundamental unit, Kloosterman membership by
 fractional-ideal arithmetic, the HNF of an ideal generated by field
-elements from 2x2 minors and a Bezout combination, and Kloosterman slopes
-from Fraction traces.
+elements from 2x2 minors and a Bezout combination, Kloosterman slopes
+from Fraction traces, and Z[zeta_M] values reduced modulo the cyclotomic
+polynomial.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 from mpmath import iv, mp
@@ -116,7 +118,7 @@ def poincare_truncated_oracle(params, nu, mu, X, M, prec_bits: int = 200):
             ring = residue_ring(modulus)
             c1a, c2a = abs(emb(c_elt, 1)), abs(emb(c_elt, 2))
             for j in range(-M, M + 1):
-                eps = F.eps_plus_pow(j)
+                eps = F.eps_plus ** j
                 if modulus.norm() == 1:
                     s_val = mp.mpf(1)
                 else:
@@ -293,3 +295,40 @@ def cos_table_direct(M: int, precision: int):
     finally:
         iv.prec = old
     return tuple(los), tuple(his)
+
+
+# -- Z[zeta_M]: canonical remainders modulo the cyclotomic polynomial ----------
+
+def _polydiv_exact(num, den):
+    """Quotient of integer polynomials (low to high) by a monic divisor."""
+    num, n = list(num), len(den) - 1
+    out = [0] * (len(num) - n)
+    for i in range(len(num) - 1, n - 1, -1):
+        q = out[i - n] = num[i]
+        for j in range(n + 1):
+            num[i - n + j] -= q * den[j]
+    assert not any(num), "non-exact polynomial division"
+    return out
+
+
+@cache
+def cyclotomic_poly(M: int) -> tuple[int, ...]:
+    """Phi_M (low to high): x^M - 1 divided by Phi_d for each proper divisor d."""
+    poly = [-1] + [0] * (M - 1) + [1]
+    for d in range(1, M):
+        if M % d == 0:
+            poly = _polydiv_exact(poly, cyclotomic_poly(d))
+    return tuple(poly)
+
+
+def phi_reduce(order: int, coeffs) -> list[int]:
+    """The remainder of sum_j coeffs[j] x^j modulo Phi_order: the value's
+    coordinates in the power basis of Z[zeta_order], zero only for 0."""
+    mod = cyclotomic_poly(order)
+    rem, n = list(coeffs), len(mod) - 1
+    for i in range(len(rem) - 1, n - 1, -1):
+        q = rem[i]
+        if q:
+            for j in range(n + 1):
+                rem[i - n + j] -= q * mod[j]
+    return rem[:n]

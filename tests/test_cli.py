@@ -403,6 +403,27 @@ def test_option_a_command_reads_is_accepted(tmp_path, args, option):
         assert os.path.exists(os.path.join(value, "kloosterman-v1.jsonl"))
 
 
+@pytest.mark.parametrize("args", [KLOOSTERMAN, SELBERG])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_cache_dir_that_cannot_be_a_directory_exits_2(tmp_path, args, below):
+    # an existing file, or a path under one; a directory without write
+    # permission is not tested, because root may write anywhere
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = _usage_error(args + ["--cache-dir", str(blocker / below)])
+    assert "cache dir" in out and "Traceback" not in out
+
+
+def test_store_that_cannot_append_raises_package_error(tmp_path):
+    from hilbertpoincare.cache import KloostermanStore
+    from hilbertpoincare.cyclotomic import CyclotomicInteger
+    from hilbertpoincare.errors import HPError
+    store = KloostermanStore(str(tmp_path))
+    os.mkdir(store.path)   # the store file's name is taken after opening
+    with pytest.raises(HPError, match="cache dir"):
+        store.put(("key",), CyclotomicInteger.one())
+
+
 def test_commands_without_cache_dir_build_no_store(tmp_path, monkeypatch):
     # neither the environment nor a config cache_dir makes them load a store
     def refuse(path):

@@ -5,10 +5,10 @@ import mpmath
 import pytest
 
 from hilbertpoincare.cyclotomic import (CyclotomicInteger, _cos_table_fixed,
-                                        additive_character, cyclotomic_poly)
+                                        additive_character)
 from hilbertpoincare.intervals import contains, lo, hi
 
-from oracles import cos_table_direct
+from oracles import cos_table_direct, cyclotomic_poly, phi_reduce
 
 
 def zeta(m, t=1):
@@ -31,6 +31,40 @@ def test_zero_tests():
     assert s.is_zero()
     assert not (zeta(7) + 1).is_zero()
     assert (zeta(6) * zeta(6) - zeta(3)).is_zero()
+
+
+def _phi_multiple(M, rng):
+    """h * Phi_M in Z[x]/(x^M - 1) for a random h with three terms: a
+    representation of 0 that is not the zero vector."""
+    out = [0] * M
+    for _ in range(3):
+        shift, a = rng.randrange(M), rng.randint(-5, 5)
+        for i, c in enumerate(cyclotomic_poly(M)):
+            out[(i + shift) % M] += a * c
+    return CyclotomicInteger(M, out)
+
+
+def _oracle(v):
+    """(is zero, integer value or None, is real) from the Phi_M remainder."""
+    red = phi_reduce(v.order, v.coeffs)
+    real = not any(phi_reduce(v.order, (v - v.conjugate()).coeffs))
+    return not any(red), red[0] if not any(red[1:]) else None, real
+
+
+def test_predicates_match_phi_reduction():
+    # every order up to 300: random values, values that are 0, integers n
+    # and real values written as n or x + conj(x) plus multiples of Phi_M
+    rng = random.Random(300)
+    for M in range(1, 301):
+        zero, n = _phi_multiple(M, rng), rng.randint(-50, 50)
+        x = CyclotomicInteger(M, [rng.randint(-3, 3) for _ in range(M)])
+        real = x + x.conjugate() + _phi_multiple(M, rng)
+        for v in (zero, zero + n, x, x + zero, real, real + n, x - x.conjugate()):
+            assert (v.is_zero(), v.as_int(), v.is_real()) == _oracle(v), (M, v)
+        assert zero == 0 and zero + n == n and (zero + n).as_int() == n
+        assert x + zero == x and x + zero + 1 != x
+        y = x + CyclotomicInteger.root_of_unity(M, rng.randrange(M)) * rng.randint(-1, 1)
+        assert (x == y) == _oracle(x - y)[0], M
 
 
 def test_mixed_order_equality():

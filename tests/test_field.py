@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hilbertpoincare.arith import is_squarefree
 from hilbertpoincare.errors import NotSquarefree, ZeroElement
-from hilbertpoincare.field import RealQuadraticField, make_field
+from hilbertpoincare.field import make_field
 from hilbertpoincare.intervals import contains, hi, lo
 
 from oracles import balanced_exponent_oracle, pell_search_fundamental_unit
@@ -73,7 +73,7 @@ def test_balanced_representative_examples(F5, F2):
     assert m == 0 and y == F5.elt(2, 1)
     # derived: multiply out exactly, confirm returned m by scanning m in [-5,5]
     # with the float oracle
-    x = F5.elt(2, 1) * F5.eps_plus_pow(2)
+    x = F5.elt(2, 1) * F5.eps_plus ** 2
     y2, m2 = F5.balanced_representative(x)
     assert m2 == -2 and y2 == F5.elt(2, 1)
     assert balanced_exponent_oracle(F5, x, range(-5, 6)) == -2
@@ -134,14 +134,6 @@ def test_balanced_representative_of_a_far_unit(F5):
     assert F5.balanced_representative(F5.eps_plus ** 1200) == (F5.one(), -1200)
 
 
-def test_eps_plus_pow_far_exponents():
-    # a fresh field, so the first exponents asked for are far from its cache
-    F = RealQuadraticField(5)
-    assert F.eps_plus_pow(-1500) == F.eps_plus ** -1500
-    assert F.eps_plus_pow(1500) == F.eps_plus ** 1500
-    assert F.eps_plus_pow(-7) * F.eps_plus_pow(7) == F.one()
-
-
 def test_unit_reps(F5, F2, F3):
     # O^{x+} / (O^x)^2 is {1} when the fundamental unit has norm -1 and
     # {1, fu} when it has norm +1, so eps_plus is fu^2 or fu
@@ -159,7 +151,7 @@ def test_unit_reps(F5, F2, F3):
 def test_eps_plus_powers_totally_positive(F5, F2, F3):
     for F in (F5, F2, F3):
         for m in range(-10, 11):
-            assert F.eps_plus_pow(m).is_totally_positive()
+            assert (F.eps_plus ** m).is_totally_positive()
         assert F.eps_plus != F.one()
 
 

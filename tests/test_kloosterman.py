@@ -312,7 +312,7 @@ def test_shared_rings_match_fresh_rings(F5, monkeypatch):
     p5, p11 = F5.elt(2, 1), F5.elt(3, 2)
     for c in (p5, F5.from_int(4), p5 * p5, p11, F5.from_int(6)):
         mod = principal_ideal(c)
-        queries = [KloostermanQuery(F5, nu, mu * F5.eps_plus_pow(j), mod, c)
+        queries = [KloostermanQuery(F5, nu, mu * F5.eps_plus ** j, mod, c)
                    for j in range(-3, 4)]
         rings = {}
         shared = [kloosterman_exact(q, rings=rings) for q in queries]

@@ -358,7 +358,7 @@ def test_bessel_arguments_from_powers_of_A(d, mu, precision, monkeypatch):
             del args[:]
             ev.term(cls, j)
             with prec_guard(200):
-                z1, z2 = (nu * F.eps_plus_pow(j) * mu).embeddings(200)
+                z1, z2 = (nu * F.eps_plus ** j * mu).embeddings(200)
                 direct = (4 * iv.pi * iv.sqrt(z1) / abs(c1),
                           4 * iv.pi * iv.sqrt(z2) / abs(c2))
             for x, y in zip(args, direct):

@@ -156,3 +156,51 @@ def _estimate_readers():
 
 def test_estimate_precision_read_only_by_the_estimates():
     assert sorted(set(_estimate_readers()) - ESTIMATE_READERS) == []
+
+
+# the module-level caches: state that outlives a command, each with the reason
+# it stays.  A new one is a design change, named here with its reason.
+MODULE_CACHES = {
+    "field.make_field": "immutable math: one field per d, shared by every caller",
+    "cyclotomic._cos_table_fixed": "benchmark/tracing.py reads its cache_info()",
+    "ideals._factor_ideal_cached": "benchmark/tracing.py reads its cache_info()",
+    "kloosterman._EXACT_CACHE": "benchmark/tracing.py reads it",
+    "poincare._af_tables": "the certify invocations of one process share it",
+    "poincare._ledger_cache": "the certify invocations of one process share it",
+}
+
+
+def _is_cache_decorator(dec):
+    call = dec.func if isinstance(dec, ast.Call) else dec
+    name = call.attr if isinstance(call, ast.Attribute) else getattr(call, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def _is_empty_container(value):
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "set"
+            and not value.args and not value.keywords)
+
+
+def _module_caches():
+    """module.name of each functools-cached function or method, and of each
+    module name bound to an empty {}, [] or set()."""
+    for module, tree in _trees().items():
+        scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        for node in (n for body in scopes for n in body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_is_cache_decorator(d) for d in node.decorator_list):
+                    yield f"{module}.{node.name}"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if _is_empty_container(node.value):
+                    yield from (f"{module}.{t.id}" for t in targets
+                                if isinstance(t, ast.Name))
+
+
+def test_module_caches_are_the_listed_ones():
+    assert sorted(_module_caches()) == sorted(MODULE_CACHES)
+    assert all(MODULE_CACHES.values())
