@@ -80,7 +80,7 @@ def factorint(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_probable_prime(m):
+        if m < p * p or is_probable_prime(m):   # m | n has no factor below p
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)

@@ -15,9 +15,10 @@ running sum per residue mod M/p for each p.
 
 A value becomes an interval in one way: its coefficients are summed in
 integers against a fixed-point table of outward-rounded 2^precision *
-cos(2 pi j / M) (and sin for the imaginary part), one table per order,
-precision and function, so an enclosure costs integer additions and one
-conversion.
+cos(2 pi j / M) for j <= M/2, one per order and precision, with w[j] + w[M - j]
+folded onto entry j.  The imaginary part is Re(-i v), and v * zeta_4^3 = -i v
+lifts v to order lcm(M, 4) and rotates its coefficients by a quarter turn.  It
+is an exact 0 when w[j] = w[M - j] for all j, as for every Kloosterman sum.
 """
 
 from __future__ import annotations
@@ -150,29 +151,29 @@ class CyclotomicInteger:
 
     # -- numerics ---------------------------------------------------------------
     def complex_interval(self, precision: int):
-        """(re, im) interval enclosure of the complex value, from the
-        fixed-point cosine and sine tables of the order."""
-        return self._table_sum(precision, False), self._table_sum(precision, True)
+        """(re, im) interval enclosure of the complex value (module docstring)."""
+        w, re = self.coeffs, self._cos_sum(precision)
+        if w[1:] == w[:0:-1]:   # w[j] = w[M - j]: the value is real
+            return re, iv.mpf(0)
+        return re, (self * CyclotomicInteger.root_of_unity(4, 3))._cos_sum(precision)
 
     def real_interval(self, precision: int):
         """Enclosure of the real part, from the fixed-point cosine table."""
-        return self._table_sum(precision, False)
+        return self._cos_sum(precision)
 
-    def _table_sum(self, precision: int, sine: bool):
-        """Enclosure of sum_j v_j cos(2 pi j / M), or sin when `sine`.
-
-        The table holds outward-rounded integer scalings of the trig values,
-        so the accumulation is exact integer arithmetic.
-        """
-        lo_t, hi_t = _cos_table_fixed(self.order, precision, sine)
+    def _cos_sum(self, precision: int):
+        """Enclosure of sum_j v_j cos(2 pi j / M), with v_j + v_{M-j} folded
+        onto entry 0 < j < M/2 of the half table; exact integer arithmetic."""
+        M, w = self.order, self.coeffs
         acc_lo = acc_hi = 0
-        for j, v in enumerate(self.coeffs):
+        for j, (lo, hi) in enumerate(zip(*_cos_table_fixed(M, precision))):
+            v = w[j] + w[-j] if 0 < 2 * j < M else w[j]
             if v > 0:
-                acc_lo += v * lo_t[j]
-                acc_hi += v * hi_t[j]
+                acc_lo += v * lo
+                acc_hi += v * hi
             elif v < 0:
-                acc_lo += v * hi_t[j]
-                acc_hi += v * lo_t[j]
+                acc_lo += v * hi
+                acc_hi += v * lo
         with prec_guard(precision + 16):
             scale = iv.mpf(2) ** (-precision)
             return iv.mpf([acc_lo, acc_hi]) * scale
@@ -193,25 +194,20 @@ class CyclotomicInteger:
 
 
 @lru_cache(maxsize=512)
-def _cos_table_fixed(M: int, precision: int, sine: bool):
-    """Integer bounds 2^precision * cos(2 pi j / M), or sin when `sine`,
+def _cos_table_fixed(M: int, precision: int):
+    """Integer bounds 2^precision * cos(2 pi j / M) for 0 <= j <= M/2,
     rounded outward.
 
-    Only j <= M/2 is evaluated; entry M - j is the exact mirror of entry j
-    (the same bounds for cos, negated and swapped for sin).  Endpoints are
-    read from the raw mantissa/exponent pairs; going through an mpf would
-    round at the ambient context precision.
+    Endpoints are read from the raw mantissa/exponent pairs; going through
+    an mpf would round at the ambient context precision.
     """
-    fn = iv.sin if sine else iv.cos
-    los, his = [0] * M, [0] * M
+    los, his = [0] * (M // 2 + 1), [0] * (M // 2 + 1)
     with prec_guard(precision + 32):
         two_pi = 2 * iv.pi
         scale = iv.mpf(2) ** precision
         for j in range(M // 2 + 1):
-            a, b = (fn(two_pi * iv.mpf(j) / iv.mpf(M)) * scale)._mpi_
+            a, b = (iv.cos(two_pi * iv.mpf(j) / iv.mpf(M)) * scale)._mpi_
             los[j], his[j] = to_int(a, round_floor), to_int(b, round_ceiling)
-    for j in range(1, M - M // 2):
-        los[M - j], his[M - j] = (-his[j], -los[j]) if sine else (los[j], his[j])
     return tuple(los), tuple(his)
 
 

@@ -3,7 +3,9 @@
 S_m(nu, mu; c) = sum over units x of O/m of e((nu*x + mu*x^{-1})/c), with
 e(t) = exp(2*pi*i*Tr(t)).  Every term is a root of unity whose order divides
 the lcm M of the trace denominators, so the sum lives in Z[zeta_M] and is
-evaluated exactly there; the float path is that value's complex enclosure.
+evaluated exactly there.  x -> -x permutes the units and negates the trace,
+so the coefficient vector is symmetric and the sum is real: the float path
+is that value's complex enclosure, with an exact 0 as its imaginary part.
 """
 
 from __future__ import annotations

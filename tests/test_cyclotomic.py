@@ -96,9 +96,12 @@ def test_complex_and_real_intervals():
         re, im = x.complex_interval(80)
         r = x.real_interval(80)
         with mpmath.workprec(200):   # reference well beyond the 80-bit enclosure
-            val = mpmath.exp(2j * mpmath.pi * t / m)
-            assert contains(re, val.real) and contains(im, val.imag)
-            assert contains(r, val.real)
+            # cospi/sinpi are exact at rational multiples of pi where the value
+            # is 0 or +-1; exp(2j*pi*t/m) gives Im zeta_2 = 1.1e-61, not 0
+            angle = mpmath.mpf(2 * t) / m
+            real, imag = mpmath.cospi(angle), mpmath.sinpi(angle)
+            assert contains(re, real) and contains(im, imag)
+            assert contains(r, real)
             assert hi(r) - lo(r) < mpmath.mpf(2) ** -60
 
 
@@ -112,7 +115,8 @@ def test_real_interval_negative_coeffs():
 
 @pytest.mark.parametrize("precision", (64, 96))
 def test_complex_interval_contains_direct_sum(precision):
-    # 419 and 3839: odd orders whose tables are mostly mirrored entries
+    # 419 and 3839: odd orders, where every entry but j = 0 sums a folded
+    # pair; the random vectors are not symmetric, so im takes the rotated path
     rng = random.Random(precision)
     for M in list(range(1, 65)) + [419, 3839]:
         x = CyclotomicInteger(M, [rng.randint(-9, 9) for _ in range(M)])
@@ -128,18 +132,10 @@ def test_complex_interval_contains_direct_sum(precision):
 @pytest.mark.parametrize("precision", (64, 96))
 def test_cos_tables_match_direct_loop(precision):
     # 295 and 395 are the largest orders the certify and recurrence
-    # workloads reach; mirroring j <-> M - j must not move a single bound
+    # workloads reach; the half table is the direct loop's j <= M/2
     for M in list(range(1, 121)) + [295, 395]:
-        assert _cos_table_fixed(M, precision, False) == cos_table_direct(M, precision), M
-
-
-def test_sine_table_entries_contain_sine():
-    for M in list(range(1, 121)) + [295, 395]:
-        los, his = _cos_table_fixed(M, 96, True)
-        with mpmath.workprec(200):
-            for j in range(M):
-                s = mpmath.sin(2 * mpmath.pi * j / M) * mpmath.mpf(2) ** 96
-                assert los[j] <= s <= his[j], (M, j)
+        los, his = cos_table_direct(M, precision)
+        assert _cos_table_fixed(M, precision) == (los[:M // 2 + 1], his[:M // 2 + 1]), M
 
 
 def test_json_roundtrip():

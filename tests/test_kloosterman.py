@@ -348,3 +348,41 @@ def test_shared_ring_keeps_the_budget(F5, monkeypatch):
     q = KloostermanQuery(F5, F5.one() / F5.delta, F5.one() / F5.delta, mod, four)
     with pytest.raises(BudgetExceeded):
         kloosterman_exact(q, enum_budget=10, rings=rings)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 13, 17))
+def test_sums_are_real_vectors(d, monkeypatch):
+    # x -> -x permutes the units of O/m and negates the trace, so the raw
+    # vector is symmetric, w[r] = w[-r mod M], and complex_interval returns
+    # an exact 0 for the imaginary part; queries drawn as weil-audit draws
+    # them, with N(m) <= 120
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    F = make_field(d)
+    diff = different_ideal(F)
+    rng = random.Random(d)
+    orders = set()
+    done = 0
+    while done < 40:
+        opts = ideals_of_norm(F, rng.randint(2, 120))
+        if not opts:
+            continue
+        mod = rng.choice(opts)
+        box = ideal_product(mod, diff)
+        s, t = rng.randint(-4, 4), rng.randint(-4, 4)
+        c = F.elt(s * box.a + t * box.b, t * box.c)
+        if c.is_zero():
+            continue
+        dom = element_ideal(c) / FractionalIdeal(box)
+
+        def sample():
+            u, v = rng.randint(-8, 8), rng.randint(-8, 8)
+            return F.elt(u * dom.num.a + v * dom.num.b, v * dom.num.c, dom.den)
+
+        val = kloosterman_exact(KloostermanQuery(F, sample(), sample(), mod, c))
+        M, w = val.order, val.coeffs
+        assert all(w[r] == w[-r % M] for r in range(M)), (d, M, w)
+        im = val.complex_interval(64)[1]
+        assert lo(im) == hi(im) == 0
+        orders.add(M)
+        done += 1
+    assert max(orders) > 2   # the symmetry is not just that of a real order
