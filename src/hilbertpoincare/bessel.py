@@ -19,7 +19,7 @@ from fractions import Fraction
 from mpmath import iv
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
-from .intervals import ESTIMATE_PREC, hi, iv_pow_frac, lo, prec_guard
+from .intervals import ESTIMATE_PREC, floor_ceil, hi, iv_pow_frac, lo, prec_guard
 
 # Beyond this the series is not attempted and [-1, 1] is returned: a huge
 # argument pairs with a negligible partner factor in a coefficient term.
@@ -32,15 +32,6 @@ class BesselEval:
     argument: object   # input interval
     value: object      # enclosure interval
     exact_enough: bool  # False when the precision ladder gave up
-
-
-def _floor_ceil(num: int, shift: int, den: int):
-    """Floor and ceiling of num * 2^shift / den for num >= 0, den > 0."""
-    if shift >= 0:
-        num <<= shift
-    else:
-        den <<= -shift
-    return num // den, -(-num // den)
 
 
 def besselj_eval(order: int, x, precision: int) -> BesselEval:
@@ -65,8 +56,8 @@ def besselj_eval(order: int, x, precision: int) -> BesselEval:
     wp = precision + int(1.5 * xhi) + 48
     (_, man, e, _), (_, man_hi, e_hi, _) = x._mpi_   # a = man * 2^e >= 0
     # h = 2^wp (a/2)^2 (exact when wp >= 2 - 2e); t_0 = (a/2)^order / order!
-    h_lo, h_hi = _floor_ceil(man * man, 2 * e - 2 + wp, 1)
-    lo_t, hi_t = _floor_ceil(man ** order, order * (e - 1) + wp,
+    h_lo, h_hi = floor_ceil(man * man, 2 * e - 2 + wp, 1)
+    lo_t, hi_t = floor_ceil(man ** order, order * (e - 1) + wp,
                              math.factorial(order))
     s_lo, s_hi = lo_t, hi_t
     m = 0
@@ -88,8 +79,8 @@ def besselj_eval(order: int, x, precision: int) -> BesselEval:
             rem = -(-hi_t * p // (q - p))
             if rem < tol or m > max_iter:
                 # series tail + width * |J'| <= 1, then clipped to [-1, 1]
-                pad = (rem + _floor_ceil(man_hi, e_hi + wp, 1)[1]
-                       - _floor_ceil(man, e + wp, 1)[0])
+                pad = (rem + floor_ceil(man_hi, e_hi + wp, 1)[1]
+                       - floor_ceil(man, e + wp, 1)[0])
                 one = 1 << wp
                 ends = (from_man_exp(max(s_lo - pad, -one), -wp, wp, round_floor),
                         from_man_exp(min(s_hi + pad, one), -wp, wp, round_ceiling))

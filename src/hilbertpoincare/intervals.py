@@ -108,6 +108,16 @@ def iv_pow_frac(x, p: Fraction):
     return iv.exp(iv.log(x) * iv_from_fraction(p))
 
 
+def floor_ceil(num: int, shift: int, den: int = 1):
+    """Floor and ceiling of num * 2^shift / den for den > 0: the bounds of a
+    fixed-point value at scale 2^shift."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return num // den, -(-num // den)
+
+
 def iv_max(x, y):
     """Interval enclosure of max(s, t) over s in x, t in y."""
     return iv.mpf([max(lo(x), lo(y)), max(hi(x), hi(y))])

@@ -24,7 +24,9 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import from_man_exp, mpf_shift, round_ceiling, round_floor, to_int
 
+from . import arith
 from .bessel import besselJ
 from .errors import BudgetExceeded, MembershipViolated, PreconditionViolated
 from .field import Elt, RealQuadraticField
@@ -32,9 +34,10 @@ from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
                      ideal_product, ideal_sum, ideals_of_norm, is_prime_element,
                      is_principal, local_ideal_count, principal_ideal,
                      splitting_type, unit_ideal)
-from .intervals import (DEFAULT_PREC, dec_str, hi, iv_ends, iv_from_fraction,
-                        iv_max, iv_min, iv_pow_frac, iv_sqrt_fraction, iv_str, lo,
-                        overlaps, prec_guard, sup_abs, width)
+from .intervals import (DEFAULT_PREC, dec_str, floor_ceil, hi, iv_ends,
+                        iv_from_fraction, iv_max, iv_min, iv_pow_frac,
+                        iv_sqrt_fraction, iv_str, lo, overlaps, prec_guard,
+                        sup_abs, width)
 from .kloosterman import KloostermanQuery, kloosterman_exact
 from .residues import DEFAULT_ENUM_BUDGET
 
@@ -168,20 +171,24 @@ def chi_mu(nu: Elt, mu: Elt) -> int:
 _af_tables: dict = {}
 
 
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the least prime factor of n, for 2 <= n <= limit (a sieve)."""
+    spf = list(range(limit + 1))
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
 def af_table(field, limit: int):
     """a_F(n) for 0 <= n <= limit (a_F(0) = 0), via an SPF sieve."""
     cached = _af_tables.get(field.d)
     if cached is not None and len(cached) > limit:
         return cached
     n = limit + 1
-    spf = list(range(n))
-    i = 2
-    while i * i < n:
-        if spf[i] == i:
-            for j in range(i * i, n, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
+    spf = _smallest_prime_factors(limit)
     a = [0] * n
     if n > 1:
         a[1] = 1
@@ -543,18 +550,94 @@ def c2_constant(field):
     return iv_sqrt_fraction(square)
 
 
-def zeta_F_enclosure(field, s: Fraction, terms: int):
-    """Dedekind zeta enclosure via partial sums with a divisor-bound tail."""
+def _fixed_iv(x, wp: int):
+    """Integer bounds on 2^wp times the interval x, rounded outward."""
+    a, b = x._mpi_
+    return to_int(mpf_shift(a, wp), round_floor), to_int(mpf_shift(b, wp), round_ceiling)
+
+
+def _fixed_mul(x, y, wp: int):
+    """x * y for fixed-point intervals at scale 2^wp with y >= 0, rounded
+    outward."""
+    (a, b), (c, d) = x, y
+    return a * (c if a >= 0 else d) >> wp, -(-b * (d if b >= 0 else c) >> wp)
+
+
+def zeta_F_enclosure(field, s: Fraction, precision: int):
+    """zeta_F(s) = zeta(s) L(s, chi_D) for real s > 1, with
+    D^-s zeta(s, a/D) enclosed by Euler-Maclaurin for each residue a.
+
+    For real s > 1, q > 0 and integers N, J >= 1 (F. Johansson, Numer.
+    Algorithms 69 (2015), Thm. 1, from |B_2J(t - [t])| <= 4 (2J)!/(2 pi)^2J),
+      zeta(s, q) = sum_{n<N} (n+q)^-s + x^(1-s)/(s-1) + x^-s/2
+                   + sum_{j=1}^J B_2j/(2j)! (s)_{2j-1} x^(-s-2j+1) + R,
+      |R| <= 4 |(s)_2J|/(2 pi)^2J * x^(1-s-2J)/(s+2J-1),   x = N + q.
+    With q = a/D and X = ND + a, (n + q)^-s = D^s (nD + a)^-s, so
+      D^-s zeta(s, a/D) = sum_{n<N} (nD+a)^-s + X^(1-s)/D * P(D/X),
+      P(y) = 1/(s-1) + y/2 + sum_j c_j y^2j +- rho y^2J,
+    with c_j = B_2j (s)_{2j-1}/(2j)! and rho = 4 (s)_{2J-1}/(2 pi)^2J;
+    zeta(s) is the case D = a = 1.  For J = 3N (2J just below 2 pi N, where
+    the remainder is least over J) the remainder is about (3/(pi e))^6N,
+    nine bits per N, so N = precision/8 + 1 leaves room for its polynomial
+    factor when s <= 4; a larger s shrinks X^(1-s) instead.  Everything but
+    the prime powers p^-s, pi and the final product is exact integer
+    arithmetic at scale 2^wp, each step rounded outward, with one guard bit
+    for each doubling of the number of terms.
+    """
     s = Fraction(s)
-    if s <= Fraction(3, 2):
-        raise PreconditionViolated("zeta_F enclosure requires s > 3/2")
-    a = af_table(field, terms)
-    with prec_guard(DEFAULT_PREC):
-        total = iv.mpf(0)
-        for t in range(1, terms + 1):
-            if a[t]:
-                total += a[t] / iv_pow_frac(iv.mpf(t), s)
-        return total + iv.mpf([0, hi(_af_tail(1, s, terms))])
+    if s <= 1:
+        raise PreconditionViolated("zeta_F enclosure requires s > 1")
+    D = field.D
+    N = precision // 8 + 1
+    J = 3 * N
+    top = (N + 1) * D
+    wp = precision + top.bit_length()
+    coef, rising = [], s                        # rising = (s)_{2j-1}
+    for j in range(1, J + 1):
+        num, den = mpmath.bernfrac(2 * j)
+        c = Fraction(num, den * math.factorial(2 * j)) * rising
+        coef.append(floor_ceil(c.numerator, wp, c.denominator))
+        if j < J:
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+    # m^-s for m <= top: iv_pow_frac on primes, a product on composites
+    spf, pw = _smallest_prime_factors(top), [None, (1 << wp, 1 << wp)]
+    with prec_guard(wp):
+        rho = _fixed_iv(4 * iv_from_fraction(rising) / (2 * iv.pi) ** (2 * J), wp)[1]
+        for m in range(2, top + 1):
+            p = spf[m]
+            pw.append(_fixed_iv(iv_pow_frac(iv.mpf(m), -s), wp) if p == m
+                      else _fixed_mul(pw[p], pw[m // p], wp))
+    coef[-1] = (coef[-1][0] - rho, coef[-1][1] + rho)
+    head = floor_ceil(s.denominator, wp, s.numerator - s.denominator)    # 1/(s-1)
+
+    def scaled_hurwitz(a, D):
+        """Integer bounds on 2^wp D^-s zeta(s, a/D)."""
+        X = N * D + a
+        u = floor_ceil(D * D, wp, X * X)
+        poly = coef[-1]
+        for c in reversed(coef[:-1]):
+            poly = _fixed_mul(poly, u, wp)
+            poly = (poly[0] + c[0], poly[1] + c[1])
+        poly = _fixed_mul(poly, u, wp)
+        half_y = floor_ceil(D, wp, 2 * X)
+        bracket = (head[0] + half_y[0] + poly[0], head[1] + half_y[1] + poly[1])
+        x_lo, x_hi = pw[X]                      # X^(1-s)/D = X^-s X/D
+        lo_, hi_ = _fixed_mul(bracket, (x_lo * X // D, -(-x_hi * X // D)), wp)
+        direct = [pw[n * D + a] for n in range(N)]
+        return lo_ + sum(t[0] for t in direct), hi_ + sum(t[1] for t in direct)
+
+    # chi_D is completely multiplicative, chi_D(p) read off the splitting of p
+    chi_p = {"split": 1, "inert": -1, "ramified": 0}
+    L_lo = L_hi = 0
+    for a in range(1, D + 1):
+        chi = math.prod(chi_p[splitting_type(field, p)] ** e
+                        for p, e in arith.factorint(a).items())
+        if chi:
+            lo_, hi_ = scaled_hurwitz(a, D)
+            L_lo, L_hi = (L_lo + lo_, L_hi + hi_) if chi > 0 else (L_lo - hi_, L_hi - lo_)
+    z_lo, z_hi = _fixed_mul((L_lo, L_hi), scaled_hurwitz(1, 1), wp)    # zeta(s) > 1
+    return iv.make_mpf((from_man_exp(z_lo, -wp, precision, round_floor),
+                        from_man_exp(z_hi, -wp, precision, round_ceiling)))
 
 
 @dataclass
@@ -617,7 +700,7 @@ def effective_constants(field, eta: Fraction = DEFAULT_ETA) -> ConstantsLedger:
         r1 = 1 / iv_pow_frac(A, eta)
         sa = 1 + 2 * r1 / (1 - r1)
         c6 = c5 * sa
-        zf = zeta_F_enclosure(field, Fraction(3) - eta, 20000)
+        zf = zeta_F_enclosure(field, Fraction(3) - eta, DEFAULT_PREC)
         c7 = c6 * zf
         r2 = 1 / iv_pow_frac(A, 2 * eta)
         c8 = 1 + 2 * r2 / (1 - r2)

@@ -6,8 +6,9 @@ a direct floating summation of the truncated Poincare coefficient sum, an
 exhaustive search for the fundamental unit, Kloosterman membership by
 fractional-ideal arithmetic, the HNF of an ideal generated by field
 elements from 2x2 minors and a Bezout combination, Kloosterman slopes
-from Fraction traces, and Z[zeta_M] values reduced modulo the cyclotomic
-polynomial.
+from Fraction traces, Z[zeta_M] values reduced modulo the cyclotomic
+polynomial, and zeta_F(s) from a_F partial sums or from mpmath's Hurwitz
+zeta with a Kronecker symbol computed by quadratic reciprocity.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from mpmath import iv, mp
 
 from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, different_ideal,
                                     element_ideal)
+from hilbertpoincare.intervals import DEFAULT_PREC, hi, iv_pow_frac, prec_guard
 from hilbertpoincare.kloosterman import KloostermanQuery
-from hilbertpoincare.poincare import CoefficientEvaluator, chi_mu
+from hilbertpoincare.poincare import CoefficientEvaluator, _af_tail, af_table, chi_mu
 from hilbertpoincare.residues import residue_ring
 
 
@@ -332,3 +334,50 @@ def phi_reduce(order: int, coeffs) -> list[int]:
             for j in range(n + 1):
                 rem[i - n + j] -= q * mod[j]
     return rem[:n]
+
+
+# -- zeta_F(s): a_F partial sums, and mpmath's Hurwitz zeta ---------------------
+
+def zeta_F_partial_sum(field, s: Fraction, terms: int):
+    """Enclosure of zeta_F(s), s > 3/2: sum_{t <= terms} a_F(t) t^-s plus
+    [0, tail] with the divisor-bound tail 2 terms^(3/2-s)/(s - 3/2)."""
+    a = af_table(field, terms)
+    with prec_guard(DEFAULT_PREC):
+        total = iv.mpf(0)
+        for t in range(1, terms + 1):
+            if a[t]:
+                total += a[t] / iv_pow_frac(iv.mpf(t), s)
+        return total + iv.mpf([0, hi(_af_tail(1, s, terms))])
+
+
+def kronecker_symbol(D: int, n: int) -> int:
+    """(D/n) for n >= 1: the factor 2 of n by (D/2), the odd part as a
+    Jacobi symbol by quadratic reciprocity."""
+    t = 1
+    while n % 2 == 0:
+        n //= 2
+        if D % 2 == 0:
+            return 0
+        if D % 8 in (3, 5):
+            t = -t
+    a = D % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def zeta_F_mpmath(field, s: Fraction, prec_bits: int = 200):
+    """zeta(s) * sum_a (D/a) zeta(s, a/D) / D^s by mpmath at prec_bits."""
+    D = field.D
+    with mpmath.workprec(prec_bits):
+        s = mpmath.mpf(s.numerator) / s.denominator
+        L = mpmath.fsum(kronecker_symbol(D, a) * mpmath.zeta(s, mpmath.mpf(a) / D)
+                        for a in range(1, D + 1))
+        return +(mpmath.zeta(s) * L / mpmath.mpf(D) ** s)

@@ -139,6 +139,41 @@ def test_thresholds_cli():
     assert "C" in doc["ledger"] and "C8" in doc["ledger"]
 
 
+# `thresholds --d 5 --k 8` before zeta_F(3 - eta) came from Euler-Maclaurin:
+# a 20,000-term a_F partial sum and its divisor-bound tail
+LEDGER_FROM_PARTIAL_SUMS = {
+    "1/2": {"zetaF": "[1.063561769742597113, 1.0636617697425971131]",
+            "C7": "[2805.5902786617771602, 2805.8540706067754075]",
+            "C9": "[2805.5902786617771602, 2805.8540706067754075]",
+            "C": "[0.00095718075378116556232, 0.00095720646653619345783]",
+            "threshold_thm32": "0.036183477125253714183",
+            "threshold_cor33": "0.036183477125253714183",
+            "threshold_thm35": "0.021535294817092795898"},
+    "1/3": {"zetaF": "[1.0477480080417239698, 1.0477644598968982541]",
+            "C7": "[4134.7695646794065128, 4134.8344892886971417]",
+            "C9": "[4134.7695646794065128, 4134.8344892886971417]",
+            "C": "[0.00097473374897604588176, 0.00097473812191643671051]",
+            "threshold_thm32": "0.036847017838546039697",
+            "threshold_cor33": "0.036183477125253714183",
+            "threshold_thm35": "0.021535294817092795898"},
+}
+
+
+@pytest.mark.parametrize("eta", sorted(LEDGER_FROM_PARTIAL_SUMS))
+def test_ledger_narrows_inside_the_partial_sum_ledger(eta):
+    # every printed endpoint is rounded outward, so the new intervals must
+    # lie inside the old ones and the thresholds (lower bounds) can only rise
+    doc = json.loads(run(["thresholds", "--d", "5", "--k", "8", "--eta", eta]).output)
+    for name, old in LEDGER_FROM_PARTIAL_SUMS[eta].items():
+        if name.startswith("threshold"):
+            assert Fraction(doc[name]) >= Fraction(old), name
+            continue
+        (old_lo, old_hi), (new_lo, new_hi) = (
+            [Fraction(x) for x in text.strip("[]").split(", ")]
+            for text in (old, doc["ledger"][name]))
+        assert old_lo <= new_lo <= new_hi <= old_hi, name
+
+
 def test_recurrence_cli():
     r = CliRunner().invoke(main, ["recurrence", "--d", "5", "--k", "8",
                                   "--p", "(3,2)", "--x", "300", "--big-m", "3"])

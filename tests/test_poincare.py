@@ -15,7 +15,7 @@ from hilbertpoincare.hecke import HeckeContext
 from hilbertpoincare.ideals import (FractionalIdeal, ideals_of_norm,
                                     principal_ideal, unit_ideal)
 from hilbertpoincare.intervals import (contains, hi, lo, overlaps, prec_guard,
-                                       sup_abs)
+                                       sup_abs, width)
 from hilbertpoincare.poincare import (CertifyBudget, CoefficientEvaluator,
                                       CoefficientValue, PoincareParams,
                                       audit_certificate, certify_nonvanishing,
@@ -27,7 +27,7 @@ from hilbertpoincare.poincare import (CertifyBudget, CoefficientEvaluator,
                                       threshold_cor33, threshold_thm32,
                                       threshold_thm35, zeta_F_enclosure)
 
-from oracles import poincare_truncated_oracle
+from oracles import poincare_truncated_oracle, zeta_F_mpmath, zeta_F_partial_sum
 
 
 def small_totally_positive(F, rng, bound=6):
@@ -475,25 +475,40 @@ def test_effective_constants(F5):
 
 
 def test_zeta_factorization_oracle(F5):
-    # zeta_F(4) = zeta(4) * L(4, chi_5), both by independent partial sums
-    enc = zeta_F_enclosure(F5, Fraction(4), 4000)
-    mp.prec = 150
+    # zeta_F(4) = zeta(4) L(4, chi_5) in closed form (Washington, Thm. 4.2):
+    # zeta(4) = pi^4/90 and, chi_5 being even and real with Gauss sum sqrt 5,
+    # L(4, chi_5) = -(sqrt 5/2) (2 pi/5)^4 B_{4,chi}/4! with the generalized
+    # Bernoulli number B_{4,chi} = 5^3 sum_a chi_5(a) B_4(a/5)
+    enc = zeta_F_enclosure(F5, Fraction(4), 96)
+    chi5 = {1: 1, 2: -1, 3: -1, 4: 1}
+    b4chi = 5 ** 3 * sum(c * (x ** 4 - 2 * x ** 3 + x ** 2 - Fraction(1, 30))
+                         for a, c in chi5.items() for x in [Fraction(a, 5)])
+    assert b4chi == -8
+    with mpmath.workprec(150):
+        pi4 = mpmath.pi ** 4
+        value = pi4 / 90 * (-mpmath.sqrt(5) / 2 * pi4 * 16 / 625 * b4chi / 24)
+    assert lo(enc) <= value <= hi(enc)
 
-    def chi5(n):
-        return {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}[n % 5]
 
-    z4 = sum(mpmath.mpf(1) / mpmath.mpf(n) ** 4 for n in range(1, 4000))
-    l4 = sum(mpmath.mpf(chi5(n)) / mpmath.mpf(n) ** 4 for n in range(1, 4000))
-    prod = z4 * l4
-    assert lo(enc) - mpmath.mpf("1e-8") <= prod <= hi(enc) + mpmath.mpf("1e-8")
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 13, 17])
+def test_zeta_F_enclosure_contains_independent_oracles(d):
+    F = make_field(d)
+    for s in (Fraction(5, 2), Fraction(8, 3), Fraction(29, 10), Fraction(4)):
+        oracle = zeta_F_mpmath(F, s)
+        old = zeta_F_partial_sum(F, s, 20000)
+        for precision in (53, 96):
+            enc = zeta_F_enclosure(F, s, precision)
+            assert lo(enc) <= oracle <= hi(enc), (d, s, precision)
+            assert lo(old) <= lo(enc) and hi(enc) <= hi(old), (d, s, precision)
+            assert width(enc) < mpmath.ldexp(oracle, 8 - precision), (d, s, precision)
+    for s in (Fraction(1), Fraction(1, 2), Fraction(-3)):
+        with pytest.raises(PreconditionViolated, match="s > 1"):
+            zeta_F_enclosure(F, s, 96)
 
 
 def test_a_f_tails_are_bit_identical(F5):
     # endpoints as (mantissa, exponent) at the change that gave the a_F tail
     # bound 2 n_o^-s T^(3/2-s)/(s - 3/2) one helper; the sums must not move
-    enc = zeta_F_enclosure(F5, Fraction(5, 2), 4000)
-    assert [(man, exp) for (_, man, exp, _) in enc._mpi_] == [
-        (42131981276693377595202608319, -95), (21075894158660971839800497539, -94)]
     ev = CoefficientEvaluator(PoincareParams(F5, 8), F5.one(), F5.one())
     tail, split = ev.tail_bound(500, 3)
     assert [v._mpf_[1:3] for v in (tail, split.norms0, split.norms, split.window)] == [

@@ -106,7 +106,7 @@ def test_keep_lists_only_names_that_exist():
 # the position of the precision argument of each function that takes one
 PRECISION_ARG = {"prec_guard": 0, "embeddings": 0, "A_interval": 0, "besselJ": 2,
                  "besselj_eval": 2, "real_interval": 0, "complex_interval": 0,
-                 "kloosterman_float": 1, "interval": 0}
+                 "kloosterman_float": 1, "interval": 0, "zeta_F_enclosure": 2}
 
 
 def _literal_precisions():
