@@ -265,7 +265,7 @@ def cmd_selberg_check(d, max_norm_q, grid, **kw):
     exact mismatch."""
     st = Settings(kw)
     F = make_field(d)
-    checked = failures = 0
+    checked, failures, outside = 0, 0, False
     for n in range(1, max_norm_q + 1):
         for idl in ideals_of_norm(F, n):
             g = is_principal(idl)
@@ -277,11 +277,14 @@ def cmd_selberg_check(d, max_norm_q, grid, **kw):
                     rep = selberg_check(F, nu, mu, g, rings=rings,
                                         enum_budget=st.residue_budget, store=st.store)
                     checked += 1
+                    outside = outside or rep.outside_hypotheses
                     if not rep.holds:
                         failures += 1
-    emit({"field": F.spec_string(), "checked": checked, "failures": failures,
-          "max_norm_q": max_norm_q, "status": "all hold" if not failures else "FAILED"},
-         st.format)
+    doc = {"field": F.spec_string(), "checked": checked, "failures": failures,
+           "max_norm_q": max_norm_q, "status": "all hold" if not failures else "FAILED"}
+    if outside:
+        doc["outside_hypotheses"] = True
+    emit(doc, st.format)
     if failures:
         sys.exit(1)
 
@@ -296,12 +299,12 @@ def cmd_weil_audit(d, samples, seed, **kw):
     F = make_field(d)
     rng = random.Random(seed)
     diff = different_ideal(F)
+    lists = {n: ideals_of_norm(F, n) for n in range(2, 61)}
     max_ratio = mpmath.mpf(0)
     violations = 0
     done = 0
     while done < samples:
-        n = rng.randint(2, 60)
-        opts = ideals_of_norm(F, n)
+        opts = lists[rng.randint(2, 60)]
         if not opts:
             continue
         mod = rng.choice(opts)
@@ -377,7 +380,7 @@ def cmd_thresholds(d, k, level, eta, alpha, **kw):
            "threshold_thm32": dec_str(threshold_thm32(F, k, unit_ideal(F), lvl, eta, led),
                                       False),
            "threshold_cor33": dec_str(threshold_cor33(
-               F, k, FractionalIdeal(unit_ideal(F)), lvl, alpha_e), False),
+               F, k, FractionalIdeal(unit_ideal(F)), lvl, alpha_e, led), False),
            "threshold_thm35": dec_str(threshold_thm35(F, k, lvl), False)}
     emit(doc, st.format)
 
@@ -423,9 +426,10 @@ def cmd_hecke_check(d, k, level, samples, seed, **kw):
     ctx = HeckeContext(k, parse_ideal(F, level))
     rng = random.Random(seed)
     norms = [n for n in range(1, 120) if dedekind_a(F, n) > 0]
+    lists = {n: ideals_of_norm(F, n) for n in norms}
 
     def rand_ideal():
-        return rng.choice(ideals_of_norm(F, rng.choice(norms)))
+        return rng.choice(lists[rng.choice(norms)])
 
     def rand_f():
         f = CoeffFunction()

@@ -205,7 +205,7 @@ def local_ideal_count(kind: str, e: int) -> int:
 
 
 def prime_splitting(field, p: int) -> Splitting:
-    if not arith.is_probable_prime(p):
+    if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
     F = field
     kind = splitting_type(F, p)
@@ -373,7 +373,7 @@ def wide_class_number_is_one(field) -> bool:
     """Check principality of all primes below the Minkowski bound sqrt(D)/2."""
     p = 2
     while 4 * p * p <= field.D:  # p <= sqrt(D)/2, exact
-        if arith.is_probable_prime(p):
+        if arith.is_prime(p):
             for pr in prime_splitting(field, p).primes:
                 if is_principal(pr) is None:
                     return False

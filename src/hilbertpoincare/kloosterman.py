@@ -215,7 +215,6 @@ class IdentityReport:
     lhs: CyclotomicInteger
     rhs: CyclotomicInteger
     outside_hypotheses: bool = False
-    detail: str = ""
 
 
 def selberg_check(field, nu: Elt, mu: Elt, q: Elt, **kw) -> IdentityReport:

@@ -28,7 +28,7 @@ from mpmath.libmp import from_man_exp, mpf_shift, round_ceiling, round_floor, to
 
 from . import arith
 from .bessel import besselJ
-from .errors import BudgetExceeded, MembershipViolated, PreconditionViolated
+from .errors import BudgetExceeded, MembershipViolated, NotIntegral, PreconditionViolated
 from .field import Elt, RealQuadraticField
 from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
                      ideal_product, ideal_sum, ideals_of_norm, is_prime_element,
@@ -720,6 +720,13 @@ def effective_constants(field, eta: Fraction = DEFAULT_ETA) -> ConstantsLedger:
         return ledger
 
 
+def _ledger_at(field, eta: Fraction, ledger: ConstantsLedger | None) -> ConstantsLedger:
+    """The given ledger, which must be the one at `eta`, else the field's."""
+    if ledger is not None and ledger.eta != eta:
+        raise PreconditionViolated(f"threshold at eta = {eta} given the eta = {ledger.eta} ledger")
+    return ledger or effective_constants(field, eta)
+
+
 def threshold_thm32(field, k: int, cideal, level, eta: Fraction = DEFAULT_ETA,
                     ledger: ConstantsLedger | None = None):
     """Norm threshold below which balanced mu certify NONZERO (lower bound).
@@ -731,7 +738,7 @@ def threshold_thm32(field, k: int, cideal, level, eta: Fraction = DEFAULT_ETA,
         if not cideal.is_integral():
             raise PreconditionViolated("threshold requires an integral base ideal")
         cideal = cideal.as_integral()
-    ledger = ledger or effective_constants(field, eta)
+    ledger = _ledger_at(field, Fraction(eta), ledger)
     with prec_guard(DEFAULT_PREC):
         ncn = Fraction(cideal.norm()) * Fraction(level.norm())
         gamma = Fraction(2 * k - 1, 2)     # k - 1/2
@@ -743,8 +750,8 @@ def threshold_thm32(field, k: int, cideal, level, eta: Fraction = DEFAULT_ETA,
 
 def threshold_cor33(field, k: int, cideal: FractionalIdeal, level,
                     alpha: Elt, ledger: ConstantsLedger | None = None):
-    """Fractional-ideal threshold, eta fixed at 1/2:
-    C (k-1)^((4k-4)/(2k-1)) N(cn)^((2k-3)/(2k-1)) N(alpha)^(-2/(2k-1))."""
+    """Fractional-ideal threshold at the ledger's eta (default 1/2): Thm. 3.2's
+    threshold for the integral ideal alpha*c, divided by N(alpha)."""
     require_weight(k)
     if isinstance(cideal, IdealHNF):
         cideal = FractionalIdeal(cideal)
@@ -752,24 +759,18 @@ def threshold_cor33(field, k: int, cideal: FractionalIdeal, level,
         raise PreconditionViolated("alpha must be totally positive")
     scaled = cideal * element_ideal(alpha)
     if not scaled.is_integral():
-        from .errors import NotIntegral
         raise NotIntegral("alpha * c must be an integral ideal")
     ledger = ledger or effective_constants(field, Fraction(1, 2))
+    th = threshold_thm32(field, k, scaled, level, ledger.eta, ledger)
     with prec_guard(DEFAULT_PREC):
-        ncn = cideal.norm() * Fraction(level.norm())
-        q = Fraction(2 * k - 1)
-        val = (ledger.C
-               * iv_pow_frac(iv.mpf(k - 1), Fraction(4 * k - 4) / q)
-               * iv_pow_frac(iv_from_fraction(ncn), Fraction(2 * k - 3) / q)
-               / iv_pow_frac(iv_from_fraction(Fraction(alpha.norm())), Fraction(2) / q))
-        return lo(val)
+        return lo(iv.mpf(th) / iv_from_fraction(Fraction(alpha.norm())))
 
 
 def threshold_thm35(field, k: int, level, ledger: ConstantsLedger | None = None):
-    """Threshold formula for the SL2(O)-type series (formula level only):
+    """Threshold formula for the SL2(O)-type series (formula level only), eta = 1/2:
     C (k-1)^(2 - 6/(2k-1)) N(n)^((4k-3)/(4k-2))."""
     require_weight(k)
-    ledger = ledger or effective_constants(field, Fraction(1, 2))
+    ledger = _ledger_at(field, Fraction(1, 2), ledger)
     with prec_guard(DEFAULT_PREC):
         val = (ledger.C
                * iv_pow_frac(iv.mpf(k - 1), Fraction(2) - Fraction(6, 2 * k - 1))

@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
-from hilbertpoincare import arith
-from hilbertpoincare.arith import factorint
+from hilbertpoincare.arith import FACTOR_LIMIT, factorint, is_prime
+from hilbertpoincare.errors import BudgetExceeded
 
 
 def _trial_division(n):
@@ -37,16 +38,25 @@ def test_factorint_products_of_large_primes(factors):
     assert factorint(n) == expected == _trial_division(n)
 
 
-def test_no_primality_test_once_trial_division_has_decided(monkeypatch):
-    # below 10^8 the trial-division loop always ends with p * p > n: the
-    # cofactor is then 1 or a prime, and Miller-Rabin is not needed
-    def refuse(n):
-        raise AssertionError(f"is_probable_prime({n}) called")
-
-    monkeypatch.setattr(arith, "is_probable_prime", refuse)
+def test_factorint_matches_trial_division_below_1e8():
     rng = random.Random(8)
     for n in [199, 1681, 1683, 10**8 - 1, 99999989, 10007 * 9973, 2 * 49999991]:
         assert factorint(n) == _trial_division(n), n
     for _ in range(2000):
         n = rng.randrange(1, 10**8)
         assert factorint(n) == _trial_division(n), n
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-5, 10**5 + 1):
+        assert is_prime(n) == (n > 1 and _trial_division(n) == {n: 1}), n
+    for carmichael in (561, 41041, 825265):
+        assert not is_prime(carmichael)
+
+
+def test_factorint_at_the_limit():
+    start = time.perf_counter()
+    assert factorint(999999999989) == {999999999989: 1}
+    assert time.perf_counter() - start < 0.3
+    with pytest.raises(BudgetExceeded):
+        factorint(FACTOR_LIMIT + 1)

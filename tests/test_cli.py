@@ -58,6 +58,15 @@ def test_selberg_check_cli():
     assert r.exit_code == 0
     doc = json.loads(r.output)
     assert doc["status"] == "all hold" and doc["failures"] == 0
+    assert "outside_hypotheses" not in doc
+
+
+def test_selberg_check_cli_reports_fields_outside_the_hypotheses():
+    # Q(sqrt 10) has class number 2: the identity is not claimed there
+    r = run(["selberg-check", "--d", "10", "--max-norm-q", "3"])
+    assert r.exit_code == 0
+    assert r.output == ('{"checked":25,"failures":0,"field":"Qsqrt:10","max_norm_q":3,'
+                        '"outside_hypotheses":true,"status":"all hold"}\n')
 
 
 def test_weil_audit_cli():
@@ -137,6 +146,10 @@ def test_thresholds_cli():
     assert float(doc["threshold_thm32"]) > 0
     assert float(doc["threshold_thm35"]) > 0
     assert "C" in doc["ledger"] and "C8" in doc["ledger"]
+    # Cor. 3.3 at alpha = 1 is Thm. 3.2 at the printed ledger's eta
+    third = json.loads(run(["thresholds", "--d", "5", "--k", "8", "--eta", "1/3"]).output)
+    assert third["ledger"]["eta"] == "1/3"
+    assert third["threshold_cor33"] == third["threshold_thm32"] != doc["threshold_thm32"]
 
 
 # `thresholds --d 5 --k 8` before zeta_F(3 - eta) came from Euler-Maclaurin:

@@ -15,7 +15,7 @@ from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, chi0,
                                     pr_count, prime_splitting, principal_ideal,
                                     splitting_type, unit_ideal, valuation_elt,
                                     valuation_ideal, wide_class_number_is_one)
-from hilbertpoincare.arith import is_probable_prime
+from hilbertpoincare.arith import is_prime
 from hilbertpoincare.poincare import af_table
 
 from oracles import ideal_from_elements, z_basis
@@ -135,7 +135,7 @@ def test_ideals_of_norm_vs_dedekind_a(F5, F2):
 def test_splitting_type_matches_prime_splitting(d):
     F = make_field(d)
     kinds = set()
-    for p in filter(is_probable_prime, range(2, 2000)):
+    for p in filter(is_prime, range(2, 2000)):
         kind = splitting_type(F, p)
         assert kind == prime_splitting(F, p).kind, (d, p)
         kinds.add(kind)

@@ -204,6 +204,11 @@ def test_selberg_outside_hypotheses_flag(F3):
     # Q(sqrt 3) has no totally positive different generator at all
     with pytest.raises(PreconditionViolated):
         selberg_check(F3, F3.one(), F3.one(), F3.from_int(2))
+    # Q(sqrt 10) has one (3 + sqrt 10 has norm -1) but class number 2
+    F10 = make_field(10)
+    assert selberg_check(F10, F10.one(), F10.one(), F10.from_int(2)).outside_hypotheses
+    F5 = make_field(5)
+    assert not selberg_check(F5, F5.one(), F5.one(), F5.from_int(2)).outside_hypotheses
 
 
 def test_cor43_examples(F5):

@@ -554,6 +554,26 @@ def test_threshold_cor33(F5):
     assert v > 0
 
 
+@pytest.mark.parametrize("eta", [Fraction(1, 2), Fraction(1, 3)])
+def test_threshold_cor33_follows_its_ledger(F5, eta):
+    # at alpha = 1, Cor. 3.3 is Thm. 3.2 on c itself, at the same eta
+    O = unit_ideal(F5)
+    led = effective_constants(F5, eta)
+    c33 = threshold_cor33(F5, 8, FractionalIdeal(O), O, F5.one(), led)
+    assert _raw(c33) == _raw(threshold_thm32(F5, 8, O, O, eta, led))
+
+
+def test_thresholds_refuse_a_ledger_of_another_eta(F5):
+    O = unit_ideal(F5)
+    third = effective_constants(F5, Fraction(1, 3))
+    with pytest.raises(PreconditionViolated, match="eta"):
+        threshold_thm32(F5, 8, O, O, Fraction(1, 2), third)
+    with pytest.raises(PreconditionViolated, match="eta"):
+        threshold_thm35(F5, 8, O, third)
+    with pytest.raises(PreconditionViolated, match="eta"):
+        threshold_thm32(F5, 8, O, O, Fraction(1, 3), effective_constants(F5))
+
+
 def test_threshold_thm35(F5):
     O = unit_ideal(F5)
     vals = [threshold_thm35(F5, k, O) for k in (4, 8, 16, 32)]
