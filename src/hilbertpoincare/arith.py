@@ -1,4 +1,4 @@
-"""Integer arithmetic helpers: factorization, primality, modular square roots.
+"""Integer arithmetic helpers: factorization, sieves, primality, modular square roots.
 
 Factorization is trial division up to sqrt(n), deterministic and desk-scale:
 callers reject inputs past 10^12, where one call takes about 0.06 s.
@@ -30,6 +30,17 @@ def factorint(n: int) -> dict[int, int]:
     if n > 1:   # no factor up to its square root: a prime
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the least prime factor of n, for 2 <= n <= limit (a sieve)."""
+    spf = list(range(limit + 1))
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
 
 
 def is_prime(n: int) -> bool:

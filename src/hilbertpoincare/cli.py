@@ -33,9 +33,9 @@ from .cache import KloostermanStore
 from .errors import HPError
 from .field import make_field
 from .hecke import CoeffFunction, HeckeContext, check_multiplicativity, hecke_action, pairing
-from .ideals import (FractionalIdeal, IdealHNF, dedekind_a, different_ideal,
-                     element_ideal, ideal_product, ideal_sum, ideals_of_norm,
-                     is_principal, principal_ideal, unit_ideal)
+from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
+                     ideal_product, ideal_sum, ideals_of_norm, is_principal,
+                     principal_ideal, unit_ideal)
 from .intervals import DEFAULT_PREC, dec_str, hi, iv_ends, iv_str, prec_guard
 from .kloosterman import (KloostermanQuery, kloosterman_exact,
                           kloosterman_float, selberg_check, weil_bound)
@@ -425,8 +425,8 @@ def cmd_hecke_check(d, k, level, samples, seed, **kw):
     F = make_field(d)
     ctx = HeckeContext(k, parse_ideal(F, level))
     rng = random.Random(seed)
-    norms = [n for n in range(1, 120) if dedekind_a(F, n) > 0]
-    lists = {n: ideals_of_norm(F, n) for n in norms}
+    lists = {n: ideals for n in range(1, 120) if (ideals := ideals_of_norm(F, n))}
+    norms = list(lists)
 
     def rand_ideal():
         return rng.choice(lists[rng.choice(norms)])

@@ -13,8 +13,8 @@ carried as its coordinate pair (u, v) of u + v*omega.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -177,12 +177,6 @@ def ideal_pow(x: IdealHNF, e: int) -> IdealHNF:
     return out
 
 
-@dataclass
-class Splitting:
-    kind: str               # "split" | "inert" | "ramified"
-    primes: tuple           # one or two prime ideals
-
-
 def splitting_type(field, p: int) -> str:
     """How the rational prime p decomposes in F, read off the Kronecker
     symbol (D/p): "ramified" when p | D; for p = 2 (then d = 1 mod 4),
@@ -195,22 +189,42 @@ def splitting_type(field, p: int) -> str:
     return "split" if pow(field.D % p, (p - 1) // 2, p) == 1 else "inert"
 
 
-def local_ideal_count(kind: str, e: int) -> int:
-    """Number of integral ideals of norm p^e, for p of the given splitting type."""
-    if kind == "split":
-        return e + 1
-    if kind == "inert":
-        return 1 - e % 2
-    return 1
+def kronecker_prefix(field) -> list[int]:
+    """prefix[a] = sum_{b <= a} chi_D(b), 0 <= a < D, for the completely
+    multiplicative chi_D(p) = 1, -1, 0 as p splits, is inert or ramifies.  A
+    period of chi_D sums to 0, so sum_{b <= y} chi_D(b) = prefix[y mod D]."""
+    D = field.D
+    spf = arith.smallest_prime_factors(D - 1)
+    value = {"split": 1, "inert": -1, "ramified": 0}
+    chi = [0, 1] + [0] * (D - 2)
+    for a in range(2, D):
+        p = spf[a]
+        chi[a] = chi[a // p] * value[splitting_type(field, p)]
+    return list(itertools.accumulate(chi))
 
 
-def prime_splitting(field, p: int) -> Splitting:
+def ideal_count_upto(prefix, x: int) -> int:
+    """Number of integral ideals of norm <= x: as a_F = 1 * chi_D (Cohen, GTM
+    138), sum_{d <= x} chi_D(d) floor(x/d), over the O(sqrt x) runs of equal
+    quotient floor(x/d), each by two lookups in `kronecker_prefix`."""
+    D = len(prefix)
+    total, d = 0, 1
+    while d <= x:
+        q = x // d
+        top = x // q
+        total += q * (prefix[top % D] - prefix[(d - 1) % D])
+        d = top + 1
+    return total
+
+
+def prime_splitting(field, p: int) -> tuple:
+    """The one or two prime ideals above the rational prime p."""
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
     F = field
     kind = splitting_type(F, p)
     if kind == "inert":
-        return Splitting(kind, (principal_ideal(F.from_int(p)),))
+        return (principal_ideal(F.from_int(p)),)
     if kind == "ramified":   # the double root of the minimal polynomial mod p
         roots = [F.d % 2] if p == 2 else [F.c1 * pow(2, p - 2, p) % p]
     elif p == 2:             # x^2 - x - c0 = x(x - 1) mod 2
@@ -218,8 +232,8 @@ def prime_splitting(field, p: int) -> Splitting:
     else:
         s, inv2 = arith.sqrt_mod_p(F.D % p, p), pow(2, p - 2, p)
         roots = sorted({(F.c1 + s) * inv2 % p, (F.c1 - s) * inv2 % p})
-    return Splitting(kind, tuple(
-        ideal_from_generators([F.from_int(p), F.omega() - F.from_int(r)]) for r in roots))
+    return tuple(ideal_from_generators([F.from_int(p), F.omega() - F.from_int(r)])
+                 for r in roots)
 
 
 @lru_cache(maxsize=4096)
@@ -229,16 +243,17 @@ def _factor_ideal_cached(x: IdealHNF):
     if n == 1:
         return ()
     for p in arith.factorint(n):
-        for pr in prime_splitting(x.field, p).primes:
+        for pr in prime_splitting(x.field, p):
             e = valuation_ideal(x, pr)
             if e:
                 out.append((pr, e))
     out.sort(key=lambda t: t[0].sort_key())
-    # sanity: product of prime powers reconstructs the input
+    # the product of the prime powers must reconstruct the input
     acc = unit_ideal(x.field)
     for pr, e in out:
         acc = ideal_product(acc, ideal_pow(pr, e))
-    assert acc == x, "factorization failed to reconstruct ideal"
+    if acc != x:
+        raise AssertionError(f"factorization of {x} reconstructs {acc}")
     return tuple(out)
 
 
@@ -374,7 +389,7 @@ def wide_class_number_is_one(field) -> bool:
     p = 2
     while 4 * p * p <= field.D:  # p <= sqrt(D)/2, exact
         if arith.is_prime(p):
-            for pr in prime_splitting(field, p).primes:
+            for pr in prime_splitting(field, p):
                 if is_principal(pr) is None:
                     return False
         p += 1
@@ -471,7 +486,7 @@ def ideals_of_norm(field, n: int):
     parts = [unit_ideal(field)]
     for p, e in arith.factorint(n).items():
         local = [parts] + [[] for _ in range(e)]
-        for pr in prime_splitting(field, p).primes:
+        for pr in prime_splitting(field, p):
             f = 1 if pr.norm() == p else 2
             for k in range(f, e + 1):
                 local[k] += [ideal_product(x, pr) for x in local[k - f]]
@@ -481,10 +496,3 @@ def ideals_of_norm(field, n: int):
     parts.sort(key=lambda i: i.sort_key())
     return parts
 
-
-def dedekind_a(field, n: int) -> int:
-    """Number of integral ideals of norm n (multiplicative in n)."""
-    out = 1
-    for p, e in arith.factorint(n).items():
-        out *= local_ideal_count(splitting_type(field, p), e)
-    return out

@@ -205,7 +205,8 @@ def lemma41_value(field, p: Elt, eps1: Elt, eps2: Elt, r: Elt, e: int,
     val = principal_kloosterman(field, eps1 / delta, r / delta, c, **kw)
     n = val.as_int()
     expected = -1 if e == 1 else 0
-    assert n == expected, f"closed form violated: got {val}, expected {expected}"
+    if n != expected:
+        raise AssertionError(f"closed form violated: got {val}, expected {expected}")
     return n
 
 

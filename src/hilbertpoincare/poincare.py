@@ -31,9 +31,9 @@ from .bessel import besselJ
 from .errors import BudgetExceeded, MembershipViolated, NotIntegral, PreconditionViolated
 from .field import Elt, RealQuadraticField
 from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
-                     ideal_product, ideal_sum, ideals_of_norm, is_prime_element,
-                     is_principal, local_ideal_count, principal_ideal,
-                     splitting_type, unit_ideal)
+                     ideal_count_upto, ideal_product, ideal_sum, ideals_of_norm,
+                     is_prime_element, is_principal, kronecker_prefix,
+                     principal_ideal, unit_ideal)
 from .intervals import (DEFAULT_PREC, dec_str, floor_ceil, hi, iv_ends,
                         iv_from_fraction, iv_max, iv_min, iv_pow_frac,
                         iv_sqrt_fraction, iv_str, lo, overlaps, prec_guard,
@@ -166,46 +166,7 @@ def chi_mu(nu: Elt, mu: Elt) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ideal-count table a_F(n)
-
-_af_tables: dict = {}
-
-
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[n] = the least prime factor of n, for 2 <= n <= limit (a sieve)."""
-    spf = list(range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
-
-
-def af_table(field, limit: int):
-    """a_F(n) for 0 <= n <= limit (a_F(0) = 0), via an SPF sieve."""
-    cached = _af_tables.get(field.d)
-    if cached is not None and len(cached) > limit:
-        return cached
-    n = limit + 1
-    spf = _smallest_prime_factors(limit)
-    a = [0] * n
-    if n > 1:
-        a[1] = 1
-    local: dict[tuple[int, int], int] = {}     # (p, e) -> a_F(p^e)
-    for t in range(2, n):
-        p = spf[t]
-        e, m = 0, t
-        while m % p == 0:
-            m //= p
-            e += 1
-        v = local.get((p, e))
-        if v is None:
-            v = local[p, e] = local_ideal_count(splitting_type(field, p), e)
-        a[t] = a[m] * v
-    _af_tables[field.d] = a
-    return a
-
+# the ideal counts a_F(t) beyond the last norm block
 
 def _af_tail(n_o, s: Fraction, T: int):
     """Upper bound 2 n_o^-s T^(3/2-s)/(s - 3/2) on sum_{t > T} a_F(t) (n_o t)^-s,
@@ -332,32 +293,27 @@ class CoefficientEvaluator:
             gmax = iv.sqrt(iv_max(w1, w2))
             # per-term Kloosterman bound: min(trivial |S| <= N(m), Weil)
             nbar = Fraction(element_ideal(self.nu).num.norm())
-            c2v = c2_constant(F)
+            prefix = kronecker_prefix(F)
             weil = (iv_pow_frac(iv.mpf(2), 2 + Fraction(F.f2, 2))
                     * iv_sqrt_fraction(Fraction(F.D)) * iv_sqrt_fraction(nbar)
-                    * c2v / iv_from_fraction(self.n_b))
+                    * c2_constant(prefix) / iv_from_fraction(self.n_b))
             kt = iv_min(iv_from_fraction(1 / self.n_b), weil)
             fact = Fraction(math.factorial(k - 1))
             e0 = (iv_pow_frac((2 * iv.pi) ** 2 * iv.sqrt(
                 iv_from_fraction(self.nu.norm() * self.mu.norm())), Fraction(k - 1))
                 / iv_from_fraction(fact * fact))
             base = 2 * iv.pi * gmax * A   # per-factor envelope base at |c_i| >= sqrt(m)/A
-            self._tc = (kt, e0, base, A, fact)
+            self._tc = (kt, e0, base, A, fact, prefix)
         return self._tc
 
-    def _omitted_af_sum(self, s: Fraction, t_from: int, t_to: int):
-        """Upper bound on sum_{t > t_from} a_F(t) (n_o t)^{-s}: by blocks up
-        to t_to, then `_af_tail` beyond it."""
-        a = af_table(self.F, t_to)
+    def _omitted_af_sum(self, s: Fraction, blocks, t0: int):
+        """Upper bound on sum_{t > tx} a_F(t) (n_o t)^{-s}: each of `tail_bound`'s
+        blocks (t, count) adds its count of ideals at its least norm
+        n_o (t + 1), and `_af_tail` bounds t > t0."""
         total = iv.mpf(0)
-        t = t_from
-        while t < t_to:
-            t2 = min(t + max(1, int(0.42 * t)), t_to)
-            cnt = sum(a[t + 1:t2 + 1])
-            if cnt:
-                total += cnt / iv_pow_frac(iv_from_fraction(self.n_o * (t + 1)), s)
-            t = t2
-        return total + _af_tail(self.n_o, s, t_to)
+        for t, cnt in blocks:
+            total += cnt / iv_pow_frac(iv_from_fraction(self.n_o * (t + 1)), s)
+        return total + _af_tail(self.n_o, s, t0)
 
     def tail_bound(self, X, M: int):
         """Upper bound on |prefactor * (all omitted terms)|, and its split.
@@ -367,20 +323,31 @@ class CoefficientEvaluator:
         embedding factor is used: it decays like A^{-(k-1)|j|}.  For the
         omitted norms, the large factor is interpolated with an exponent
         theta in (0,1) to trade unit-decay against norm-decay; every theta
-        gives a valid bound, so we take the best over a small grid.
+        gives a valid bound, so we take the best over a small grid.  All six
+        sums over the omitted norms share one list of block counts.
 
         Returns (tail, TailSplit): the pieces are bounded from the same
         intervals as the tail itself.
         """
         with prec_guard(self.precision):
             k = self.k
-            kt, e0, base, A, fact = self._tail_constants()
+            kt, e0, base, A, fact, prefix = self._tail_constants()
             n_o = self.n_o
             tx = int(Fraction(X) / n_o)
+            # blocks (t, number of ideals of norm in (t, t2]), the nonempty ones
+            # of a partition of (tx, t0], at O(sqrt t0) each; the cap 3*10^5
+            # bounds no table now and stays only so that every byte stays the same
             t0 = min(max(32 * tx, 4096), 3 * 10**5)
+            blocks, t, below = [], tx, ideal_count_upto(prefix, tx)
+            while t < t0:
+                t2 = min(t + max(1, int(0.42 * t)), t0)
+                upto = ideal_count_upto(prefix, t2)
+                if upto > below:
+                    blocks.append((t, upto - below))
+                t, below = t2, upto
             # -- omitted norms (t > tx), all unit exponents ----------------
             # j = 0: product of both factorial envelopes, exact norm m.
-            nt = e0 * self._omitted_af_sum(Fraction(k - 1), tx, t0)
+            nt = e0 * self._omitted_af_sum(Fraction(k - 1), blocks, t0)
             # j != 0: min over the interpolation grid.
             best = best_theta = None
             for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
@@ -394,7 +361,7 @@ class CoefficientEvaluator:
                 e1 = (iv_pow_frac(base, Fraction(k - 1) * (1 + theta))
                       / iv_pow_frac(iv_from_fraction(fact), 1 + theta))
                 sa = 2 * r / (1 - r)
-                piece = e1 * sa * self._omitted_af_sum(s, tx, t0)
+                piece = e1 * sa * self._omitted_af_sum(s, blocks, t0)
                 if best is None or hi(piece) < hi(best):
                     best, best_theta = piece, theta
             nt0, nt = nt, nt + best
@@ -430,8 +397,6 @@ def evaluate_together(evaluators, X, M: int) -> list[CoefficientValue]:
         raise PreconditionViolated("cutoffs X and M must be >= 0")
     if len({(id(ev.params), ev.precision) for ev in evaluators}) != 1:
         raise PreconditionViolated("evaluators must share one PoincareParams and precision")
-    # tails first: the scratch of their a_F sieve is freed before the pass
-    # fills the Kloosterman cache, so the two do not add up in peak memory
     tails = [ev.tail_bound(X, M) for ev in evaluators]
     accs = [iv.mpf(0)] * len(evaluators)
     with prec_guard(evaluators[0].precision):
@@ -538,15 +503,14 @@ def audit_certificate(cert: Certificate) -> bool:
 # ---------------------------------------------------------------------------
 # effective constants and thresholds
 
-def c2_constant(field):
-    """C2 = max over ideals of 2^pr(m)/sqrt(N(m)), enclosed.
-
-    Only primes of norm < 4 increase the ratio, so C2^2 is the product of
-    4/N(p) over primes of norm 2 or 3: (4/p)^a_F(p) for p = 2, 3.
+def c2_constant(prefix):
+    """C2 = max over ideals of 2^pr(m)/sqrt(N(m)), enclosed, from the field's
+    `kronecker_prefix`.  Only primes of norm < 4 increase the ratio, so C2^2
+    is (4/p)^(1 + chi_D(p)) over p = 2, 3: 1 + chi_D(p) ideals have norm p.
     """
     square = Fraction(1)
     for p in (2, 3):
-        square *= Fraction(4, p) ** local_ideal_count(splitting_type(field, p), 1)
+        square *= Fraction(4, p) ** (1 + prefix[p] - prefix[p - 1])
     return iv_sqrt_fraction(square)
 
 
@@ -564,8 +528,9 @@ def _fixed_mul(x, y, wp: int):
 
 
 def zeta_F_enclosure(field, s: Fraction, precision: int):
-    """zeta_F(s) = zeta(s) L(s, chi_D) for real s > 1, with
-    D^-s zeta(s, a/D) enclosed by Euler-Maclaurin for each residue a.
+    """zeta_F(s) = zeta(s) L(s, chi_D) for real s > 1, with chi_D(a) read off
+    `kronecker_prefix` and D^-s zeta(s, a/D) enclosed by Euler-Maclaurin for
+    each residue 0 < a < D (chi_D(D) = 0).
 
     For real s > 1, q > 0 and integers N, J >= 1 (F. Johansson, Numer.
     Algorithms 69 (2015), Thm. 1, from |B_2J(t - [t])| <= 4 (2J)!/(2 pi)^2J),
@@ -600,7 +565,7 @@ def zeta_F_enclosure(field, s: Fraction, precision: int):
         if j < J:
             rising *= (s + 2 * j - 1) * (s + 2 * j)
     # m^-s for m <= top: iv_pow_frac on primes, a product on composites
-    spf, pw = _smallest_prime_factors(top), [None, (1 << wp, 1 << wp)]
+    spf, pw = arith.smallest_prime_factors(top), [None, (1 << wp, 1 << wp)]
     with prec_guard(wp):
         rho = _fixed_iv(4 * iv_from_fraction(rising) / (2 * iv.pi) ** (2 * J), wp)[1]
         for m in range(2, top + 1):
@@ -626,12 +591,10 @@ def zeta_F_enclosure(field, s: Fraction, precision: int):
         direct = [pw[n * D + a] for n in range(N)]
         return lo_ + sum(t[0] for t in direct), hi_ + sum(t[1] for t in direct)
 
-    # chi_D is completely multiplicative, chi_D(p) read off the splitting of p
-    chi_p = {"split": 1, "inert": -1, "ramified": 0}
+    prefix = kronecker_prefix(field)
     L_lo = L_hi = 0
-    for a in range(1, D + 1):
-        chi = math.prod(chi_p[splitting_type(field, p)] ** e
-                        for p, e in arith.factorint(a).items())
+    for a in range(1, D):
+        chi = prefix[a] - prefix[a - 1]
         if chi:
             lo_, hi_ = scaled_hurwitz(a, D)
             L_lo, L_hi = (L_lo + lo_, L_hi + hi_) if chi > 0 else (L_lo - hi_, L_hi - lo_)
@@ -687,7 +650,7 @@ def effective_constants(field, eta: Fraction = DEFAULT_ETA) -> ConstantsLedger:
     with prec_guard(DEFAULT_PREC):
         A = field.A_interval(DEFAULT_PREC)
         c1 = A * A
-        c2 = c2_constant(field)
+        c2 = c2_constant(kronecker_prefix(field))
         two = iv.mpf(2)
         c3 = iv_pow_frac(two, 2 + Fraction(field.f2, 2)) * \
             iv_sqrt_fraction(Fraction(field.D)) * c2

@@ -7,8 +7,10 @@ exhaustive search for the fundamental unit, Kloosterman membership by
 fractional-ideal arithmetic, the HNF of an ideal generated by field
 elements from 2x2 minors and a Bezout combination, Kloosterman slopes
 from Fraction traces, Z[zeta_M] values reduced modulo the cyclotomic
-polynomial, and zeta_F(s) from a_F partial sums or from mpmath's Hurwitz
-zeta with a Kronecker symbol computed by quadratic reciprocity.
+polynomial, ideal counts a_F(n) from a sieve over the prime powers with
+local counts read off a Kronecker symbol computed by quadratic reciprocity,
+and zeta_F(s) from a_F partial sums or from mpmath's Hurwitz zeta with the
+same Kronecker symbol.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, different_ideal,
                                     element_ideal)
 from hilbertpoincare.intervals import DEFAULT_PREC, hi, iv_pow_frac, prec_guard
 from hilbertpoincare.kloosterman import KloostermanQuery
-from hilbertpoincare.poincare import CoefficientEvaluator, _af_tail, af_table, chi_mu
+from hilbertpoincare.poincare import CoefficientEvaluator, _af_tail, chi_mu
 from hilbertpoincare.residues import residue_ring
 
 
@@ -336,12 +338,35 @@ def phi_reduce(order: int, coeffs) -> list[int]:
     return rem[:n]
 
 
-# -- zeta_F(s): a_F partial sums, and mpmath's Hurwitz zeta ---------------------
+# -- a_F(n), and zeta_F(s) from a_F partial sums or mpmath's Hurwitz zeta -------
+
+def af_sieve(field, limit: int) -> list[int]:
+    """a_F(n) for 0 <= n <= limit (a_F(0) = 0): multiplicative, with
+    a_F(p^e) = e + 1, 1 - e mod 2 or 1 as (D/p) = 1, -1 or 0.  Each prime
+    power p^e multiplies in its count at the n it divides exactly."""
+    D = field.D
+    a = [0] + [1] * limit
+    composite = bytearray(limit + 1)
+    for p in range(2, limit + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\x01" * len(range(p * p, limit + 1, p))
+        chi = kronecker_symbol(D, p)
+        pe, e = p, 1
+        while pe <= limit:
+            local = e + 1 if chi == 1 else (1 - e % 2 if chi == -1 else 1)
+            if local != 1:
+                for n in range(pe, limit + 1, pe):
+                    if (n // pe) % p:
+                        a[n] *= local
+            pe, e = pe * p, e + 1
+    return a
+
 
 def zeta_F_partial_sum(field, s: Fraction, terms: int):
     """Enclosure of zeta_F(s), s > 3/2: sum_{t <= terms} a_F(t) t^-s plus
     [0, tail] with the divisor-bound tail 2 terms^(3/2-s)/(s - 3/2)."""
-    a = af_table(field, terms)
+    a = af_sieve(field, terms)
     with prec_guard(DEFAULT_PREC):
         total = iv.mpf(0)
         for t in range(1, terms + 1):

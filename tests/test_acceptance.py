@@ -20,10 +20,10 @@ from hilbertpoincare.field import make_field
 from hilbertpoincare.hecke import (CoeffFunction, HeckeContext,
                                    check_multiplicativity, hecke_action,
                                    pairing)
-from hilbertpoincare.ideals import (FractionalIdeal, dedekind_a,
-                                    different_ideal, element_ideal,
-                                    ideal_product, ideal_sum, ideals_of_norm,
-                                    is_principal, principal_ideal, unit_ideal)
+from hilbertpoincare.ideals import (FractionalIdeal, different_ideal,
+                                    element_ideal, ideal_product, ideal_sum,
+                                    ideals_of_norm, is_principal,
+                                    principal_ideal, unit_ideal)
 from hilbertpoincare.intervals import hi, lo, overlaps, sup_abs
 from hilbertpoincare.kloosterman import (KloostermanQuery, cor43_check,
                                          kloosterman_float, lemma41_value,
@@ -206,7 +206,7 @@ def test_acceptance_6_threshold(F5):
                for k in range(4, 42, 2)]
         mono_k = all(t > 0 and mpmath.isfinite(t) for t in ths) and \
             all(b > a for a, b in zip(ths, ths[1:]))
-        lvls = [n for n in range(1, 101) if dedekind_a(F5, n) > 0]
+        lvls = [n for n in range(1, 101) if ideals_of_norm(F5, n)]
         tl = [threshold_thm32(F5, 8, O, ideals_of_norm(F5, n)[0],
                               Fraction(1, 2), led) for n in lvls]
         mono_n = all(b > a for a, b in zip(tl, tl[1:]))
@@ -281,7 +281,7 @@ def test_acceptance_8_symmetry_unit_invariance(F5):
 def test_acceptance_9_hecke(F5):
     rng = random.Random(909)
     ctx = HeckeContext(8, unit_ideal(F5))
-    norms = [n for n in range(1, 201) if dedekind_a(F5, n) > 0]
+    norms = [n for n in range(1, 201) if ideals_of_norm(F5, n)]
 
     def rand_ideal():
         return rng.choice(ideals_of_norm(F5, rng.choice(norms)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,18 +8,18 @@ import pytest
 from hilbertpoincare.errors import NotDivisible, PreconditionViolated, ZeroIdeal
 from hilbertpoincare.field import make_field
 from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, chi0,
-                                    dedekind_a, different_ideal, divisors,
-                                    element_ideal, factor_ideal, ideal_conj,
+                                    different_ideal, divisors, element_ideal,
+                                    factor_ideal, ideal_conj, ideal_count_upto,
                                     ideal_exact_divide, ideal_from_generators,
                                     ideal_pow, ideal_product, ideal_sum,
-                                    ideals_of_norm, is_principal, N_nu_mu,
-                                    pr_count, prime_splitting, principal_ideal,
+                                    ideals_of_norm, is_principal,
+                                    kronecker_prefix, N_nu_mu, pr_count,
+                                    prime_splitting, principal_ideal,
                                     splitting_type, unit_ideal, valuation_elt,
                                     valuation_ideal, wide_class_number_is_one)
 from hilbertpoincare.arith import is_prime
-from hilbertpoincare.poincare import af_table
 
-from oracles import ideal_from_elements, z_basis
+from oracles import af_sieve, ideal_from_elements, kronecker_symbol, z_basis
 
 # between them these fields make 2 ramified (2, 3), inert (5, 13) and split (17)
 SPLITTING_FIELDS = (2, 3, 5, 13, 17)
@@ -54,13 +55,27 @@ def test_sum_product_divide_examples(F5):
         ideal_exact_divide(p5, two)
 
 
+def _splitting_structure(F, p):
+    """The splitting type that the primes above p show by their structure:
+    two of norm p, (p) itself of norm p^2, or one P with P^2 = (p)."""
+    primes = prime_splitting(F, p)
+    if len(primes) == 2 and all(pr.norm() == p for pr in primes) \
+            and primes[0] != primes[1]:
+        return "split"
+    (pr,) = primes
+    if pr == principal_ideal(F.from_int(p)) and pr.norm() == p * p:
+        return "inert"
+    if ideal_product(pr, pr) == principal_ideal(F.from_int(p)):
+        return "ramified"
+    return None
+
+
 def test_prime_splitting_examples(F5):
-    assert prime_splitting(F5, 11).kind == "split"
-    assert prime_splitting(F5, 2).kind == "inert"
-    sp5 = prime_splitting(F5, 5)
-    assert sp5.kind == "ramified"
-    assert ideal_product(sp5.primes[0], sp5.primes[0]) == \
-        principal_ideal(F5.from_int(5))
+    assert _splitting_structure(F5, 11) == "split"
+    assert _splitting_structure(F5, 2) == "inert"
+    assert _splitting_structure(F5, 5) == "ramified"
+    (p5,) = prime_splitting(F5, 5)
+    assert ideal_product(p5, p5) == principal_ideal(F5.from_int(5))
 
 
 def test_factor_examples(F5):
@@ -105,7 +120,7 @@ def test_n_nu_mu_examples(F5):
 
 
 def test_principality(F5):
-    p5 = prime_splitting(F5, 5).primes[0]
+    p5 = prime_splitting(F5, 5)[0]
     fresh = IdealHNF(F5, p5.a, p5.b, p5.c)
     g = is_principal(fresh)
     assert g is not None and abs(g.norm()) == 5 and g.is_totally_positive()
@@ -126,9 +141,11 @@ def test_fractional_ideals(F5):
 
 
 def test_ideals_of_norm_vs_dedekind_a(F5, F2):
+    # dedekind_a: the Dedekind zeta coefficients a_F(n) of the oracle's sieve
     for F in (F5, F2):
+        a = af_sieve(F, 59)
         for n in range(1, 60):
-            assert len(ideals_of_norm(F, n)) == dedekind_a(F, n)
+            assert len(ideals_of_norm(F, n)) == a[n]
 
 
 @pytest.mark.parametrize("d", SPLITTING_FIELDS)
@@ -137,7 +154,7 @@ def test_splitting_type_matches_prime_splitting(d):
     kinds = set()
     for p in filter(is_prime, range(2, 2000)):
         kind = splitting_type(F, p)
-        assert kind == prime_splitting(F, p).kind, (d, p)
+        assert kind == _splitting_structure(F, p), (d, p)
         kinds.add(kind)
     assert kinds == {"split", "inert", "ramified"}
     assert splitting_type(F, 2) == {2: "ramified", 3: "ramified", 5: "inert",
@@ -146,11 +163,18 @@ def test_splitting_type_matches_prime_splitting(d):
 
 @pytest.mark.parametrize("d", SPLITTING_FIELDS)
 def test_af_table_matches_dedekind_a_and_ideal_lists(d):
+    # ideal_count_upto against the cumulative a_F table of the oracle's sieve
+    # (the Dedekind zeta coefficients) and against the ideal lists
     F = make_field(d)
-    table = af_table(F, 20000)
-    assert table[0] == 0
-    assert all(table[n] == dedekind_a(F, n) for n in range(1, 20001))
-    assert all(table[n] == len(ideals_of_norm(F, n)) for n in range(1, 1001))
+    prefix = kronecker_prefix(F)
+    assert [prefix[a] - prefix[a - 1] for a in range(1, F.D)] == \
+        [kronecker_symbol(F.D, a) for a in range(1, F.D)]
+    a = af_sieve(F, 3 * 10**5)
+    upto = list(itertools.accumulate(a))
+    assert all(ideal_count_upto(prefix, x) == upto[x] for x in range(20001))
+    assert ideal_count_upto(prefix, 3 * 10**5) == upto[-1]
+    lists = itertools.accumulate(len(ideals_of_norm(F, n)) for n in range(1, 1001))
+    assert all(ideal_count_upto(prefix, x) == c for x, c in enumerate(lists, 1))
 
 
 def test_norm_multiplicativity_random(F5):
@@ -184,7 +208,7 @@ def test_gcd_lcm_identity(F5):
 
 def test_valuation_additivity(F5):
     rng = random.Random(31)
-    pr = prime_splitting(F5, 11).primes[0]
+    pr = prime_splitting(F5, 11)[0]
     for _ in range(30):
         x, y = rand_ideal(F5, rng), rand_ideal(F5, rng)
         assert valuation_ideal(ideal_product(x, y), pr) == \
@@ -236,9 +260,10 @@ def test_norm_conjugate_and_product_laws(d):
 def test_ideals_of_norm_one_rule(d):
     # one rule for every splitting type: the count, distinctness and norms
     F = make_field(d)
+    a = af_sieve(F, 400)
     for n in range(1, 401):
         ideals = ideals_of_norm(F, n)
-        assert len(ideals) == dedekind_a(F, n), (d, n)
+        assert len(ideals) == a[n], (d, n)
         assert len(set(ideals)) == len(ideals)
         assert all(x.norm() == n for x in ideals)
         assert ideals == sorted(ideals, key=lambda x: x.sort_key())

@@ -1,5 +1,10 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -175,6 +180,35 @@ def test_lemma41_table(F5):
     assert lemma41_value(F5, p5, eps, F5.one(), F5.zero(), 4) == 0
     with pytest.raises(PreconditionViolated):
         lemma41_value(F5, two, F5.one(), F5.one(), F5.one(), 1)  # p does not divide r
+
+
+def test_result_checks_survive_python_O():
+    # python -O deletes assert statements; the checks of a computed result
+    # (Lemma 4.1's closed form, an ideal factorization's product) must raise
+    script = textwrap.dedent("""
+        from hilbertpoincare import ideals, kloosterman
+        from hilbertpoincare.cyclotomic import CyclotomicInteger
+        from hilbertpoincare.field import make_field
+        F = make_field(5)
+        kloosterman.principal_kloosterman = lambda *a, **kw: CyclotomicInteger.from_int(7)
+        try:
+            kloosterman.lemma41_value(F, F.from_int(2), F.one(), F.one(), F.zero(), 1)
+        except AssertionError as exc:
+            print("raised:", exc)
+        ideals.valuation_ideal = lambda x, pr: 0
+        try:
+            ideals.factor_ideal(ideals.principal_ideal(F.from_int(10)))
+        except AssertionError as exc:
+            print("raised:", exc)
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert lines[0].startswith("raised: closed form violated"), lines
+    assert lines[1].startswith("raised: factorization of"), lines
 
 
 def test_selberg_examples(F5):

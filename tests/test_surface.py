@@ -165,7 +165,6 @@ MODULE_CACHES = {
     "cyclotomic._cos_table_fixed": "benchmark/tracing.py reads its cache_info()",
     "ideals._factor_ideal_cached": "benchmark/tracing.py reads its cache_info()",
     "kloosterman._EXACT_CACHE": "benchmark/tracing.py reads it",
-    "poincare._af_tables": "the certify invocations of one process share it",
     "poincare._ledger_cache": "the certify invocations of one process share it",
 }
 
