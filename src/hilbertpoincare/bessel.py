@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
-from .intervals import ESTIMATE_PREC, floor_ceil, hi, iv_pow_frac, lo, prec_guard
+from .intervals import (ESTIMATE_PREC, floor_ceil, from_fixed, hi, iv_pow_frac, lo,
+                        prec_guard)
 
 # Beyond this the series is not attempted and [-1, 1] is returned: a huge
 # argument pairs with a negligible partner factor in a coefficient term.
@@ -82,9 +82,8 @@ def besselj_eval(order: int, x, precision: int) -> BesselEval:
                 pad = (rem + floor_ceil(man_hi, e_hi + wp, 1)[1]
                        - floor_ceil(man, e + wp, 1)[0])
                 one = 1 << wp
-                ends = (from_man_exp(max(s_lo - pad, -one), -wp, wp, round_floor),
-                        from_man_exp(min(s_hi + pad, one), -wp, wp, round_ceiling))
-                return BesselEval(order, x, iv.make_mpf(ends), rem < tol)
+                value = from_fixed(max(s_lo - pad, -one), min(s_hi + pad, one), wp, wp)
+                return BesselEval(order, x, value, rem < tol)
 
 
 def besselJ(order: int, x, precision: int):

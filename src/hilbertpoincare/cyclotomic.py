@@ -28,17 +28,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv
-from mpmath.libmp import round_ceiling, round_floor, to_int
 
 from . import arith
-from .intervals import prec_guard
+from .intervals import fixed_iv, from_fixed, prec_guard
 
 
 class CyclotomicInteger:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        assert order >= 1 and len(coeffs) == order
+        if order < 1 or len(coeffs) != order:
+            raise ValueError(f"{len(coeffs)} coefficients for order {order}")
         self.order = order
         self.coeffs = list(coeffs)
 
@@ -66,7 +66,8 @@ class CyclotomicInteger:
         """Rewrite in Z[x]/(x^M - 1) for a multiple M of the order."""
         if M == self.order:
             return self
-        assert M % self.order == 0
+        if M % self.order:
+            raise ValueError(f"order {self.order} does not divide {M}")
         k = M // self.order
         c = [0] * M
         for j, v in enumerate(self.coeffs):
@@ -174,9 +175,7 @@ class CyclotomicInteger:
             elif v < 0:
                 acc_lo += v * hi
                 acc_hi += v * lo
-        with prec_guard(precision + 16):
-            scale = iv.mpf(2) ** (-precision)
-            return iv.mpf([acc_lo, acc_hi]) * scale
+        return from_fixed(acc_lo, acc_hi, precision, precision + 16)
 
     def to_json(self):
         # raw (unreduced) coefficients: a stored value must reproduce fresh
@@ -196,18 +195,13 @@ class CyclotomicInteger:
 @lru_cache(maxsize=512)
 def _cos_table_fixed(M: int, precision: int):
     """Integer bounds 2^precision * cos(2 pi j / M) for 0 <= j <= M/2,
-    rounded outward.
-
-    Endpoints are read from the raw mantissa/exponent pairs; going through
-    an mpf would round at the ambient context precision.
-    """
+    rounded outward: the fixed-point form of cosines enclosed at
+    precision + 32 bits."""
     los, his = [0] * (M // 2 + 1), [0] * (M // 2 + 1)
     with prec_guard(precision + 32):
         two_pi = 2 * iv.pi
-        scale = iv.mpf(2) ** precision
         for j in range(M // 2 + 1):
-            a, b = (iv.cos(two_pi * iv.mpf(j) / iv.mpf(M)) * scale)._mpi_
-            los[j], his[j] = to_int(a, round_floor), to_int(b, round_ceiling)
+            los[j], his[j] = fixed_iv(iv.cos(two_pi * iv.mpf(j) / iv.mpf(M)), precision)
     return tuple(los), tuple(his)
 
 

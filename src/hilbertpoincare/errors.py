@@ -47,9 +47,3 @@ class MembershipViolated(HPError):
 
 class PreconditionViolated(HPError):
     pass
-
-
-class NonPrincipalDivisor(HPError):
-    def __init__(self, ideal):
-        super().__init__(f"divisor ideal is not principal within budget: {ideal}")
-        self.ideal = ideal

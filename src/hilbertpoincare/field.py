@@ -214,7 +214,8 @@ class RealQuadraticField:
             self.eps_plus = self.fundamental_unit * self.fundamental_unit
         else:
             self.eps_plus = self.fundamental_unit  # norm +1 units are totally positive
-        self.delta = self._totally_positive_different_generator()
+        # the different is generated by f'(omega) = 2*omega - c1, of norm -D
+        self.delta = self.totally_positive_associate(Elt(self, -self.c1, 2, 1))
         self._narrow_h1 = None
 
     # -- constructors ------------------------------------------------------
@@ -270,21 +271,17 @@ class RealQuadraticField:
             if Q == q0:
                 return Elt(self, h - k * self.c1, k, 1), (-1) ** n
 
-    def _totally_positive_different_generator(self):
-        """Totally positive generator of the different, or None.
+    def totally_positive_associate(self, g: Elt):
+        """A totally positive unit multiple of g, or None when there is none.
 
-        The different is generated by f'(omega), which has mixed embedding
-        signs.  Mixed-sign units exist iff the fundamental unit has norm -1,
-        so exactly one sign orbit needs inspection.
+        When N(g) > 0 it is g or -g.  When N(g) < 0 the unit has norm -1, so
+        one exists iff the fundamental unit eps does, and it is g*eps or -g*eps.
         """
-        g = Elt(self, -self.c1, 2, 1)  # f'(omega) = 2*omega - c1
-        if self.fu_norm != -1:
-            return None
-        cand = g * self.fundamental_unit
-        if not cand.is_totally_positive():
-            cand = -cand
-        assert cand.is_totally_positive() and cand.norm() == self.D
-        return cand
+        if g.norm() < 0:
+            if self.fu_norm != -1:
+                return None
+            g = g * self.fundamental_unit
+        return g if g.is_totally_positive() else -g
 
     def is_unit(self, x: Elt) -> bool:
         return x.is_integral() and abs(x.norm()) == 1

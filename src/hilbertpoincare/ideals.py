@@ -113,7 +113,10 @@ def ideal_from_generators(gens) -> IdealHNF:
             raise NotIntegral(f"generator {g} is not integral")
         vecs += ((g.a, g.b), (g.b * F.c0, g.a + g.b * F.c1))   # g and g*omega
     a, b, c = _hnf_from_vectors(vecs)
-    return IdealHNF(F, a, b, c, gen=(gens[0].a, gens[0].b) if len(gens) == 1 else None)
+    gen = None
+    if len(gens) == 1:   # O keeps the generator 1, whichever unit generated it
+        gen = (1, 0) if a == c == 1 else (gens[0].a, gens[0].b)
+    return IdealHNF(F, a, b, c, gen)
 
 
 def principal_ideal(g: Elt) -> IdealHNF:
@@ -264,7 +267,7 @@ def factor_ideal(x: IdealHNF):
 
 def is_prime_element(p: Elt) -> bool:
     """Does p generate a prime ideal?"""
-    if p.is_zero() or not p.is_integral() or abs(p.norm()) == 1:
+    if p.is_zero() or not p.is_integral() or p.field.is_unit(p):
         return False
     fac = factor_ideal(principal_ideal(p))
     return len(fac) == 1 and fac[0][1] == 1
@@ -332,7 +335,7 @@ def N_nu_mu(m: IdealHNF, nu, mu) -> Fraction:
 # -- principality ---------------------------------------------------------
 
 def is_principal(x: IdealHNF):
-    """A generator of x if principal (preferring a totally positive one).
+    """A generator of x if principal: a totally positive one when there is one.
 
     Searches the box in which a balanced generator must lie; exhausting the
     box proves non-principality, so the answer is never a guess.
@@ -345,16 +348,7 @@ def is_principal(x: IdealHNF):
         if g is None:
             return None
         x.gen = (g.a, g.b)
-    return _prefer_totally_positive(F, g)
-
-
-def _prefer_totally_positive(F, g):
-    if g.norm() > 0:
-        return g if g.is_totally_positive() else -g
-    if F.fu_norm == -1:
-        cand = g * F.fundamental_unit
-        return cand if cand.is_totally_positive() else -cand
-    return g
+    return F.totally_positive_associate(g) or g
 
 
 def _norm_equation_search(x: IdealHNF):

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import from_man_exp, mpf_shift, round_ceiling, round_floor, to_int
 
 DEFAULT_PREC = 96
 # for estimates that an exact test decides afterwards, or bounds whose
@@ -108,6 +109,9 @@ def iv_pow_frac(x, p: Fraction):
     return iv.exp(iv.log(x) * iv_from_fraction(p))
 
 
+# Fixed point: a real interval held as integer bounds (lo, hi) on 2^wp times
+# it, each end rounded in its own direction.
+
 def floor_ceil(num: int, shift: int, den: int = 1):
     """Floor and ceiling of num * 2^shift / den for den > 0: the bounds of a
     fixed-point value at scale 2^shift."""
@@ -116,6 +120,26 @@ def floor_ceil(num: int, shift: int, den: int = 1):
     else:
         den <<= -shift
     return num // den, -(-num // den)
+
+
+def fixed_iv(x, wp: int):
+    """Integer bounds on 2^wp times the interval x, rounded outward."""
+    a, b = x._mpi_
+    return to_int(mpf_shift(a, wp), round_floor), to_int(mpf_shift(b, wp), round_ceiling)
+
+
+def fixed_mul(x, y, wp: int):
+    """x * y for fixed-point intervals at scale 2^wp with y >= 0, rounded
+    outward."""
+    (a, b), (c, d) = x, y
+    return a * (c if a >= 0 else d) >> wp, -(-b * (d if b >= 0 else c) >> wp)
+
+
+def from_fixed(a: int, b: int, wp: int, precision: int):
+    """The interval [a, b] / 2^wp, each end rounded outward to `precision`
+    bits."""
+    return iv.make_mpf((from_man_exp(a, -wp, precision, round_floor),
+                        from_man_exp(b, -wp, precision, round_ceiling)))
 
 
 def iv_max(x, y):

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicInteger
-from .errors import (BudgetExceeded, MembershipViolated, NonPrincipalDivisor,
-                     PreconditionViolated)
+from .errors import BudgetExceeded, MembershipViolated, PreconditionViolated
 from .field import Elt
 from .ideals import (IdealHNF, divisors, ideal_from_generators, is_prime_element,
-                     is_principal, N_nu_mu, pr_count, principal_ideal,
-                     unit_ideal)
+                     is_principal, N_nu_mu, pr_count, principal_ideal)
 from .intervals import iv_from_fraction, iv_sqrt_fraction, prec_guard
 from .residues import DEFAULT_ENUM_BUDGET, residue_ring
 
@@ -181,8 +179,7 @@ def _require_delta(field) -> Elt:
 
 def principal_kloosterman(field, nu: Elt, mu: Elt, c: Elt, **kw) -> CyclotomicInteger:
     """S(nu, mu; c) = S_{(c)}(nu, mu; c) for integral nonzero c."""
-    m = principal_ideal(c) if abs(c.norm()) != 1 else unit_ideal(field)
-    return kloosterman_exact(KloostermanQuery(field, nu, mu, m, c), **kw)
+    return kloosterman_exact(KloostermanQuery(field, nu, mu, principal_ideal(c), c), **kw)
 
 
 def lemma41_value(field, p: Elt, eps1: Elt, eps2: Elt, r: Elt, e: int,
@@ -212,9 +209,9 @@ def lemma41_value(field, p: Elt, eps1: Elt, eps2: Elt, r: Elt, e: int,
 
 @dataclass
 class IdentityReport:
-    holds: bool
+    holds: bool | None           # None: skipped, the identity is not defined
     lhs: CyclotomicInteger
-    rhs: CyclotomicInteger
+    rhs: CyclotomicInteger | None
     outside_hypotheses: bool = False
 
 
@@ -224,6 +221,8 @@ def selberg_check(field, nu: Elt, mu: Elt, q: Elt, **kw) -> IdentityReport:
     The right-hand side runs over principal ideals (d) dividing (nu, mu, q);
     generator choice does not affect the summands.  Fields without narrow
     class number one are reported as outside the identity's hypotheses.
+    There (nu, mu, q) can have a non-principal divisor, and then the report
+    is skipped: `holds` and `rhs` are None.
     """
     delta = _require_delta(field)
     if q.is_zero() or not q.is_integral():
@@ -240,7 +239,7 @@ def selberg_check(field, nu: Elt, mu: Elt, q: Elt, **kw) -> IdentityReport:
     for dd in divisors(gcd_ideal):
         g = is_principal(dd)
         if g is None:
-            raise NonPrincipalDivisor(dd)
+            return IdentityReport(None, lhs, None, outside)
         term = principal_kloosterman(field, one_over_delta,
                                      (nu * mu) / (g * g) / delta, q / g, **kw)
         rhs = rhs + dd.norm() * term

@@ -24,7 +24,6 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import from_man_exp, mpf_shift, round_ceiling, round_floor, to_int
 
 from . import arith
 from .bessel import besselJ
@@ -34,10 +33,10 @@ from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
                      ideal_count_upto, ideal_product, ideal_sum, ideals_of_norm,
                      is_prime_element, is_principal, kronecker_prefix,
                      principal_ideal, unit_ideal)
-from .intervals import (DEFAULT_PREC, dec_str, floor_ceil, hi, iv_ends,
-                        iv_from_fraction, iv_max, iv_min, iv_pow_frac,
-                        iv_sqrt_fraction, iv_str, lo, overlaps, prec_guard,
-                        sup_abs, width)
+from .intervals import (DEFAULT_PREC, dec_str, fixed_iv, fixed_mul, floor_ceil,
+                        from_fixed, hi, iv_ends, iv_from_fraction, iv_max, iv_min,
+                        iv_pow_frac, iv_sqrt_fraction, iv_str, lo, overlaps,
+                        prec_guard, sup_abs, width)
 from .kloosterman import KloostermanQuery, kloosterman_exact
 from .residues import DEFAULT_ENUM_BUDGET
 
@@ -160,9 +159,7 @@ def chi_mu(nu: Elt, mu: Elt) -> int:
     if nu.is_zero() or mu.is_zero():
         raise PreconditionViolated("chi requires nonzero arguments")
     t = nu / mu
-    if not t.is_integral() or abs(t.norm()) != 1:
-        return 0
-    return 1 if t.is_totally_positive() else 0
+    return 1 if t.field.is_unit(t) and t.is_totally_positive() else 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +332,8 @@ class CoefficientEvaluator:
             n_o = self.n_o
             tx = int(Fraction(X) / n_o)
             # blocks (t, number of ideals of norm in (t, t2]), the nonempty ones
-            # of a partition of (tx, t0], at O(sqrt t0) each; the cap 3*10^5
-            # bounds no table now and stays only so that every byte stays the same
-            t0 = min(max(32 * tx, 4096), 3 * 10**5)
+            # of a partition of (tx, t0], at O(sqrt t0) each
+            t0 = max(32 * tx, 4096)
             blocks, t, below = [], tx, ideal_count_upto(prefix, tx)
             while t < t0:
                 t2 = min(t + max(1, int(0.42 * t)), t0)
@@ -428,8 +424,8 @@ def coefficient_tilde(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
 class CertifyBudget:
     """Caps of the cutoffs X and M.  The ladder starts at X = max(64, 8 N(cnd))
     and M = 4, each clamped to its cap."""
-    max_X: int = 40000
-    max_M: int = 24
+    max_X: int = 20000
+    max_M: int = 16
 
     def __post_init__(self):
         if min(self.max_X, self.max_M) < 0:
@@ -514,19 +510,6 @@ def c2_constant(prefix):
     return iv_sqrt_fraction(square)
 
 
-def _fixed_iv(x, wp: int):
-    """Integer bounds on 2^wp times the interval x, rounded outward."""
-    a, b = x._mpi_
-    return to_int(mpf_shift(a, wp), round_floor), to_int(mpf_shift(b, wp), round_ceiling)
-
-
-def _fixed_mul(x, y, wp: int):
-    """x * y for fixed-point intervals at scale 2^wp with y >= 0, rounded
-    outward."""
-    (a, b), (c, d) = x, y
-    return a * (c if a >= 0 else d) >> wp, -(-b * (d if b >= 0 else c) >> wp)
-
-
 def zeta_F_enclosure(field, s: Fraction, precision: int):
     """zeta_F(s) = zeta(s) L(s, chi_D) for real s > 1, with chi_D(a) read off
     `kronecker_prefix` and D^-s zeta(s, a/D) enclosed by Euler-Maclaurin for
@@ -567,11 +550,11 @@ def zeta_F_enclosure(field, s: Fraction, precision: int):
     # m^-s for m <= top: iv_pow_frac on primes, a product on composites
     spf, pw = arith.smallest_prime_factors(top), [None, (1 << wp, 1 << wp)]
     with prec_guard(wp):
-        rho = _fixed_iv(4 * iv_from_fraction(rising) / (2 * iv.pi) ** (2 * J), wp)[1]
+        rho = fixed_iv(4 * iv_from_fraction(rising) / (2 * iv.pi) ** (2 * J), wp)[1]
         for m in range(2, top + 1):
             p = spf[m]
-            pw.append(_fixed_iv(iv_pow_frac(iv.mpf(m), -s), wp) if p == m
-                      else _fixed_mul(pw[p], pw[m // p], wp))
+            pw.append(fixed_iv(iv_pow_frac(iv.mpf(m), -s), wp) if p == m
+                      else fixed_mul(pw[p], pw[m // p], wp))
     coef[-1] = (coef[-1][0] - rho, coef[-1][1] + rho)
     head = floor_ceil(s.denominator, wp, s.numerator - s.denominator)    # 1/(s-1)
 
@@ -581,13 +564,13 @@ def zeta_F_enclosure(field, s: Fraction, precision: int):
         u = floor_ceil(D * D, wp, X * X)
         poly = coef[-1]
         for c in reversed(coef[:-1]):
-            poly = _fixed_mul(poly, u, wp)
+            poly = fixed_mul(poly, u, wp)
             poly = (poly[0] + c[0], poly[1] + c[1])
-        poly = _fixed_mul(poly, u, wp)
+        poly = fixed_mul(poly, u, wp)
         half_y = floor_ceil(D, wp, 2 * X)
         bracket = (head[0] + half_y[0] + poly[0], head[1] + half_y[1] + poly[1])
         x_lo, x_hi = pw[X]                      # X^(1-s)/D = X^-s X/D
-        lo_, hi_ = _fixed_mul(bracket, (x_lo * X // D, -(-x_hi * X // D)), wp)
+        lo_, hi_ = fixed_mul(bracket, (x_lo * X // D, -(-x_hi * X // D)), wp)
         direct = [pw[n * D + a] for n in range(N)]
         return lo_ + sum(t[0] for t in direct), hi_ + sum(t[1] for t in direct)
 
@@ -598,9 +581,8 @@ def zeta_F_enclosure(field, s: Fraction, precision: int):
         if chi:
             lo_, hi_ = scaled_hurwitz(a, D)
             L_lo, L_hi = (L_lo + lo_, L_hi + hi_) if chi > 0 else (L_lo - hi_, L_hi - lo_)
-    z_lo, z_hi = _fixed_mul((L_lo, L_hi), scaled_hurwitz(1, 1), wp)    # zeta(s) > 1
-    return iv.make_mpf((from_man_exp(z_lo, -wp, precision, round_floor),
-                        from_man_exp(z_hi, -wp, precision, round_ceiling)))
+    z_lo, z_hi = fixed_mul((L_lo, L_hi), scaled_hurwitz(1, 1), wp)    # zeta(s) > 1
+    return from_fixed(z_lo, z_hi, wp, precision)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -111,6 +112,17 @@ def test_oracle_containment_property(order, x):
     res = besselj_eval(order, iv.mpf(x), 64)
     truth = mpmath.besselj(order, mpmath.mpf(x))
     assert lo(res.value) <= truth <= hi(res.value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(range(3, 24, 2)),
+       st.fractions(min_value=Fraction(1, 10**4), max_value=60, max_denominator=10**4))
+def test_factorial_envelope_against_rational_oracle(order, x):
+    # |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4), the per-factor bound of
+    # `tail_bound`, judged by the exact rational series
+    a, b = besselj_rational(order, x)
+    bound = (x / 2) ** order / math.factorial(order)
+    assert -bound <= a and b <= bound, (order, x, a, b, bound)
 
 
 # -- the fixed-point kernel over the whole evaluated range ----------------------

@@ -69,6 +69,24 @@ def test_selberg_check_cli_reports_fields_outside_the_hypotheses():
                         '"outside_hypotheses":true,"status":"all hold"}\n')
 
 
+def test_selberg_check_cli_skips_non_principal_divisors(monkeypatch):
+    # the triples whose (nu, mu, q) has a non-principal divisor are skipped
+    # and counted; before, the sweep stopped at the first with exit 2
+    calls, check = [], cli.selberg_check
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return check(*args, **kw)
+
+    monkeypatch.setattr(cli, "selberg_check", counted)
+    r = run(["selberg-check", "--d", "10", "--max-norm-q", "30"])
+    assert r.exit_code == 0
+    doc = json.loads(r.output)
+    assert doc["outside_hypotheses"] is True and doc["status"] == "all hold"
+    assert doc["failures"] == 0 and doc["skipped"] > 0 and doc["checked"] > 0
+    assert doc["checked"] + doc["skipped"] == len(calls)
+
+
 def test_weil_audit_cli():
     r = run(["weil-audit", "--d", "5", "--samples", "30", "--seed", "7"])
     assert r.exit_code == 0

@@ -153,3 +153,13 @@ def test_additive_character_examples(F5):
     assert additive_character(half) == zeta(2)
     third = F5.one() * Fraction(1, 6)  # trace 1/3
     assert additive_character(third) == zeta(3)
+
+
+def test_shape_checks_survive_python_O():
+    # explicit raises, not asserts: a wrong coefficient count or lift order
+    with pytest.raises(ValueError):
+        CyclotomicInteger(3, [1, 2])
+    with pytest.raises(ValueError):
+        CyclotomicInteger(0, [])
+    with pytest.raises(ValueError):
+        zeta(4).lift(6)

@@ -162,6 +162,24 @@ def test_delta_presence(F5, F2, F3):
     assert F3.delta is None  # norm +1 fundamental unit: no mixed-sign units
 
 
+@pytest.mark.parametrize("d", (2, 3, 5, 6, 10, 13))
+def test_totally_positive_associate(d):
+    # None exactly when N(g) < 0 and no unit has norm -1; else a totally
+    # positive t with t/g a unit
+    F = make_field(d)
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            g = F.elt(a, b)
+            if g.is_zero():
+                continue
+            t = F.totally_positive_associate(g)
+            if t is None:
+                assert g.norm() < 0 and F.fu_norm == 1, (d, g)
+            else:
+                assert t.is_totally_positive() and F.is_unit(t / g), (d, g, t)
+    assert F.delta == F.totally_positive_associate(F.elt(-F.c1, 2))
+
+
 def test_cf_oracle_matches_pell():
     # every squarefree d <= 100, both residue classes mod 4
     for d in range(2, 101):

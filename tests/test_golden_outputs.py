@@ -26,7 +26,8 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_outputs.json")
 WORKLOADS = ("certify", "recurrence", "selberg", "weil")
 SEED = 12
 # Fields other than Q(sqrt5): the constants ledger (c2_constant and the
-# chi_D sum of zeta_F), the tail's ideal counts and hecke-check's draws.
+# chi_D sum of zeta_F), the tail's ideal counts and hecke-check's draws;
+# then the principal generators: delta and a unit generator.
 EXTRA_COMMANDS = (
     [["thresholds", "--d", str(d), "--k", "8"] for d in (2, 3, 6, 13, 17, 997)]
     + [["thresholds", "--d", "13", "--k", "12", "--level", "3", "--eta", "1/3"]]
@@ -34,7 +35,13 @@ EXTRA_COMMANDS = (
         "--max-m", "6"] for d in (2, 13, 17)]
     + [["certify", "--d", "2", "--k", "8", "--mu", "(3,1)", "--max-x", "600",
         "--max-m", "6"]]
-    + [["hecke-check", "--d", str(d), "--samples", "50"] for d in (2, 3, 13)])
+    + [["hecke-check", "--d", str(d), "--samples", "50"] for d in (2, 3, 13)]
+    # delta on both sides of the fu_norm = +-1 split, and a unit omega as the
+    # modulus generator and as the level
+    + [["field-info", "--d", str(d)] for d in (3, 6, 10, 13, 17, 997)]
+    + [["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "1/delta", "--c", "w"]]
+    + [["certify", "--d", "5", "--k", "8", "--mu", "1", "--level", "w",
+        "--max-x", "300", "--max-m", "6"]])
 
 
 def _commands():

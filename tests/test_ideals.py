@@ -129,6 +129,16 @@ def test_principality(F5):
     assert not make_field(3).narrow_h1  # fundamental unit has norm +1
 
 
+def test_a_unit_generates_o_with_generator_one(F5, F2):
+    # the HNF (1, 0, 1) decides it, not the norm of the generator
+    for F in (F5, F2):
+        for u in (F.fundamental_unit, -F.fundamental_unit ** -1, F.eps_plus ** 3):
+            x = principal_ideal(u)
+            assert x == unit_ideal(F) and x.gen == (1, 0)
+            assert is_principal(x) == F.one()
+    assert principal_ideal(F5.from_int(3)).gen == (3, 0)
+
+
 def test_fractional_ideals(F5):
     fi = element_ideal(F5.one() / F5.delta)
     assert fi.norm() == Fraction(1, 5)

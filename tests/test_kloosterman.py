@@ -241,6 +241,11 @@ def test_selberg_outside_hypotheses_flag(F3):
     # Q(sqrt 10) has one (3 + sqrt 10 has norm -1) but class number 2
     F10 = make_field(10)
     assert selberg_check(F10, F10.one(), F10.one(), F10.from_int(2)).outside_hypotheses
+    # (2) = P^2 there with P = <2, sqrt 10> not principal, so the divisor
+    # sum of (2, 2, 2) is not defined: the report is skipped, not raised
+    two = F10.from_int(2)
+    rep = selberg_check(F10, two, two, two)
+    assert rep.holds is None and rep.rhs is None and rep.outside_hypotheses
     F5 = make_field(5)
     assert not selberg_check(F5, F5.one(), F5.one(), F5.from_int(2)).outside_hypotheses
 

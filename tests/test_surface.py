@@ -106,7 +106,8 @@ def test_keep_lists_only_names_that_exist():
 # the position of the precision argument of each function that takes one
 PRECISION_ARG = {"prec_guard": 0, "embeddings": 0, "A_interval": 0, "besselJ": 2,
                  "besselj_eval": 2, "real_interval": 0, "complex_interval": 0,
-                 "kloosterman_float": 1, "interval": 0, "zeta_F_enclosure": 2}
+                 "kloosterman_float": 1, "interval": 0, "zeta_F_enclosure": 2,
+                 "from_fixed": 3}
 
 
 def _literal_precisions():
@@ -130,6 +131,13 @@ def test_no_literal_precision_in_src():
     # a precision is DEFAULT_PREC, ESTIMATE_PREC or the caller's argument,
     # never a number that drifts apart from them
     assert sorted(_literal_precisions()) == []
+
+
+def test_no_assert_in_src():
+    # python -O deletes assert statements, so a check in src/ raises instead
+    found = [f"{module} (line {node.lineno})" for module, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # the estimates that may read ESTIMATE_PREC: a bound read once per field and
