@@ -18,7 +18,6 @@ precondition error; 3 inconclusive certificate.
 from __future__ import annotations
 
 import json
-import os
 import random
 import re
 import sys
@@ -29,7 +28,6 @@ import mpmath
 from mpmath import iv
 
 from . import __version__
-from .cache import KloostermanStore
 from .errors import HPError
 from .field import make_field
 from .hecke import CoeffFunction, HeckeContext, check_multiplicativity, hecke_action, pairing
@@ -45,16 +43,8 @@ from .poincare import (CertifyBudget, PoincareParams, certify_nonvanishing,
 from .residues import DEFAULT_ENUM_BUDGET
 
 
-def _path_or_null(value):
-    """A click type for the config's cache_dir: a string, or null for none."""
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"{value!r} is not a string")
-    return value
-
-
 # the config keys, each with the click type that checks it there and as an option
 CONFIG_TYPES = {"residue_budget": click.IntRange(min=1), "precision": click.IntRange(min=1),
-                "cache_dir": click.types.FuncParamType(_path_or_null),
                 "format": click.Choice(["json", "csv", "table"])}
 
 
@@ -69,13 +59,13 @@ def parse_fraction(text: str) -> Fraction:
 class Settings:
     """What a command reads, popped from its arguments `kw`: each option it
     takes, else the config file, else the default.  A config key it does not
-    read is checked, then ignored: without --cache-dir it builds no store."""
+    read is checked, then ignored."""
 
     def __init__(self, kw):
         given = {name: kw.pop(name) for name in CONFIG_TYPES if name in kw}
         config_path = kw.pop("config_path")
         vals = {"residue_budget": DEFAULT_ENUM_BUDGET, "precision": DEFAULT_PREC,
-                "cache_dir": os.environ.get("POINCARE_CACHE_DIR"), "format": "json"}
+                "format": "json"}
         if config_path:
             with open(config_path, "r", encoding="utf-8") as fh:
                 try:
@@ -97,8 +87,6 @@ class Settings:
         self.residue_budget = vals["residue_budget"]
         self.precision = vals["precision"]
         self.format = vals["format"]
-        self.store = (KloostermanStore(vals["cache_dir"])
-                      if "cache_dir" in given and vals["cache_dir"] else None)
 
 
 _ELT_RE = re.compile(r"^\(?\s*(-?\d+)\s*(?:,\s*(-?\d+)\s*)?\)?\s*(?:/\s*(\d+))?$")
@@ -168,8 +156,6 @@ OPTIONS = {
                            help="output format (default json)"),
     "config_path": click.option("--config", "config_path", type=click.Path(exists=True),
                                 default=None, help="JSON config file"),
-    "cache_dir": click.option("--cache-dir", default=None,
-                              help="Kloosterman cache directory (env POINCARE_CACHE_DIR)"),
     "precision": click.option("--precision", type=CONFIG_TYPES["precision"], default=None,
                               help="interval bits"),
     "residue_budget": click.option("--residue-budget", type=CONFIG_TYPES["residue_budget"],
@@ -222,7 +208,7 @@ def cmd_field_info(d, **kw):
 
 
 @main.command("kloosterman")
-@common_options("cache_dir", "precision", "residue_budget")
+@common_options("precision", "residue_budget")
 @click.option("--nu", required=True)
 @click.option("--mu", required=True)
 @click.option("--c", "c_text", required=True)
@@ -234,7 +220,7 @@ def cmd_kloosterman(d, nu, mu, c_text, modulus, **kw):
     nu_e, mu_e, c_e = (parse_element(F, t) for t in (nu, mu, c_text))
     mod = parse_ideal(F, modulus) if modulus else principal_ideal(c_e)
     q = KloostermanQuery(F, nu_e, mu_e, mod, c_e)
-    val = kloosterman_exact(q, st.residue_budget, st.store)
+    val = kloosterman_exact(q, st.residue_budget)
     doc = {"query": q.to_json(),
            "exact": {"order": val.order,
                      "value_as_rational_if_real": val.as_int()}}
@@ -254,7 +240,7 @@ def _selberg_grid(F, qgen, size):
 
 
 @main.command("selberg-check")
-@common_options("cache_dir", "residue_budget")
+@common_options("residue_budget")
 @click.option("--max-norm-q", type=click.IntRange(min=1), default=200)
 @click.option("--grid", type=click.Choice(["small", "full"]), default="small")
 def cmd_selberg_check(d, max_norm_q, grid, **kw):
@@ -273,7 +259,7 @@ def cmd_selberg_check(d, max_norm_q, grid, **kw):
             for nu in _selberg_grid(F, g, grid):
                 for mu in _selberg_grid(F, g, grid):
                     rep = selberg_check(F, nu, mu, g, rings=rings,
-                                        enum_budget=st.residue_budget, store=st.store)
+                                        enum_budget=st.residue_budget)
                     outside = outside or rep.outside_hypotheses
                     if rep.holds is None:
                         skipped += 1
@@ -342,7 +328,7 @@ def cmd_weil_audit(d, samples, seed, **kw):
 
 
 @main.command("certify")
-@common_options("cache_dir", "precision", "residue_budget")
+@common_options("precision", "residue_budget")
 @click.option("--k", type=int, required=True)
 @click.option("--level", default="1")
 @click.option("--mu", "mu_text", required=True)
@@ -357,7 +343,7 @@ def cmd_certify(d, k, level, mu_text, eta, max_x, max_m, **kw):
     mu = parse_element(F, mu_text)
     cert = certify_nonvanishing(params, mu, CertifyBudget(max_x, max_m),
                                 eta, precision=st.precision,
-                                enum_budget=st.residue_budget, store=st.store)
+                                enum_budget=st.residue_budget)
     doc = cert.to_json()
     doc["ledger"] = effective_constants(F, eta).to_json()
     emit(doc, st.format)
@@ -389,7 +375,7 @@ def cmd_thresholds(d, k, level, eta, alpha, **kw):
 
 
 @main.command("recurrence")
-@common_options("cache_dir", "precision", "residue_budget")
+@common_options("precision", "residue_budget")
 @click.option("--k", type=int, required=True)
 @click.option("--nu", default="1")
 @click.option("--mu", default="1")
@@ -407,7 +393,7 @@ def cmd_recurrence(d, k, nu, mu, p_text, m, n, x_cut, big_m, level, **kw):
     rep = recurrence_check_cor45(
         params, parse_element(F, nu), parse_element(F, mu),
         parse_element(F, p_text), m, n, x_cut, big_m,
-        precision=st.precision, enum_budget=st.residue_budget, store=st.store)
+        precision=st.precision, enum_budget=st.residue_budget)
     emit({"status": rep.status, "lhs": iv_ends(rep.lhs), "rhs": iv_ends(rep.rhs),
           "shared_width": dec_str(rep.shared_width, True)}, st.format)
     if rep.status == "inconsistent":

@@ -177,20 +177,6 @@ class CyclotomicInteger:
                 acc_hi += v * lo
         return from_fixed(acc_lo, acc_hi, precision, precision + 16)
 
-    def to_json(self):
-        # raw (unreduced) coefficients: a stored value must reproduce fresh
-        # computation bit for bit, including interval renderings
-        return {"order": self.order,
-                "coeffs": {str(i): str(v) for i, v in enumerate(self.coeffs) if v}}
-
-    @classmethod
-    def from_json(cls, d):
-        order = int(d["order"])
-        c = [0] * order
-        for i, v in d["coeffs"].items():
-            c[int(i) % order] = int(v)
-        return cls(order, c)
-
 
 @lru_cache(maxsize=512)
 def _cos_table_fixed(M: int, precision: int):

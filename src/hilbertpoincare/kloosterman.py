@@ -84,17 +84,17 @@ _EXACT_CACHE_MAX = 200_000
 
 def kloosterman_exact(q: KloostermanQuery,
                       enum_budget: int = DEFAULT_ENUM_BUDGET,
-                      store=None, rings=None) -> CyclotomicInteger:
+                      rings=None) -> CyclotomicInteger:
     """Exact value in Z[zeta_M].  For the unit modulus the value is 1.
 
     The residue budget is checked before any lookup, so whether a sum is
-    refused does not depend on what was computed or stored earlier.
+    refused does not depend on what was computed earlier.
 
     `rings` maps `modulus.key()` to its `ResidueRing`.  It belongs to the
     caller's loop over one modulus (the 2M + 1 unit exponents of one class,
     the divisor terms of one q), so its unit enumeration is shared there and
     dropped when the loop ends.  With None, a ring lives for this call only.
-    Only a miss in the value cache and the store looks a ring up or builds one.
+    Only a miss in the value cache looks a ring up or builds one.
     """
     n = q.modulus.norm()
     if n == 1:
@@ -104,14 +104,7 @@ def kloosterman_exact(q: KloostermanQuery,
     key = q.cache_key()
     hit = _EXACT_CACHE.get(key)
     if hit is not None:
-        if store is not None:
-            store.put(key, hit)  # no-op if already persisted
         return hit
-    if store is not None:
-        stored = store.get(key)
-        if stored is not None:
-            _put_cache(key, stored)
-            return stored
     M = math.lcm(*(t.denominator for t in q.slopes))
     if rings is None:
         rings = {}
@@ -124,16 +117,10 @@ def kloosterman_exact(q: KloostermanQuery,
     for (u, v, ui, vi) in ring.unit_data():
         coeffs[(R1 * u + R2 * v + S1 * ui + S2 * vi) % M] += 1
     val = CyclotomicInteger(M, coeffs)
-    _put_cache(key, val)
-    if store is not None:
-        store.put(key, val)
-    return val
-
-
-def _put_cache(key, val):
     if len(_EXACT_CACHE) >= _EXACT_CACHE_MAX:
         _EXACT_CACHE.clear()
     _EXACT_CACHE[key] = val
+    return val
 
 
 def kloosterman_float(q: KloostermanQuery, precision: int,
@@ -210,7 +197,7 @@ def lemma41_value(field, p: Elt, eps1: Elt, eps2: Elt, r: Elt, e: int,
 @dataclass
 class IdentityReport:
     holds: bool | None           # None: skipped, the identity is not defined
-    lhs: CyclotomicInteger
+    lhs: CyclotomicInteger | None
     rhs: CyclotomicInteger | None
     outside_hypotheses: bool = False
 
@@ -222,7 +209,7 @@ def selberg_check(field, nu: Elt, mu: Elt, q: Elt, **kw) -> IdentityReport:
     generator choice does not affect the summands.  Fields without narrow
     class number one are reported as outside the identity's hypotheses.
     There (nu, mu, q) can have a non-principal divisor, and then the report
-    is skipped: `holds` and `rhs` are None.
+    is skipped before any sum is computed: `holds`, `lhs` and `rhs` are None.
     """
     delta = _require_delta(field)
     if q.is_zero() or not q.is_integral():
@@ -231,18 +218,20 @@ def selberg_check(field, nu: Elt, mu: Elt, q: Elt, **kw) -> IdentityReport:
         if not t.is_integral():
             raise PreconditionViolated("nu, mu must be integral")
     outside = not field.narrow_h1
-    lhs = principal_kloosterman(field, nu / delta, mu / delta, q, **kw)
-    gens = [g for g in (nu, mu, q) if not g.is_zero()]
-    gcd_ideal = ideal_from_generators(gens)
-    rhs = CyclotomicInteger.zero()
-    one_over_delta = field.one() / delta
+    gcd_ideal = ideal_from_generators([g for g in (nu, mu, q) if not g.is_zero()])
+    norm_gens = []   # (N(d), a generator g of d) for each divisor d of gcd_ideal
     for dd in divisors(gcd_ideal):
         g = is_principal(dd)
         if g is None:
-            return IdentityReport(None, lhs, None, outside)
+            return IdentityReport(None, None, None, outside)
+        norm_gens.append((dd.norm(), g))
+    lhs = principal_kloosterman(field, nu / delta, mu / delta, q, **kw)
+    rhs = CyclotomicInteger.zero()
+    one_over_delta = field.one() / delta
+    for n, g in norm_gens:
         term = principal_kloosterman(field, one_over_delta,
                                      (nu * mu) / (g * g) / delta, q / g, **kw)
-        rhs = rhs + dd.norm() * term
+        rhs = rhs + n * term
     return IdentityReport((lhs - rhs).is_zero(), lhs, rhs, outside)
 
 

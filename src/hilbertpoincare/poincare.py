@@ -185,7 +185,7 @@ class CoefficientEvaluator:
 
     def __init__(self, params: PoincareParams, nu: Elt, mu: Elt,
                  eta: Fraction = DEFAULT_ETA, precision: int = DEFAULT_PREC,
-                 enum_budget: int = DEFAULT_ENUM_BUDGET, store=None):
+                 enum_budget: int = DEFAULT_ENUM_BUDGET):
         F = params.field
         if not F.narrow_h1:
             raise PreconditionViolated(
@@ -204,7 +204,6 @@ class CoefficientEvaluator:
         self.eta = eta
         self.precision = precision
         self.enum_budget = enum_budget
-        self.store = store
         self.F = F
         self.k = params.k
         self.chi = chi_mu(nu, mu)
@@ -255,7 +254,7 @@ class CoefficientEvaluator:
             q = KloostermanQuery(F, self.nu, self._eps_mu[abs(j)][j < 0],
                                  modulus, c_elt)
             try:
-                s_re = kloosterman_exact(q, self.enum_budget, self.store,
+                s_re = kloosterman_exact(q, self.enum_budget,
                                          rings).real_interval(self.precision)
             except BudgetExceeded:
                 # over budget: S is a sum of phi(m) <= N(m) roots of unity
@@ -269,11 +268,9 @@ class CoefficientEvaluator:
         """One class's sum over |j| <= M, in `evaluate_together`'s order."""
         entry = self._terms.get(cls[3].key())
         done, acc = entry[2:] if entry and entry[2] <= M else (-1, None)
-        new = range(done + 1, M + 1)
-        # computed in ascending j, the order a store records new sums in
-        t = {j: self.term(cls, j, rings) for j in sorted({*new, *(-j for j in new)})}
-        for j in new:
-            group = t[j] + t[-j] if j else t[0]
+        for j in range(done + 1, M + 1):
+            group = (self.term(cls, j, rings) + self.term(cls, -j, rings) if j
+                     else self.term(cls, 0, rings))
             acc = group if acc is None else acc + group
         self._terms[cls[3].key()][2:] = [M, acc]
         return acc

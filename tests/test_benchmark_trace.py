@@ -35,7 +35,6 @@ def test_traced_workload_is_correct_and_predicted(workload, bench):
     run, workloads = bench
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(BENCH)]),
                BENCH_SRC=str(ROOT / "src"), PYTHONHASHSEED="0")
-    env.pop("POINCARE_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, str(BENCH / "child.py"), "--workload", workload,
                            "--seed", "12", "--trace", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)

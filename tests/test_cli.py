@@ -1,5 +1,4 @@
 import json
-import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -242,64 +241,6 @@ def test_hecke_check_cli():
     assert doc["symmetry_failures"] == 0 and doc["identity_failures"] == 0
 
 
-def test_cache_cold_warm_identical(tmp_path):
-    cache = str(tmp_path / "cache")
-    args = ["certify", "--d", "5", "--k", "8", "--mu", "1",
-            "--cache-dir", cache]
-    cold = run(args)
-    assert cold.exit_code == 0
-    assert os.path.exists(os.path.join(cache, "kloosterman-v1.jsonl"))
-    warm = run(args)
-    assert warm.output == cold.output
-
-
-def test_cache_corrupt_lines_tolerated(tmp_path):
-    cache = str(tmp_path / "cache")
-    args = ["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "1/delta",
-            "--c", "2", "--cache-dir", cache]
-    first = run(args)
-    path = os.path.join(cache, "kloosterman-v1.jsonl")
-    with open(path, "a") as fh:
-        fh.write("{this is not json\n")
-        fh.write('{"v":"v0","key":"old","val":{}}\n')
-    second = run(args)
-    assert second.output == first.output
-    from hilbertpoincare.cache import KloostermanStore
-    store = KloostermanStore(cache)
-    assert store.corrupt_lines == 2 and len(store) >= 1
-
-
-# v1 store lines hold raw (unreduced) coefficients; the first is
-# S(1/delta, 1/delta; 4 + omega) over Q(sqrt5)
-STORE_LINE_19 = ('{"v":"v1","key":"[5,[5,19,4,1],[5,19],[18,19],[5,19],[18,19]]",'
-                 '"val":{"order":19,"coeffs":{"3":"2","4":"2","5":"2","7":"2","9":"1",'
-                 '"10":"1","12":"2","14":"2","15":"2","16":"2"}}}')
-STORE_LINE_2 = ('{"v":"v1","key":"[5,[5,2,0,2],[1,2],[0,1],[0,1],[0,1]]",'
-                '"val":{"order":2,"coeffs":{"0":"1","1":"2"}}}')
-
-
-def test_store_lines_keep_their_format(tmp_path):
-    cache = str(tmp_path / "cache")
-    args = ["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "1/delta",
-            "--c", "(4,1)", "--cache-dir", cache]
-    fresh = run(args)
-    assert fresh.exit_code == 0
-    path = os.path.join(cache, "kloosterman-v1.jsonl")
-    with open(path, encoding="utf-8") as fh:
-        assert fh.read() == STORE_LINE_19 + "\n"
-    old = str(tmp_path / "old")
-    os.makedirs(old)
-    with open(os.path.join(old, "kloosterman-v1.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(STORE_LINE_19 + "\n" + STORE_LINE_2 + "\n")
-    from hilbertpoincare.cache import KloostermanStore
-    store = KloostermanStore(old)
-    assert store.corrupt_lines == 0 and len(store) == 2
-    # the order-2 value is stored unreduced: 1 + 2*(-1) = -1
-    assert [v.coeffs for v in store._mem.values()] == [
-        [0, 0, 0, 2, 2, 2, 0, 2, 0, 1, 1, 0, 2, 0, 2, 2, 2, 0, 0], [1, 2]]
-    assert run(args[:-1] + [old]).output == fresh.output
-
-
 def test_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"precision": 80, "format": "json"}))
@@ -310,15 +251,6 @@ def test_config_file(tmp_path):
     r2 = CliRunner().invoke(main, ["field-info", "--d", "5",
                                    "--config", str(bad)])
     assert r2.exit_code == 2
-
-
-def test_env_cache_dir(tmp_path, monkeypatch):
-    cache = str(tmp_path / "envcache")
-    monkeypatch.setenv("POINCARE_CACHE_DIR", cache)
-    r = run(["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "0",
-             "--c", "2"])
-    assert r.exit_code == 0
-    assert os.path.exists(os.path.join(cache, "kloosterman-v1.jsonl"))
 
 
 def test_csv_format():
@@ -405,9 +337,10 @@ def test_residue_budget_below_1_exits_2(args):
     assert "residue-budget" in _usage_error(args)
 
 
-@pytest.mark.parametrize("text", ["{bad", "5", "null", "[]", '{"cache_dir": 5}'])
+@pytest.mark.parametrize("text", ["{bad", "5", "null", "[]", '{"cache_dir": 5}',
+                                  '{"cache_dir": "dir"}'])
 def test_malformed_config_file_exits_2(tmp_path, text):
-    # not JSON, not an object, or a cache_dir that is not a path
+    # not JSON, not an object, or a key no command reads, such as cache_dir
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = _usage_error(["field-info", "--d", "5", "--config", str(cfg)])
@@ -435,7 +368,7 @@ FIELD_INFO = ["field-info", "--d", "5"]
 SELBERG = ["selberg-check", "--d", "5", "--max-norm-q", "10"]
 WEIL = ["weil-audit", "--d", "5", "--samples", "5"]
 HECKE = ["hecke-check", "--d", "5", "--samples", "5"]
-OPTION_VALUES = {"--cache-dir": None, "--precision": "80", "--residue-budget": "100000"}
+OPTION_VALUES = {"--cache-dir": "dir", "--precision": "80", "--residue-budget": "100000"}
 
 
 @pytest.mark.parametrize("args, option", [
@@ -444,64 +377,25 @@ OPTION_VALUES = {"--cache-dir": None, "--precision": "80", "--residue-budget": "
     (THRESHOLDS, "--cache-dir"), (THRESHOLDS, "--precision"),
     (THRESHOLDS, "--residue-budget"), (HECKE, "--cache-dir"),
     (HECKE, "--precision"), (HECKE, "--residue-budget"),
+    (KLOOSTERMAN, "--cache-dir"), (SELBERG, "--cache-dir"), (CERTIFY, "--cache-dir"),
+    (RECURRENCE, "--cache-dir"),
 ])
-def test_option_a_command_does_not_read_exits_2(tmp_path, args, option):
-    value = OPTION_VALUES[option] or str(tmp_path)
-    assert "No such option" in _usage_error(args + [option, value])
+def test_option_a_command_does_not_read_exits_2(args, option):
+    assert "No such option" in _usage_error(args + [option, OPTION_VALUES[option]])
 
 
+# in an order that keeps each case's parametrize id
 @pytest.mark.parametrize("args, option", [
-    (FIELD_INFO, "--precision"),
-    (KLOOSTERMAN, "--cache-dir"), (KLOOSTERMAN, "--precision"),
-    (KLOOSTERMAN, "--residue-budget"),
-    (SELBERG, "--cache-dir"), (SELBERG, "--residue-budget"),
+    (FIELD_INFO, "--precision"), (CERTIFY, "--residue-budget"),
+    (KLOOSTERMAN, "--precision"), (KLOOSTERMAN, "--residue-budget"),
+    (RECURRENCE, "--precision"), (SELBERG, "--residue-budget"),
     (WEIL, "--precision"), (WEIL, "--residue-budget"),
-    (CERTIFY, "--cache-dir"), (CERTIFY, "--precision"), (CERTIFY, "--residue-budget"),
-    (RECURRENCE, "--cache-dir"), (RECURRENCE, "--precision"),
-    (RECURRENCE, "--residue-budget"),
+    (RECURRENCE, "--residue-budget"), (CERTIFY, "--precision"),
 ])
-def test_option_a_command_reads_is_accepted(tmp_path, args, option):
-    value = OPTION_VALUES[option] or str(tmp_path)
-    r = run(args + [option, value])
+def test_option_a_command_reads_is_accepted(args, option):
+    r = run(args + [option, OPTION_VALUES[option]])
     assert r.exit_code in (0, 3), r.output
     json.loads(r.output)
-    if option == "--cache-dir":
-        assert os.path.exists(os.path.join(value, "kloosterman-v1.jsonl"))
-
-
-@pytest.mark.parametrize("args", [KLOOSTERMAN, SELBERG])
-@pytest.mark.parametrize("below", ["", "sub"])
-def test_cache_dir_that_cannot_be_a_directory_exits_2(tmp_path, args, below):
-    # an existing file, or a path under one; a directory without write
-    # permission is not tested, because root may write anywhere
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    out = _usage_error(args + ["--cache-dir", str(blocker / below)])
-    assert "cache dir" in out and "Traceback" not in out
-
-
-def test_store_that_cannot_append_raises_package_error(tmp_path):
-    from hilbertpoincare.cache import KloostermanStore
-    from hilbertpoincare.cyclotomic import CyclotomicInteger
-    from hilbertpoincare.errors import HPError
-    store = KloostermanStore(str(tmp_path))
-    os.mkdir(store.path)   # the store file's name is taken after opening
-    with pytest.raises(HPError, match="cache dir"):
-        store.put(("key",), CyclotomicInteger.one())
-
-
-def test_commands_without_cache_dir_build_no_store(tmp_path, monkeypatch):
-    # neither the environment nor a config cache_dir makes them load a store
-    def refuse(path):
-        raise AssertionError(f"store built at {path}")
-
-    monkeypatch.setattr(cli, "KloostermanStore", refuse)
-    monkeypatch.setenv("POINCARE_CACHE_DIR", str(tmp_path))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cache_dir": str(tmp_path)}))
-    for args in (FIELD_INFO, THRESHOLDS, HECKE, WEIL):
-        assert run(args).exit_code == 0, args
-        assert run(args + ["--config", str(cfg)]).exit_code == 0, args
 
 
 def _exact(x):

@@ -138,13 +138,6 @@ def test_cos_tables_match_direct_loop(precision):
         assert _cos_table_fixed(M, precision) == (los[:M // 2 + 1], his[:M // 2 + 1]), M
 
 
-def test_json_roundtrip():
-    x = zeta(12, 7) + zeta(12, 1) * 4 - 2
-    d = x.to_json()
-    y = CyclotomicInteger.from_json(d)
-    assert (x - y).is_zero()
-
-
 def test_additive_character_examples(F5):
     one_over_delta = F5.one() / F5.delta
     assert one_over_delta.trace() == 1

@@ -62,7 +62,7 @@ def _outputs():
     from click.testing import CliRunner
 
     from hilbertpoincare.cli import main
-    runner = CliRunner(env={"POINCARE_CACHE_DIR": None})
+    runner = CliRunner()
     out = {}
     for key, argv in _commands():
         r = runner.invoke(main, argv)
@@ -113,7 +113,7 @@ def _draws(monkeypatch, argv):
 
     monkeypatch.setattr(cli, "KloostermanQuery", record_query)
     monkeypatch.setattr(cli, "pairing", record_pairing)
-    r = CliRunner(env={"POINCARE_CACHE_DIR": None}).invoke(cli.main, argv)
+    r = CliRunner().invoke(cli.main, argv)
     return r.exit_code, draws
 
 

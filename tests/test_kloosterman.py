@@ -115,7 +115,7 @@ def test_integer_slopes_match_fraction_traces(d):
 
 
 def test_cache_keys_pinned():
-    # the store is keyed by these tuples: (d, modulus key, four reduced slopes)
+    # the value cache is keyed by these tuples: (d, modulus key, four reduced slopes)
     F5, F2, F13 = make_field(5), make_field(2), make_field(13)
     q = KloostermanQuery(F5, F5.one() / F5.delta, F5.one() / F5.delta,
                          principal_ideal(F5.from_int(2)), F5.from_int(2))
@@ -248,6 +248,19 @@ def test_selberg_outside_hypotheses_flag(F3):
     assert rep.holds is None and rep.rhs is None and rep.outside_hypotheses
     F5 = make_field(5)
     assert not selberg_check(F5, F5.one(), F5.one(), F5.from_int(2)).outside_hypotheses
+
+
+def test_skipped_selberg_triple_computes_no_sum(monkeypatch):
+    # the divisors' generators are resolved before the left-hand side, so a
+    # triple with a non-principal divisor sums nothing
+    calls = []
+    monkeypatch.setattr(kloosterman, "kloosterman_exact",
+                        lambda *args, **kw: calls.append(args))
+    F10 = make_field(10)
+    two = F10.from_int(2)
+    rep = selberg_check(F10, two, two, two)
+    assert rep.holds is None and rep.lhs is None and rep.rhs is None
+    assert calls == []
 
 
 def test_cor43_examples(F5):

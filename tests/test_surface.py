@@ -140,6 +140,24 @@ def test_no_assert_in_src():
     assert found == []
 
 
+def test_src_reads_no_environment():
+    # every setting is an option or a config key, never a hidden variable:
+    # no os.environ, os.getenv or a bare environ / getenv imported from os
+    env = {"environ", "environb", "getenv", "getenvb"}
+
+    def names(node):
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.ImportFrom):
+            return {alias.name for alias in node.names}
+        return set()
+    found = [f"{module} (line {node.lineno})" for module, tree in _trees().items()
+             for node in ast.walk(tree) if names(node) & env]
+    assert found == []
+
+
 # the estimates that may read ESTIMATE_PREC: a bound read once per field and
 # the Bessel envelope.  An exact choice is never decided from a float estimate.
 ESTIMATE_READERS = {"field.RealQuadraticField.A_hi", "bessel.envelope"}
