@@ -16,7 +16,10 @@ running sum per residue mod M/p for each p.
 A value becomes an interval in one way: its coefficients are summed in
 integers against a fixed-point table of outward-rounded 2^precision *
 cos(2 pi j / M) for j <= M/2, one per order and precision, with w[j] + w[M - j]
-folded onto entry j.  The imaginary part is Re(-i v), and v * zeta_4^3 = -i v
+folded onto entry j.  The table is the real parts of the powers of one
+rotation exp(2 pi i / M), enclosed once by iv.cos/iv.sin and multiplied out
+in integers as a midpoint with a radius that grows by a proven bound a step
+(_cos_table_fixed).  The imaginary part is Re(-i v), and v * zeta_4^3 = -i v
 lifts v to order lcm(M, 4) and rotates its coefficients by a quarter turn.  It
 is an exact 0 when w[j] = w[M - j] for all j, as for every Kloosterman sum.
 """
@@ -180,14 +183,39 @@ class CyclotomicInteger:
 
 @lru_cache(maxsize=512)
 def _cos_table_fixed(M: int, precision: int):
-    """Integer bounds 2^precision * cos(2 pi j / M) for 0 <= j <= M/2,
-    rounded outward: the fixed-point form of cosines enclosed at
-    precision + 32 bits."""
-    los, his = [0] * (M // 2 + 1), [0] * (M // 2 + 1)
-    with prec_guard(precision + 32):
-        two_pi = 2 * iv.pi
-        for j in range(M // 2 + 1):
-            los[j], his[j] = fixed_iv(iv.cos(two_pi * iv.mpf(j) / iv.mpf(M)), precision)
+    """Integer bounds on 2^precision * cos(2 pi j / M) for 0 <= j <= M/2,
+    rounded outward and at most 2 apart: the real parts of the powers of one
+    rotation, each a fixed-point midpoint with a tracked radius.
+
+    Let W = precision + g (wp below) with g = 40 + bitlen(M), let
+    z = exp(2 pi i / M) and u_j = 2^W z^j.  The midpoint z~_1 of one iv.cos/iv.sin enclosure of z at
+    scale 2^W has |z~_1 - u_1| <= e_1, the two half-widths added.  The next
+    power z~_(j+1) = floor(Re z~_j z~_1 / 2^W) + i floor(Im z~_j z~_1 / 2^W)
+    has |z~_(j+1) - u_(j+1)| <= e_(j+1) = e_j + e_1 + 3 + floor(e_j e_1 / 2^W),
+    because z~_j z~_1 - u_j u_1 = (z~_j - u_j) z~_1 + u_j (z~_1 - u_1) with
+    |z~_1| <= 2^W + e_1 and |u_j| = 2^W is at most e_j (2^W + e_1) + 2^W e_1,
+    and the two floors add less than 2 in modulus.  So Re z~_j - e_j and
+    Re z~_j + e_j bound 2^W cos(2 pi j / M); shifted down by g bits, floor
+    below and ceiling above, they give entry j, clipped to +-2^precision.
+    The radius grows by e_1 + 3 a step (e_1 <= 2 when the enclosures are
+    narrower than one unit), so e_j <= 5 M / 2 for j <= M/2, under 2^-38
+    units of 2^-precision after the shift: entry j is the floor and the
+    ceiling of two points less than 1 apart, hence at most 2 apart.  Entry 0
+    is 2^precision exactly."""
+    g = 40 + M.bit_length()
+    wp, one = precision + g, 1 << precision
+    with prec_guard(wp + 8):                  # enclosures under one unit wide
+        theta = 2 * iv.pi / M
+        (a, b), (c, d) = fixed_iv(iv.cos(theta), wp), fixed_iv(iv.sin(theta), wp)
+    x1, y1 = (a + b) >> 1, (c + d) >> 1
+    e1 = (b - x1) + (d - y1)                  # b - x1 >= x1 - a, and likewise d
+    los, his = [one], [one]
+    x, y, e = x1, y1, e1
+    for _ in range(M // 2):
+        los.append(max((x - e) >> g, -one))
+        his.append(min(-(-(x + e) >> g), one))
+        x, y = (x * x1 - y * y1) >> wp, (x * y1 + y * x1) >> wp
+        e += e1 + 3 + (e * e1 >> wp)
     return tuple(los), tuple(his)
 
 

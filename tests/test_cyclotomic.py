@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -129,13 +130,36 @@ def test_complex_interval_contains_direct_sum(precision):
         assert hi(re) - lo(re) <= bound and hi(im) - lo(im) <= bound, M
 
 
-@pytest.mark.parametrize("precision", (64, 96))
+@pytest.mark.parametrize("precision", (64, 96, 200))
 def test_cos_tables_match_direct_loop(precision):
-    # 295 and 395 are the largest orders the certify and recurrence
-    # workloads reach; the half table is the direct loop's j <= M/2
+    # 101, 395 and 59 are the largest orders the certify, recurrence and
+    # weil workloads reach, and 295 one that earlier certify ladders reached;
+    # the half table is the direct loop's j <= M/2
     for M in list(range(1, 121)) + [295, 395]:
         los, his = cos_table_direct(M, precision)
         assert _cos_table_fixed(M, precision) == (los[:M // 2 + 1], his[:M // 2 + 1]), M
+
+
+@pytest.mark.parametrize("precision", (64, 96, 200))
+def test_cos_tables_at_large_orders(precision):
+    # the rotation's radius grows with j, so test far entries of orders
+    # where the direct loop is too slow to compare the whole table
+    rng = random.Random(precision)
+    for M in (3839, 10291, 15356):
+        los, his = _cos_table_fixed(M, precision)
+        assert len(los) == len(his) == M // 2 + 1
+        for j in [0, 1, M // 4, M // 2] + [rng.randint(0, M // 2) for _ in range(64)]:
+            with mpmath.workprec(precision + 64):
+                truth = mpmath.ldexp(mpmath.cospi(mpmath.mpf(2 * j) / M), precision)
+                assert los[j] <= truth <= his[j], (M, j)
+            assert his[j] - los[j] <= 2, (M, j)
+
+
+def test_cos_table_at_a_large_order_is_fast():
+    # the order of kloosterman --d 5 --nu 1/delta --mu 1/delta --c "(100,3)"
+    start = time.perf_counter()
+    _cos_table_fixed.__wrapped__(10291, 96)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_additive_character_examples(F5):
