@@ -13,12 +13,14 @@ zeta_d^(M/p) is a p-th root of unity, so T_p acts as p when d | M/p and as
 the zeta_M factor and as 0 on every other factor.  The projection costs one
 running sum per residue mod M/p for each p.
 
-A value becomes an interval in one way: its coefficients are summed in
-integers against a fixed-point table of outward-rounded 2^precision *
-cos(2 pi j / M) for j <= M/2, one per order and precision, with w[j] + w[M - j]
-folded onto entry j.  The table is the real parts of the powers of one
-rotation exp(2 pi i / M), enclosed once by iv.cos/iv.sin and multiplied out
-in integers as a midpoint with a radius that grows by a proven bound a step
+A value is enclosed in one way: its coefficients are summed in integers
+against a fixed-point table of outward-rounded 2^precision * cos(2 pi j / M)
+for j <= M/2, one per order and precision, with w[j] + w[M - j] folded onto
+entry j.  `real_interval` hands back those integer bounds, for a coefficient
+term to multiply on in integers; `complex_interval` converts them to
+intervals.  The table is the real parts of the powers of one rotation
+exp(2 pi i / M), enclosed once by iv.cos/iv.sin and multiplied out in
+integers as a midpoint with a radius that grows by a proven bound a step
 (_cos_table_fixed).  The imaginary part is Re(-i v), and v * zeta_4^3 = -i v
 lifts v to order lcm(M, 4) and rotates its coefficients by a quarter turn.  It
 is an exact 0 when w[j] = w[M - j] for all j, as for every Kloosterman sum.
@@ -156,18 +158,20 @@ class CyclotomicInteger:
     # -- numerics ---------------------------------------------------------------
     def complex_interval(self, precision: int):
         """(re, im) interval enclosure of the complex value (module docstring)."""
-        w, re = self.coeffs, self._cos_sum(precision)
+        w, re = self.coeffs, from_fixed(*self._cos_sum(precision), precision, precision + 16)
         if w[1:] == w[:0:-1]:   # w[j] = w[M - j]: the value is real
             return re, iv.mpf(0)
-        return re, (self * CyclotomicInteger.root_of_unity(4, 3))._cos_sum(precision)
+        im = (self * CyclotomicInteger.root_of_unity(4, 3))._cos_sum(precision)
+        return re, from_fixed(*im, precision, precision + 16)
 
     def real_interval(self, precision: int):
-        """Enclosure of the real part, from the fixed-point cosine table."""
+        """Integer bounds (lo, hi) on 2^precision times the real part, from
+        the fixed-point cosine table."""
         return self._cos_sum(precision)
 
     def _cos_sum(self, precision: int):
-        """Enclosure of sum_j v_j cos(2 pi j / M), with v_j + v_{M-j} folded
-        onto entry 0 < j < M/2 of the half table; exact integer arithmetic."""
+        """Integer bounds on 2^precision * sum_j v_j cos(2 pi j / M), with
+        v_j + v_{M-j} folded onto entry 0 < j < M/2 of the half table."""
         M, w = self.order, self.coeffs
         acc_lo = acc_hi = 0
         for j, (lo, hi) in enumerate(zip(*_cos_table_fixed(M, precision))):
@@ -178,7 +182,7 @@ class CyclotomicInteger:
             elif v < 0:
                 acc_lo += v * hi
                 acc_hi += v * lo
-        return from_fixed(acc_lo, acc_hi, precision, precision + 16)
+        return acc_lo, acc_hi
 
 
 @lru_cache(maxsize=512)

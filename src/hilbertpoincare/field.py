@@ -149,22 +149,22 @@ class Elt:
         return Fraction(self.a * self.a + self.a * self.b * F.c1 - self.b * self.b * F.c0,
                         self.den * self.den)
 
-    def _sqrt_form(self, embedding: int):
-        """(A, B) with sigma_i(self) = (A + B*sqrt(d)) / (2*den or den)."""
+    def sqrt_form(self, embedding: int):
+        """(A, B, q) with sigma_i(self) = (A + B*sqrt(d)) / q, q = 2*den or den."""
         F = self.field
         if F.basis_kind == "sqrt":
-            A, B = self.a, self.b
+            A, B, q = self.a, self.b, self.den
         else:
-            A, B = 2 * self.a + self.b, self.b
+            A, B, q = 2 * self.a + self.b, self.b, 2 * self.den
         if embedding == 2:
             B = -B
-        return A, B
+        return A, B, q
 
     def sign_at(self, embedding: int) -> int:
         """Exact sign of sigma_i(self); 0 only for the zero element."""
         if self.is_zero():
             return 0
-        A, B = self._sqrt_form(embedding)
+        A, B, _ = self.sqrt_form(embedding)
         return _sign_a_plus_b_sqrt(A, B, self.field.d)
 
     def is_totally_positive(self) -> bool:
@@ -178,9 +178,8 @@ class Elt:
             sq = iv.sqrt(iv.mpf(self.field.d))
             out = []
             for emb in (1, 2):
-                A, B = self._sqrt_form(emb)
-                denom = self.den * (2 if self.field.basis_kind == "half" else 1)
-                out.append((iv.mpf(A) + iv.mpf(B) * sq) / iv.mpf(denom))
+                A, B, q = self.sqrt_form(emb)
+                out.append((iv.mpf(A) + iv.mpf(B) * sq) / iv.mpf(q))
             return tuple(out)
 
     def to_json(self):

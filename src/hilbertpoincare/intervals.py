@@ -1,9 +1,12 @@
 """Thin helpers over mpmath's interval arithmetic.
 
-All rigorous real enclosures in this package are mpmath ``iv.mpf`` values.
-mpmath rounds interval endpoints outward, so any sequence of interval
-operations started from exact inputs yields a true enclosure.  These helpers
-centralize exact-rational conversion, endpoint extraction and rendering.
+A rigorous real enclosure in this package is an mpmath ``iv.mpf`` value or,
+inside the integer kernels (the Bessel series, the cosine tables, the terms
+of a coefficient), integer bounds in fixed point (below).  mpmath rounds
+interval endpoints outward, so any sequence of interval operations started
+from exact inputs yields a true enclosure; the fixed-point helpers round each
+end in its own direction.  These helpers centralize exact-rational
+conversion, endpoint extraction, the fixed-point formats and rendering.
 
 mpmath keeps the working precision as process state, in two contexts: ``iv``
 for intervals and ``mp`` for the plain mpfs that endpoint arithmetic (``abs``,
@@ -140,6 +143,64 @@ def from_fixed(a: int, b: int, wp: int, precision: int):
     bits."""
     return iv.make_mpf((from_man_exp(a, -wp, precision, round_floor),
                         from_man_exp(b, -wp, precision, round_ceiling)))
+
+
+# A scaled fixed-point value carries its scale: (lo, hi, w) bounds 2^w times
+# it.  The exact_ helpers lose nothing; the scaled_ ones keep about `bits`
+# bits, rounding each end outward.
+
+def scaled_iv(x, bits: int):
+    """(lo, hi, w) for the positive interval x, rounded outward, with w chosen
+    so that hi has about `bits` bits whatever the magnitude of x."""
+    _, man, exp, bc = x._mpi_[1]
+    w = bits - exp - bc
+    return (*fixed_iv(x, w), w)
+
+
+def scaled_mul(x, y, bits: int):
+    """x * y for nonnegative triples, shifted down to about `bits` bits with
+    the lower end floored and the upper end ceiled: the result gains at most
+    one unit at its scale on each side."""
+    (a, b, u), (c, d, v) = x, y
+    lo, hi = a * c, b * d
+    s = max(hi.bit_length() - bits, 0)
+    return lo >> s, -(-hi >> s), u + v - s
+
+
+def scaled_div(x, y, bits: int):
+    """x / y for positive triples, to about `bits` bits with the lower end
+    floored and the upper end ceiled: at most one unit lost on each side."""
+    (a, b, u), (c, d, v) = x, y
+    s = bits + c.bit_length() - b.bit_length() + 1
+    return floor_ceil(a, s, d)[0], floor_ceil(b, s, c)[1], u - v + s
+
+
+def exact_mul(x, y):
+    """x * y for triples of any signs, exactly: the hull of the four end
+    products, at the sum of the scales."""
+    (a, b, u), (c, d, v) = x, y
+    p = (a * c, a * d, b * c, b * d)
+    return min(p), max(p), u + v
+
+
+def exact_add(x, y):
+    """x + y for triples, exactly: the coarser one is shifted up to the finer
+    scale."""
+    (a, b, u), (c, d, v) = x, y
+    if u < v:
+        a, b, u = a << (v - u), b << (v - u), v
+    elif v < u:
+        c, d = c << (u - v), d << (u - v)
+    return a + c, b + d, u
+
+
+def quotient_iv(x, q: Fraction, precision: int):
+    """The triple x divided by the rational q > 0, as an interval: floor
+    below and ceiling above at x's scale (under one unit lost), then each end
+    rounded outward to `precision` bits."""
+    a, b, w = x
+    num, den = q.as_integer_ratio()
+    return from_fixed(a * den // num, -(-b * den // num), w, precision)
 
 
 def iv_max(x, y):

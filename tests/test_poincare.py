@@ -7,8 +7,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import iv, mp
+from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from hilbertpoincare import kloosterman, poincare
+from hilbertpoincare.bessel import BesselEval
 from hilbertpoincare.errors import MembershipViolated, PreconditionViolated
 from hilbertpoincare.field import RealQuadraticField, make_field
 from hilbertpoincare.hecke import HeckeContext
@@ -27,7 +29,8 @@ from hilbertpoincare.poincare import (CertifyBudget, CoefficientEvaluator,
                                       threshold_cor33, threshold_thm32,
                                       threshold_thm35, zeta_F_enclosure)
 
-from oracles import poincare_truncated_oracle, zeta_F_mpmath, zeta_F_partial_sum
+from oracles import (fixed_fractions, poincare_truncated_oracle, zeta_F_mpmath,
+                     zeta_F_partial_sum)
 
 
 def small_totally_positive(F, rng, bound=6):
@@ -241,10 +244,10 @@ def test_over_budget_terms_take_trivial_bound(F5):
     widened = 0
     for cls in full.classes_upto(150):
         for j in (-1, 0, 1):
-            b = capped.term(cls, j)
-            a = full.term(cls, j)
-            assert lo(b) <= lo(a) and hi(a) <= hi(b)
-            widened += cls[3].norm() > 10 and hi(b) - lo(b) > hi(a) - lo(a)
+            b_lo, b_hi = fixed_fractions(capped.term(cls, j))
+            a_lo, a_hi = fixed_fractions(full.term(cls, j))
+            assert b_lo <= a_lo and a_hi <= b_hi
+            widened += cls[3].norm() > 10 and b_hi - b_lo > a_hi - a_lo
     assert widened > 0
     assert capped.evaluate(150, 1).tail == full.evaluate(150, 1).tail
 
@@ -252,7 +255,8 @@ def test_over_budget_terms_take_trivial_bound(F5):
 def test_evaluate_shares_one_ring_per_class(F5, monkeypatch):
     # each class's 2M + 1 sums share one ring, built at most once and dead
     # before the next class builds its own; the finite part is bit-identical
-    # to terms summed with a fresh ring per call, in the same j-outward order
+    # to terms computed with a fresh ring per call, each class's summed
+    # exactly, divided by its norm and rounded outward once
     monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
     built = []
     real = kloosterman.residue_ring
@@ -282,10 +286,11 @@ def test_evaluate_shares_one_ring_per_class(F5, monkeypatch):
     with prec_guard(ev2.precision):
         acc = iv.mpf(0)
         for cls in ev2.classes_upto(200):
-            part = ev2.term(cls, 0)
-            for j in range(1, 4):
-                part += ev2.term(cls, j) + ev2.term(cls, -j)
-            acc += part
+            ends = [fixed_fractions(ev2.term(cls, j)) for j in range(-3, 4)]
+            part = [sum(end) / Fraction(cls[1]) for end in zip(*ends)]
+            acc += iv.make_mpf(tuple(from_rational(q.numerator, q.denominator,
+                                                   ev2.precision, rnd)
+                                     for q, rnd in zip(part, (round_floor, round_ceiling))))
         finite = ev2.prefactor() * acc
     assert (lo(finite), hi(finite)) == (lo(val.finite_part), hi(val.finite_part))
 
@@ -345,24 +350,30 @@ def test_recurrence_builds_one_ring_per_modulus(F5, monkeypatch):
 @pytest.mark.parametrize("precision", [64, 96])
 def test_bessel_arguments_from_powers_of_A(d, mu, precision, monkeypatch):
     # x_i(j) = g_i A^(+-j) / |s_i(c)| must contain the arguments embedded
-    # directly from nu eps_plus^j mu, here at 200 bits
+    # directly from nu eps_plus^j mu, here to 200 bits: the small embedding
+    # of eps_plus^j cancels about twice the bit length of its coordinates,
+    # so the working precision adds that much
     F = make_field(d)
     nu, mu = F.one(), F.elt(*mu)
     args = []
-    monkeypatch.setattr(poincare, "besselJ",
-                        lambda order, x, prec: args.append(x) or iv.mpf([-1, 1]))
+    monkeypatch.setattr(poincare, "besselj_eval",
+                        lambda order, x, prec: args.append(x) or BesselEval((-1, 1, 0), False))
     ev = CoefficientEvaluator(PoincareParams(F, 8), nu, mu, precision=precision)
     for cls in ev.classes_upto(30):
         c1, c2 = cls[2].embeddings(200)
         for j in range(-12, 13):
             del args[:]
             ev.term(cls, j)
-            with prec_guard(200):
-                z1, z2 = (nu * F.eps_plus ** j * mu).embeddings(200)
+            z = nu * F.eps_plus ** j * mu
+            bits = 200 + 2 * max(abs(z.a), abs(z.b)).bit_length()
+            with prec_guard(bits):
+                z1, z2 = z.embeddings(bits)
                 direct = (4 * iv.pi * iv.sqrt(z1) / abs(c1),
                           4 * iv.pi * iv.sqrt(z2) / abs(c2))
             for x, y in zip(args, direct):
-                assert lo(x) <= lo(y) and hi(y) <= hi(x), (cls[3], j)
+                x_lo, x_hi = fixed_fractions(x)
+                y_lo, y_hi = (Fraction(*to_rational(e)) for e in y._mpi_)
+                assert x_lo <= y_lo and y_hi <= x_hi, (cls[3], j)
 
 
 def test_ladder_order_is_bit_identical(F5):
