@@ -35,7 +35,7 @@ from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
                      ideal_product, ideal_sum, ideals_of_norm, is_principal,
                      principal_ideal, unit_ideal)
 from .intervals import DEFAULT_PREC, dec_str, hi, iv_ends, iv_str, prec_guard
-from .kloosterman import (KloostermanQuery, kloosterman_exact,
+from .kloosterman import (KloostermanQuery, SelbergTable, kloosterman_exact,
                           kloosterman_float, selberg_check, weil_bound)
 from .poincare import (CertifyBudget, PoincareParams, certify_nonvanishing,
                        effective_constants, recurrence_check_cor45,
@@ -255,10 +255,10 @@ def cmd_selberg_check(d, max_norm_q, grid, **kw):
             g = is_principal(idl)
             if g is None:
                 continue
-            rings = {}   # O/(q) and its quotients, shared by q's grid
+            table = SelbergTable(F, g)   # q's divisors, rings and terms, shared by its grid
             for nu in _selberg_grid(F, g, grid):
                 for mu in _selberg_grid(F, g, grid):
-                    rep = selberg_check(F, nu, mu, g, rings=rings,
+                    rep = selberg_check(F, nu, mu, g, table=table,
                                         enum_budget=st.residue_budget)
                     outside = outside or rep.outside_hypotheses
                     if rep.holds is None:

@@ -66,6 +66,17 @@ class CyclotomicInteger:
         c[power % order] = 1
         return cls(order, c)
 
+    @classmethod
+    def combination(cls, terms):
+        """sum of n * v over the pairs (n, v), in one coefficient list at the
+        lcm of the orders."""
+        M = math.lcm(*(v.order for _, v in terms))
+        c = [0] * M
+        for n, v in terms:
+            k = M // v.order
+            c[::k] = [a + n * x for a, x in zip(c[::k], v.coeffs)]
+        return cls(M, c)
+
     # -- arithmetic ---------------------------------------------------------
     def lift(self, M: int) -> "CyclotomicInteger":
         """Rewrite in Z[x]/(x^M - 1) for a multiple M of the order."""

@@ -294,12 +294,14 @@ def valuation_elt(x: Elt, pr: IdealHNF) -> int:
 
 
 def divisors(x: IdealHNF):
-    """All integral divisors, sorted by norm then canonical form."""
-    fac = factor_ideal(x)
+    """All integral divisors, sorted by norm then canonical form; each is one
+    ideal product of a smaller divisor and a prime."""
     out = [unit_ideal(x.field)]
-    for pr, e in fac:
-        powers = [ideal_pow(pr, i) for i in range(e + 1)]
-        out = [ideal_product(d, pw) for d in out for pw in powers]
+    for pr, e in factor_ideal(x):
+        layer = out
+        for _ in range(e):
+            layer = [ideal_product(d, pr) for d in layer]
+            out = out + layer
     out.sort(key=lambda i: i.sort_key())
     return out
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cyclotomic import CyclotomicInteger
 from .errors import BudgetExceeded, MembershipViolated, PreconditionViolated
 from .field import Elt
-from .ideals import (IdealHNF, divisors, ideal_from_generators, is_prime_element,
+from .ideals import (IdealHNF, divisors, ideal_exact_divide, is_prime_element,
                      is_principal, N_nu_mu, pr_count, principal_ideal)
 from .intervals import iv_from_fraction, iv_sqrt_fraction, prec_guard
 from .residues import DEFAULT_ENUM_BUDGET, residue_ring
@@ -202,7 +202,64 @@ class IdentityReport:
     outside_hypotheses: bool = False
 
 
-def selberg_check(field, nu: Elt, mu: Elt, q: Elt, **kw) -> IdentityReport:
+class SelbergTable:
+    """What Selberg's identity needs of q alone, shared by every (nu, mu) at q.
+
+    `divisors` are those of (q), sorted as `ideals.divisors` sorts them; the
+    divisors of (nu, mu, q) are the ones containing nu and mu, in the same
+    order.  A divisor's generator g, q/g and quotient modulus (q)/d (the HNF
+    of (q/g)) are resolved the first time a triple needs them.  `rings` is
+    `kloosterman_exact`'s ring dict for (q) and its quotients, and the terms
+    S(1/delta, nu*mu/(g^2 delta); q/g) are memoized by (nu*mu, divisor).
+    """
+
+    __slots__ = ("field", "q", "modulus", "divisors", "one_over_delta", "rings",
+                 "_resolved", "_terms")
+
+    def __init__(self, field, q: Elt):
+        delta = _require_delta(field)
+        if q.is_zero() or not q.is_integral():
+            raise PreconditionViolated("q must be a nonzero integral element")
+        self.field = field
+        self.q = q
+        self.modulus = principal_ideal(q)
+        self.divisors = divisors(self.modulus)
+        self.one_over_delta = field.one() / delta
+        self.rings = {}
+        self._resolved = {}
+        self._terms = {}
+
+    def common_divisors(self, nu: Elt, mu: Elt) -> list[int]:
+        """Indices of the divisors of (nu, mu, q), for integral nu and mu."""
+        return [i for i, dd in enumerate(self.divisors)
+                if dd.contains(nu) and dd.contains(mu)]
+
+    def divisor(self, i: int):
+        """(N(d), g, q/g, (q)/d) for the i-th divisor d and a generator g of
+        it, or None when d is not principal."""
+        if i not in self._resolved:
+            dd = self.divisors[i]
+            g = is_principal(dd)
+            self._resolved[i] = None if g is None else (
+                dd.norm(), g, self.q / g, ideal_exact_divide(self.modulus, dd))
+        return self._resolved[i]
+
+    def term(self, nu_mu: Elt, i: int, enum_budget: int):
+        """(N(d), S(1/delta, nu*mu/(g^2 delta); q/g)) for the resolved i-th
+        divisor d."""
+        n, g, c, modulus = self._resolved[i]
+        key = (nu_mu, i)
+        val = self._terms.get(key)
+        if val is None:
+            arg = nu_mu / (g * g) * self.one_over_delta
+            val = self._terms[key] = kloosterman_exact(
+                KloostermanQuery(self.field, self.one_over_delta, arg, modulus, c),
+                enum_budget, self.rings)
+        return n, val
+
+
+def selberg_check(field, nu: Elt, mu: Elt, q: Elt, table: SelbergTable | None = None,
+                  enum_budget: int = DEFAULT_ENUM_BUDGET) -> IdentityReport:
     """Exact check of the divisor-sum expansion of S(d^-1 nu, d^-1 mu; q).
 
     The right-hand side runs over principal ideals (d) dividing (nu, mu, q);
@@ -210,28 +267,29 @@ def selberg_check(field, nu: Elt, mu: Elt, q: Elt, **kw) -> IdentityReport:
     class number one are reported as outside the identity's hypotheses.
     There (nu, mu, q) can have a non-principal divisor, and then the report
     is skipped before any sum is computed: `holds`, `lhs` and `rhs` are None.
+
+    `table` is q's `SelbergTable`; a call without one builds its own.  The
+    left-hand side is summed first: its modulus (q) has the largest norm, so
+    it decides whether `enum_budget` refuses the triple before any memoized
+    term is read.
     """
-    delta = _require_delta(field)
-    if q.is_zero() or not q.is_integral():
-        raise PreconditionViolated("q must be a nonzero integral element")
+    if table is None:
+        table = SelbergTable(field, q)
+    elif table.q != q:
+        raise PreconditionViolated(f"the table was built for q = {table.q}, not {q}")
     for t in (nu, mu):
         if not t.is_integral():
             raise PreconditionViolated("nu, mu must be integral")
     outside = not field.narrow_h1
-    gcd_ideal = ideal_from_generators([g for g in (nu, mu, q) if not g.is_zero()])
-    norm_gens = []   # (N(d), a generator g of d) for each divisor d of gcd_ideal
-    for dd in divisors(gcd_ideal):
-        g = is_principal(dd)
-        if g is None:
+    common = table.common_divisors(nu, mu)
+    for i in common:
+        if table.divisor(i) is None:
             return IdentityReport(None, None, None, outside)
-        norm_gens.append((dd.norm(), g))
-    lhs = principal_kloosterman(field, nu / delta, mu / delta, q, **kw)
-    rhs = CyclotomicInteger.zero()
-    one_over_delta = field.one() / delta
-    for n, g in norm_gens:
-        term = principal_kloosterman(field, one_over_delta,
-                                     (nu * mu) / (g * g) / delta, q / g, **kw)
-        rhs = rhs + n * term
+    inv = table.one_over_delta
+    lhs = kloosterman_exact(KloostermanQuery(field, nu * inv, mu * inv, table.modulus, q),
+                            enum_budget, table.rings)
+    nu_mu = nu * mu
+    rhs = CyclotomicInteger.combination([table.term(nu_mu, i, enum_budget) for i in common])
     return IdentityReport((lhs - rhs).is_zero(), lhs, rhs, outside)
 
 

@@ -41,7 +41,10 @@ EXTRA_COMMANDS = (
     + [["field-info", "--d", str(d)] for d in (3, 6, 10, 13, 17, 997)]
     + [["kloosterman", "--d", "5", "--nu", "1/delta", "--mu", "1/delta", "--c", "w"]]
     + [["certify", "--d", "5", "--k", "8", "--mu", "1", "--level", "w",
-        "--max-x", "300", "--max-m", "6"]])
+        "--max-x", "300", "--max-m", "6"]]
+    # the full Selberg grid, and a sweep that skips most of its triples
+    + [["selberg-check", "--d", "13", "--max-norm-q", "60", "--grid", "full"],
+       ["selberg-check", "--d", "10", "--max-norm-q", "30", "--grid", "full"]])
 
 
 def _commands():

@@ -13,12 +13,12 @@ from hilbertpoincare import kloosterman
 from hilbertpoincare.errors import (BudgetExceeded, MembershipViolated,
                                     PreconditionViolated)
 from hilbertpoincare.field import make_field
-from hilbertpoincare.ideals import (FractionalIdeal, different_ideal,
-                                    element_ideal, ideal_product,
-                                    ideals_of_norm, is_principal,
+from hilbertpoincare.ideals import (FractionalIdeal, different_ideal, divisors,
+                                    element_ideal, ideal_from_generators,
+                                    ideal_product, ideals_of_norm, is_principal,
                                     principal_ideal, unit_ideal)
 from hilbertpoincare.intervals import contains, hi, lo
-from hilbertpoincare.kloosterman import (KloostermanQuery, cor43_check,
+from hilbertpoincare.kloosterman import (KloostermanQuery, SelbergTable, cor43_check,
                                          kloosterman_exact, kloosterman_float,
                                          kloosterman_symmetry_check,
                                          lemma41_value, principal_kloosterman,
@@ -261,6 +261,86 @@ def test_skipped_selberg_triple_computes_no_sum(monkeypatch):
     rep = selberg_check(F10, two, two, two)
     assert rep.holds is None and rep.lhs is None and rep.rhs is None
     assert calls == []
+
+
+def _full_grid(F, q):
+    """The `selberg-check --grid full` elements at q."""
+    return [F.zero(), F.one(), F.from_int(2), F.omega(), q,
+            F.elt(1, 1), F.elt(2, 1), q * 2, F.elt(-1, 2)]
+
+
+def _same_report(a, b):
+    if a.outside_hypotheses != b.outside_hypotheses or a.holds != b.holds:
+        return False
+    if a.holds is None:
+        return a.lhs is None and a.rhs is None and b.lhs is None and b.rhs is None
+    return a.lhs == b.lhs and a.rhs == b.rhs
+
+
+@pytest.mark.parametrize("d", (2, 5, 10, 13))
+def test_selberg_table_matches_the_per_triple_rule(d):
+    # for every principal q with N(q) <= 60 and the full grid: the table's
+    # divisors of (nu, mu, q) are those of the gcd ideal, in order, each
+    # quotient modulus is (q/g), and a shared table reports what a lone call
+    # reports, skipped triples included
+    F = make_field(d)
+    checked = skipped = 0
+    for n in range(1, 61):
+        for idl in ideals_of_norm(F, n):
+            q = is_principal(idl)
+            if q is None:
+                continue
+            table = SelbergTable(F, q)
+            grid = _full_grid(F, q)
+            for nu in grid:
+                for mu in grid:
+                    common = table.common_divisors(nu, mu)
+                    assert ([table.divisors[i] for i in common]
+                            == divisors(ideal_from_generators([nu, mu, q])))
+                    shared = selberg_check(F, nu, mu, q, table=table)
+                    assert _same_report(shared, selberg_check(F, nu, mu, q))
+                    if shared.holds is None:
+                        skipped += 1
+                        continue
+                    checked += 1
+                    assert shared.holds
+                    for i in common:
+                        _, g, c, quotient = table.divisor(i)
+                        assert c == q / g and quotient == principal_ideal(q / g)
+    assert checked > 0
+    assert (skipped > 0) == (d == 10)
+
+
+def test_lone_selberg_check_resolves_only_the_common_divisors(F5, monkeypatch):
+    # a lone call builds its table for q but asks for the generators of the
+    # divisors of (nu, mu, q) only, not of every divisor of (q)
+    asked = []
+
+    def counted(x):
+        asked.append(x)
+        return is_principal(x)
+
+    monkeypatch.setattr(kloosterman, "is_principal", counted)
+    q = F5.from_int(12)
+    assert len(divisors(principal_ideal(q))) == 6
+    for nu, mu in ((F5.one(), F5.from_int(2)), (F5.from_int(2), F5.from_int(6)),
+                   (F5.from_int(6), F5.zero())):
+        asked.clear()
+        assert selberg_check(F5, nu, mu, q).holds
+        assert asked == divisors(ideal_from_generators([nu, mu, q]))
+    assert len(asked) == 4
+    # a skipped triple stops at its first non-principal divisor
+    F10 = make_field(10)
+    two = F10.from_int(2)
+    asked.clear()
+    assert selberg_check(F10, two, two, two).holds is None
+    assert [is_principal(x) is None for x in asked] == [False, True]
+
+
+def test_selberg_table_belongs_to_one_q(F5):
+    table = SelbergTable(F5, F5.from_int(2))
+    with pytest.raises(PreconditionViolated):
+        selberg_check(F5, F5.one(), F5.one(), F5.from_int(3), table=table)
 
 
 def test_cor43_examples(F5):
