@@ -45,6 +45,16 @@ from .residues import DEFAULT_ENUM_BUDGET
 DEFAULT_ETA = Fraction(1, 2)
 # bits beyond the precision in the Bessel arguments of a coefficient term
 ARG_GUARD = 64
+# A term whose a-priori bound B, times the prefactor over the class norm, is
+# below 2^-BUDGET_BITS of its evaluator's tail is added as [-B, B], not
+# computed (`CoefficientEvaluator._class_sum`).  The tail already sits in
+# every enclosure as +-tail, and the bounded terms widen the finite part by
+# at most their number times 2^-BUDGET_BITS tail: under 2^-10 of the tail
+# below 2^20 terms (certify's largest rung over Q(sqrt5), X = 20000 and
+# M = 16, has 56,661), and a certify margin falls by as little.  A smaller
+# value would skip more terms at a visible cost in width; at 30 the
+# recurrence at X = 2000, M = 3 still computes about a fifth of its terms.
+BUDGET_BITS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +84,7 @@ class PoincareParams:
             self.level = self.level.as_integral()
         self._classes: list = []           # [(t, m = N(cnd) t, c_elt, modulus)]
         self._tmax = 0                     # the table holds every t <= _tmax
+        self._window_sums: dict = {}       # precision -> prefix sums of m^-(k-1)/2
 
     def norm_cd(self) -> Fraction:
         return self.cideal.norm() * different_ideal(self.field).norm()
@@ -103,6 +114,17 @@ class PoincareParams:
             self._tmax = tmax
         return [cl for cl in self._classes if cl[0] <= tmax]
 
+    def window_sum(self, n: int, precision: int):
+        """Sum of m^-(k-1)/2 over the first n classes of the table, enclosed
+        at `precision`: one list of prefix sums per precision, extended as
+        the table grows, each entry the last plus one interval term."""
+        sums = self._window_sums.setdefault(precision, [iv.mpf(0)])
+        with prec_guard(precision):
+            for (_t, m, _c, _mod) in self._classes[len(sums) - 1:n]:
+                sums.append(sums[-1] + 1 / iv_pow_frac(iv_from_fraction(Fraction(m)),
+                                                       Fraction(self.k - 1, 2)))
+        return sums[n]
+
     def to_json(self):
         return {"field": self.field.spec_string(), "k": self.k,
                 "c": self.cideal.to_json(), "level": self.level.to_json()}
@@ -127,6 +149,8 @@ class CoefficientValue:
     eta: Fraction
     tail_split: TailSplit        # the pieces of `tail`; not in to_json
     scale: Fraction = Fraction(1)   # N(mu)^(k-1) for the symmetric variant
+    terms_bounded: int = 0       # terms added as [-B, B]; not in to_json
+    terms_computed: int = 0      # terms summed from S J J; not in to_json
 
     def enclosure(self):
         """Interval certain to contain the true coefficient, at the caller's precision."""
@@ -177,14 +201,20 @@ def _af_tail(n_o, s: Fraction, T: int):
             / iv_from_fraction(s - Fraction(3, 2)))
 
 
+def _log2(x) -> float:
+    """log2 of a positive mpf from its mantissa and exponent, whatever the
+    working precision."""
+    return math.log2(x.man) + x.exp
+
+
 # ---------------------------------------------------------------------------
 # the evaluator
 
 class CoefficientEvaluator:
     """Incremental certified evaluation of c_k(nu, mu) for fixed arguments.
 
-    Per class, `_terms` keeps the Bessel bases and the partial sum over
-    |j| <= M, so raising the cutoffs on a certification ladder only adds terms.
+    Per class, `_terms` keeps the Bessel bases and every term computed so
+    far, so raising the cutoffs on a certification ladder only adds terms.
     """
 
     def __init__(self, params: PoincareParams, nu: Elt, mu: Elt,
@@ -214,7 +244,9 @@ class CoefficientEvaluator:
         self.n_o = params.norm_cnd()       # N(cnd), the class-norm unit
         self.n_b = params.norm_cd()        # N(cd)
         self._classes = params._classes    # the params' table, not a copy
-        self._terms: dict = {}             # modulus key -> [b1, b2, M, sum]
+        self._terms: dict = {}             # modulus key -> [b1, b2, {j: term}]
+        self._fact = math.factorial(self.k - 1)
+        self._log2_fact = math.log2(self._fact)
         bits = precision + ARG_GUARD
         with prec_guard(bits):             # g_i = 4 pi sqrt(s_i(nu mu))
             self._g = [scaled_iv(4 * iv.pi * iv.sqrt(e), bits)
@@ -223,6 +255,7 @@ class CoefficientEvaluator:
             self._a_pows = ([(1, 1, 0), scaled_iv(A, bits)],       # A^i
                             [(1, 1, 0), scaled_iv(1 / A, bits)])   # A^-i
         self._sqrt_d = math.isqrt(F.d << 2 * bits)   # sqrt(d) in [r, r + 1] / 2^bits
+        self._log2_a = math.log2(self._a_pows[0][1][1]) - self._a_pows[0][1][2]
         self._eps_mu = [(mu, mu)]          # (eps_plus^i mu, eps_plus^-i mu)
         self._prefactor = None
         self._tc = None                    # tail constants, on first use
@@ -264,20 +297,15 @@ class CoefficientEvaluator:
         _, _, c_elt, modulus = cls
         F, p = self.F, self.precision
         bits = p + ARG_GUARD
-        b = self._terms.setdefault(modulus.key(), [None, None, -1, (0, 0, 0)])
+        b = self._terms.setdefault(modulus.key(), [None, None, {}])
         if b[0] is None:
             b[:2] = self._arg_bases(c_elt)
-        up, down = self._a_pows
-        while len(up) <= abs(j):
-            up.append(scaled_mul(up[-1], up[1], bits))
-            down.append(scaled_mul(down[-1], down[1], bits))
+        up, down = self._unit_powers(j)
         while len(self._eps_mu) <= abs(j):   # eps_plus^-1 = conj(eps_plus)
             a, z = self._eps_mu[-1]
             self._eps_mu.append((a * F.eps_plus, z * F.eps_plus.conj()))
-        if j < 0:
-            up, down = down, up
-        x1 = scaled_mul(b[0], up[abs(j)], bits)
-        x2 = scaled_mul(b[1], down[abs(j)], bits)
+        x1 = scaled_mul(b[0], up, bits)
+        x2 = scaled_mul(b[1], down, bits)
         q = KloostermanQuery(F, self.nu, self._eps_mu[abs(j)][j < 0], modulus, c_elt)
         try:
             s = (*kloosterman_exact(q, self.enum_budget, rings).real_interval(p), p)
@@ -310,22 +338,91 @@ class CoefficientEvaluator:
         out[1 - i] = scaled_div(scaled_mul(self._g[1 - i], big, bits), (nq, nq, 0), bits)
         return out
 
-    def _class_sum(self, cls, M: int, rings):
+    def term_bound(self, cls, j: int, bases):
+        """Integer bounds (-B, B, w) on 2^w times the term that `term(cls,
+        j)` encloses, from no Kloosterman sum and no Bessel series: |S| <=
+        N(m), as S is a sum of phi(m) <= N(m) roots of unity, and |J_{k-1}(x)|
+        <= min(1, (x/2)^(k-1)/(k-1)!) (DLMF 10.14.1, 10.14.4) at the upper
+        end of each argument b_i A^+-j, taken exactly from `bases` and
+        `_a_pows`."""
+        up, down = self._unit_powers(j)
+        e1, u1 = self._envelope(bases[0], up)
+        e2, u2 = self._envelope(bases[1], down)
+        big = int(cls[3].norm()) * e1 * e2
+        return -big, big, u1 + u2
+
+    def _unit_powers(self, j: int):
+        """(A^j, A^-j) as triples, each the last power times A^+-1."""
+        up, down = self._a_pows
+        bits = self.precision + ARG_GUARD
+        while len(up) <= abs(j):
+            up.append(scaled_mul(up[-1], up[1], bits))
+            down.append(scaled_mul(down[-1], down[1], bits))
+        return (up[j], down[j]) if j >= 0 else (down[-j], up[-j])
+
+    def _envelope(self, b, a):
+        """(e, u) with min(1, (x/2)^n/n!) <= e/2^u, n = k - 1, for every x
+        below the product of the upper ends of the triples b and a; e keeps
+        about 64 bits, rounded up."""
+        n = self.k - 1
+        h, w = b[1] * a[1], b[2] + a[2]          # x <= h/2^w
+        s = max(h.bit_length() - 64, 0)
+        h, w = -(-h >> s), w - s
+        num, shift = h ** n, -(w + 1) * n        # (x/2)^n <= num 2^shift
+        u = 64 + self._fact.bit_length() - num.bit_length() - shift
+        e = floor_ceil(num, shift + u, self._fact)[1]
+        return (1, 0) if u <= 0 or e >> u else (e, u)
+
+    def _class_sum(self, cls, M: int, rings, budget=None, tally=None):
         """One class's sum over |j| <= M divided by its norm m, an interval.
-        The terms add exactly (`exact_add`), extending the stored partial sum
-        (or from j = 0 if M fell), so the sum takes the scale of its finest
-        term and a tiny sum keeps the relative width of its terms.  Once per
-        call it is divided by m, floor below and ceiling above (under one unit
-        of that scale), and rounded outward to the precision."""
-        key = cls[3].key()
+
+        With a `budget` (`_budget`), a term whose bound B (`term_bound`)
+        is under 2^budget m is added as [-B, B] and not computed; without
+        one, every term is computed.  log2 B is read in floats from log2 of
+        the arguments: that decides only which terms are computed, and the
+        B added is exact.  Computed terms are kept per class and j, so the
+        sum is rebuilt from them and the bounds on every call, and depends
+        only on the cutoffs and the budget, never on earlier calls.
+        The terms add exactly (`exact_add`), so the sum takes the scale of
+        its finest term and a tiny sum keeps the relative width of its
+        terms.  Once per call it is divided by m, floor below and ceiling
+        above (under one unit of that scale), and rounded outward to the
+        precision.  `tally`, if given, counts [bounded, computed] terms."""
+        _, m, c_elt, modulus = cls
+        m, key = Fraction(m), modulus.key()
         entry = self._terms.get(key)
-        done, acc = entry[2:] if entry and entry[2] <= M else (-1, (0, 0, 0))
-        for j in range(done + 1, M + 1):
-            acc = exact_add(acc, self.term(cls, j, rings))
-            if j:
-                acc = exact_add(acc, self.term(cls, -j, rings))
-        self._terms[key][2:] = [M, acc]
-        return quotient_iv(acc, Fraction(cls[1]), self.precision)
+        if budget is not None:
+            bases = entry[:2] if entry else self._arg_bases(c_elt)
+            budget += (math.log2(m.numerator) - math.log2(m.denominator)
+                       - math.log2(modulus.norm()))
+            l1, l2 = (math.log2(b[1]) - b[2] for b in bases)
+            n, la, lf = self.k - 1, self._log2_a, self._log2_fact
+        done = entry[2] if entry else {}
+        acc, bounded = (0, 0, 0), 0
+        for j in range(-M, M + 1):
+            # log2 of the envelopes at b1 A^j and b2 A^-j, an estimate of
+            # log2(B/N(m)) that decides only whether to bound
+            if budget is not None and (min(n * (l1 + j * la - 1) - lf, 0)
+                                       + min(n * (l2 - j * la - 1) - lf, 0)) < budget:
+                acc = exact_add(acc, self.term_bound(cls, j, bases))
+                bounded += 1
+                continue
+            if j not in done:
+                t = self.term(cls, j, rings)
+                done = self._terms[key][2]       # `term` made the entry
+                done[j] = t
+            acc = exact_add(acc, done[j])
+        if tally is not None:
+            tally[0] += bounded
+            tally[1] += 2 * M + 1 - bounded
+        return quotient_iv(acc, m, self.precision)
+
+    def _budget(self, tail):
+        """log2 of 2^-BUDGET_BITS tail / prefactor, less 2^-20 for the
+        floats (whose error is far smaller): a term of bound B in a class of
+        norm m is bounded when log2 B < this + log2 m, so its prefactor * B
+        / m stays below 2^-BUDGET_BITS tail."""
+        return _log2(tail) - BUDGET_BITS - _log2(hi(self.prefactor())) - 2 ** -20
 
     # -- tail bound -------------------------------------------------------------
     def _tail_constants(self):
@@ -414,10 +511,7 @@ class CoefficientEvaluator:
             r0 = 1 / iv_pow_frac(A, Fraction(k - 1))
             sa0 = 2 * iv_pow_frac(r0, M + 1) / (1 - r0)
             e1_0 = iv_pow_frac(base, Fraction(k - 1)) / iv_from_fraction(fact)
-            msum = iv.mpf(0)
-            for (t, m, _c, _mod) in self.classes_upto(X):
-                msum += 1 / iv_pow_frac(iv_from_fraction(Fraction(m)),
-                                        Fraction(k - 1, 2))
+            msum = self.params.window_sum(len(self.classes_upto(X)), self.precision)
             ut = e1_0 * sa0 * msum
             factor = self.prefactor() * kt
             split = TailSplit(hi(factor * nt0), hi(factor * best),
@@ -433,23 +527,34 @@ class CoefficientEvaluator:
 def evaluate_together(evaluators, X, M: int) -> list[CoefficientValue]:
     """The evaluators' enclosures at cutoffs X and M, in one pass over the
     classes of their shared params.  A class's `rings` dict serves every
-    evaluator, so its ring is enumerated at most once per pass.  A class's
-    terms add exactly (`CoefficientEvaluator._class_sum`) and classes add in
-    table order, so a value is bit-identical however the ladder reached it.
-    The pass runs at the evaluators' shared precision."""
+    evaluator, so its ring is enumerated at most once per pass.
+
+    Every tail comes first, and it sets its evaluator's error budget: a term
+    whose a-priori bound B (|S| <= N(m) times the factorial envelope of each
+    Bessel factor) puts at most 2^-BUDGET_BITS of the tail into the finite
+    part is added as [-B, B] instead of being computed.  So each bounded
+    term widens the finite part by under 2^-BUDGET_BITS tail, and the value
+    counts its bounded and computed terms.  The budget is a function of the
+    evaluator and (X, M), computed terms are kept, a class's terms and
+    bounds add exactly (`CoefficientEvaluator._class_sum`) and classes add
+    in table order, so a value is bit-identical however the ladder reached
+    it.  The pass runs at the evaluators' shared precision."""
     if X < 0 or M < 0:
         raise PreconditionViolated("cutoffs X and M must be >= 0")
     if len({(id(ev.params), ev.precision) for ev in evaluators}) != 1:
         raise PreconditionViolated("evaluators must share one PoincareParams and precision")
     tails = [ev.tail_bound(X, M) for ev in evaluators]
+    budgets = [ev._budget(tail) for ev, (tail, _) in zip(evaluators, tails)]
+    tallies = [[0, 0] for _ in evaluators]
     accs = [iv.mpf(0)] * len(evaluators)
     with prec_guard(evaluators[0].precision):
         for cls in evaluators[0].classes_upto(X):
             rings = {}
             for i, ev in enumerate(evaluators):
-                accs[i] += ev._class_sum(cls, M, rings)
-        return [CoefficientValue(ev.chi, ev.prefactor() * acc, tail, X, M, ev.eta, split)
-                for ev, acc, (tail, split) in zip(evaluators, accs, tails)]
+                accs[i] += ev._class_sum(cls, M, rings, budgets[i], tallies[i])
+        return [CoefficientValue(ev.chi, ev.prefactor() * acc, tail, X, M, ev.eta, split,
+                                 terms_bounded=n[0], terms_computed=n[1])
+                for ev, acc, (tail, split), n in zip(evaluators, accs, tails, tallies)]
 
 
 def coefficient(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,

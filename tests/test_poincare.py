@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 from collections import Counter
@@ -621,3 +622,55 @@ def test_relations_report(F5):
     with pytest.raises(PreconditionViolated):
         nonvanishing_relations_report(PoincareParams(F5, 8, level=principal_ideal(p)),
                                       F5.one(), p, 1)
+
+
+def _computed(ev):
+    """The (class, j) whose terms `ev` has computed and keeps."""
+    return {(key, j) for key, entry in ev._terms.items() for j in entry[2]}
+
+
+@pytest.mark.parametrize("d, k, ladder", [
+    (5, 12, ((64, 4), (128, 4), (128, 6))),
+    (5, 8, ((150, 1), (150, 2))),
+    (5, 8, ((150, 2), (150, 1))),
+])
+def test_bounded_terms_do_not_depend_on_the_ladder(d, k, ladder):
+    # a term bounded under one rung's budget and computed under a later
+    # one's (or the reverse) leaves each value bit-identical to a fresh
+    # evaluation at the same cutoffs
+    F = make_field(d)
+    ev = CoefficientEvaluator(PoincareParams(F, k), F.one(), F.one())
+    never_computed, bounded_then_computed, bounded = set(), set(), 0
+    for X, M in ladder:
+        before = _computed(ev)
+        got = ev.evaluate(X, M)
+        bounded += got.terms_bounded
+        bounded_then_computed |= never_computed & (_computed(ev) - before)
+        never_computed |= {(cls[3].key(), j) for cls in ev.classes_upto(X)
+                           for j in range(-M, M + 1)} - _computed(ev)
+        fresh = CoefficientEvaluator(PoincareParams(F, k), F.one(), F.one()).evaluate(X, M)
+        assert json.dumps(got.to_json()) == json.dumps(fresh.to_json()), (X, M)
+        assert (got.terms_bounded, got.terms_computed) == \
+            (fresh.terms_bounded, fresh.terms_computed), (X, M)
+    assert bounded > 0
+    # on a rising ladder some term is bounded first and computed later
+    assert bounded_then_computed or ladder[0][1] > ladder[-1][1]
+
+
+@pytest.mark.parametrize("d, k, mu, X, M", [
+    (5, 12, (1, 0), 150, 1),
+    (5, 8, (1, 0), 150, 1),
+    (2, 8, (3, 1), 150, 2),
+    (13, 8, (1, 0), 150, 2),
+])
+def test_bounded_terms_contain_the_oracle(d, k, mu, X, M):
+    # at a small unit cutoff the window tail is large and some terms are
+    # only bounded; the finite part still holds the 200-bit truncated sum
+    F = make_field(d)
+    mu = F.elt(*mu)
+    params = PoincareParams(F, k)
+    val = coefficient(params, mu, mu, X, M)
+    classes = len(params.classes_upto(X))
+    assert val.terms_bounded > 0
+    assert val.terms_bounded + val.terms_computed == classes * (2 * M + 1)
+    assert _oracle_in_enclosure(params, mu, val)

@@ -196,3 +196,28 @@ def test_kernel_steps_on_exact_points():
             v = quotient_iv(t, m, 53)
             a, b = fixed_fractions(t)
             assert _q(lo(v)) <= a / m and b / m <= _q(hi(v)), (t, m)
+
+
+@pytest.mark.parametrize("k", (6, 8, 24))
+@pytest.mark.parametrize("d", (2, 5, 13))
+def test_term_bound_encloses_the_term(d, k):
+    # [-B, B] from |S| <= N(m) and the factorial envelope holds the triple
+    # `term` returns.  At k = 24 a tiny factor J is enclosed by the Bessel
+    # kernel to an absolute 2^-(precision+8), so there the triple may be the
+    # wider one, and B must hold the 300-bit reference instead.
+    F = make_field(d)
+    nu, mu = F.one(), F.elt(3, 1) if d == 2 else F.one()
+    ev = CoefficientEvaluator(PoincareParams(F, k), nu, mu)
+    wider = 0
+    for cls in ev.classes_upto(60):
+        for j in range(-6, 7):
+            t_lo, t_hi = fixed_fractions(ev.term(cls, j))
+            b_lo, b_hi = fixed_fractions(ev.term_bound(cls, j, ev._terms[cls[3].key()][:2]))
+            assert b_lo == -b_hi and b_lo <= t_hi and t_lo <= b_hi, (cls[3], j)
+            if b_lo <= t_lo and t_hi <= b_hi:
+                continue
+            assert k == 24, (cls[3], j)
+            wider += 1
+            ref = _q(_reference(F, nu, mu, cls, j, k)[4])
+            assert b_lo <= ref <= b_hi, (cls[3], j)
+    assert k == 24 or wider == 0
