@@ -53,13 +53,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorint(n).values())
 
 
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def sqrt_mod_p(a: int, p: int) -> int | None:
     """A square root of a mod prime p, or None. Tonelli-Shanks for odd p."""
     a %= p

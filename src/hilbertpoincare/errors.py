@@ -37,10 +37,6 @@ class BudgetExceeded(HPError):
         self.budget = budget
 
 
-class SearchBudgetExceeded(BudgetExceeded):
-    pass
-
-
 class MembershipViolated(HPError):
     pass
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 
 from mpmath import iv
 
 from . import arith
 from .errors import NotSquarefree, ZeroElement
-from .intervals import ESTIMATE_PREC, hi, prec_guard
+from .intervals import prec_guard
 
 
 def _sign_a_plus_b_sqrt(a: int, b: int, d: int) -> int:
@@ -189,6 +189,30 @@ class Elt:
         return d
 
 
+def cf_walk(d: int, P: int, Q: int):
+    """The continued fraction of theta_0 = (P + sqrt d)/Q, Q | d - P^2.
+
+    Yields, for n = 0, 1, ..., the state (P_n, Q_n) of the complete quotient
+    theta_n = (P_n + sqrt d)/Q_n and the coordinates (u, v) of the product
+    (theta_0 - a_0)...(theta_{n-1} - a_{n-1}) = u + v*theta_0, without end.
+    The partial quotient is a = floor(theta) = (P + s + [Q < 0]) // Q with
+    s = isqrt(d), and theta - a = (sqrt d - P')/Q = 1/theta' with P' = aQ - P,
+    Q' = (d - P'^2)/Q.  As Z + theta Z = (theta - a)(Z + theta' Z), the
+    lattice Z + theta_0 Z is the product times Z + theta_n Z.  With h/k the
+    convergents of theta_0, the product is (-1)^n (h_{n-1} - k_{n-1} theta_0).
+    """
+    s = math.isqrt(d)
+    h, h_prev, k, k_prev, sign = 1, 0, 0, 1, 1
+    while True:
+        yield (P, Q), (sign * h, -sign * k)
+        a = (P + s + (Q < 0)) // Q
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        sign = -sign
+
+
 class RealQuadraticField:
     """Q(sqrt(d)) with its integral basis, units and different."""
 
@@ -202,13 +226,27 @@ class RealQuadraticField:
             self.basis_kind = "half"
             self.c0, self.c1 = (d - 1) // 4, 1  # omega^2 = c0 + c1*omega
             self.D = d
+            self.omega_pq = (1, 2)              # omega = (P + sqrt d)/Q
         else:
             self.basis_kind = "sqrt"
             self.c0, self.c1 = d, 0
             self.D = 4 * d
+            self.omega_pq = (0, 1)
         # f = sum of inertial degrees of primes over 2
         self.f2 = 1 if self.basis_kind == "sqrt" else 2
-        self.fundamental_unit, self.fu_norm = self._fundamental_unit()
+        # the continued fraction of omega up to its first repeated state: the
+        # principal cycle, and the fundamental unit as the inverse of the
+        # product of one period.  Omega, not sqrt d: for d = 1 mod 4 the
+        # latter gives a unit of Z[sqrt d], possibly eps^3 (Cohen, GTM 138,
+        # section 5.7)
+        self.principal_cycle = {}
+        for state, (u, v) in cf_walk(d, *self.omega_pq):
+            pi = Elt(self, u, v)
+            if state in self.principal_cycle:
+                break
+            self.principal_cycle[state] = pi
+        self.fundamental_unit = self.principal_cycle[state] / pi
+        self.fu_norm = int(self.fundamental_unit.norm())
         if self.fu_norm == -1:
             self.eps_plus = self.fundamental_unit * self.fundamental_unit
         else:
@@ -244,32 +282,6 @@ class RealQuadraticField:
         return f"Qsqrt:{self.d}"
 
     # -- units ---------------------------------------------------------------
-    def _fundamental_unit(self):
-        """Smallest unit > 1 and its norm, from the continued fraction of omega.
-
-        Write omega = (P + sqrt d)/Q with Q | d - P^2 and let h/k run through
-        its convergents.  After n partial quotients, N(h - k*omega) =
-        (-1)^n Q_n/Q_0, so the first n >= 1 with Q_n = Q_0 gives the unit
-        h - k*omega, and its conjugate (h - k*c1) + k*omega is the
-        fundamental unit.  Expanding omega rather than sqrt(d) matters for
-        d = 1 mod 4, where sqrt(d) gives a unit of Z[sqrt d], possibly eps^3
-        (Cohen, GTM 138, section 5.7).
-        """
-        d, s = self.d, math.isqrt(self.d)
-        P, Q = (1, 2) if self.basis_kind == "half" else (0, 1)
-        q0 = Q
-        h, h_prev, k, k_prev = 1, 0, 0, 1
-        n = 0
-        while True:
-            a = (P + s) // Q
-            h, h_prev = a * h + h_prev, h
-            k, k_prev = a * k + k_prev, k
-            P = a * Q - P
-            Q = (d - P * P) // Q
-            n += 1
-            if Q == q0:
-                return Elt(self, h - k * self.c1, k, 1), (-1) ** n
-
     def totally_positive_associate(self, g: Elt):
         """A totally positive unit multiple of g, or None when there is none.
 
@@ -290,11 +302,6 @@ class RealQuadraticField:
         """The balancing constant A = sqrt(sigma_1(eps_plus))."""
         with prec_guard(precision):
             return iv.sqrt(self.eps_plus.embeddings(precision)[0])
-
-    @cached_property
-    def A_hi(self) -> float:
-        """A's ESTIMATE_PREC upper bound as a float, read on first use."""
-        return float(hi(self.A_interval(ESTIMATE_PREC)))
 
     def balanced_representative(self, x: Elt):
         """(y, m) with y = x * eps_plus^m minimizing |log |sigma1(y)/sigma2(y)||.

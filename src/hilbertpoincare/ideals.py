@@ -19,11 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import arith
-from .errors import (NotDivisible, NotIntegral, PreconditionViolated,
-                     SearchBudgetExceeded, ZeroIdeal)
-from .field import Elt
-
-PRINCIPALITY_BUDGET = 10**6
+from .errors import NotDivisible, NotIntegral, PreconditionViolated, ZeroIdeal
+from .field import Elt, cf_walk
 
 
 class IdealHNF:
@@ -339,45 +336,36 @@ def N_nu_mu(m: IdealHNF, nu, mu) -> Fraction:
 def is_principal(x: IdealHNF):
     """A generator of x if principal: a totally positive one when there is one.
 
-    Searches the box in which a balanced generator must lie; exhausting the
-    box proves non-principality, so the answer is never a guess.
+    Write x = c*(Z a' + Z(b' + omega)) = c a' (Z + theta Z), theta =
+    (b' + omega)/a', and walk the continued fraction of theta (`cf_walk`).
+    Each step keeps Z + theta Z = (theta - a)(Z + theta' Z), so when a state
+    of the walk is a state of O's walk (the field's `principal_cycle`), the
+    two lattices there coincide and g = c a' (x's product)/(O's product)
+    generates x.  When the walk repeats a state first, x is not principal,
+    and that is a proof: two irrationals are GL2(Z)-equivalent exactly when
+    their continued fractions share a tail (Serret's theorem), and the
+    reduced irrationals of one class form one cycle (Cohen, GTM 138,
+    sections 5.6-5.8).  x is principal exactly when theta is equivalent to
+    omega, so its walk would have entered O's cycle.
     """
     F = x.field
     if x.gen is not None:
         g = F.elt(*x.gen)
     else:
-        g = _norm_equation_search(x)
-        if g is None:
-            return None
+        a, b = x.a // x.c, x.b // x.c
+        P, Q = F.omega_pq
+        seen = set()
+        for state, (u, v) in cf_walk(F.d, Q * b + P, Q * a):
+            if state in F.principal_cycle:
+                break
+            if state in seen:
+                return None
+            seen.add(state)
+        g = F.elt(x.c * (u * a + v * b), x.c * v) / F.principal_cycle[state]
+        if not g.is_integral() or principal_ideal(g) != x:
+            raise AssertionError(f"the walk's generator {g} does not generate {x}")
         x.gen = (g.a, g.b)
     return F.totally_positive_associate(g) or g
-
-
-def _norm_equation_search(x: IdealHNF):
-    F = x.field
-    n = x.norm()
-    bound = F.A_hi * math.sqrt(n) * 1.0000001
-    # v-range from |sigma1 - sigma2| <= 2*A*sqrt(n); omega1 - omega2 = sqrt(D)
-    disc_w = F.c1 * F.c1 + 4 * F.c0
-    vmax = int(2 * bound / math.sqrt(disc_w)) + 2
-    if 2 * vmax + 1 > PRINCIPALITY_BUDGET:
-        raise SearchBudgetExceeded("principality box too large", PRINCIPALITY_BUDGET)
-    for v in range(-vmax, vmax + 1):
-        # |N(u + v*omega)| = n  =>  (2u + v*c1)^2 = v^2*disc_w +- 4n
-        base = v * v * disc_w
-        for sgn in (1, -1):
-            s2 = base + 4 * n * sgn
-            if s2 < 0 or not arith.is_square(s2):
-                continue
-            s = math.isqrt(s2)
-            for ss in ((s,) if s == 0 else (s, -s)):
-                num = ss - v * F.c1
-                if num % 2:
-                    continue
-                g = F.elt(num // 2, v)
-                if abs(g.norm()) == n and x.contains(g):
-                    return g
-    return None
 
 
 def wide_class_number_is_one(field) -> bool:

@@ -373,37 +373,35 @@ class CoefficientEvaluator:
         e = floor_ceil(num, shift + u, self._fact)[1]
         return (1, 0) if u <= 0 or e >> u else (e, u)
 
-    def _class_sum(self, cls, M: int, rings, budget=None, tally=None):
+    def _class_sum(self, cls, M: int, rings, budget, tally):
         """One class's sum over |j| <= M divided by its norm m, an interval.
 
-        With a `budget` (`_budget`), a term whose bound B (`term_bound`)
-        is under 2^budget m is added as [-B, B] and not computed; without
-        one, every term is computed.  log2 B is read in floats from log2 of
-        the arguments: that decides only which terms are computed, and the
-        B added is exact.  Computed terms are kept per class and j, so the
-        sum is rebuilt from them and the bounds on every call, and depends
-        only on the cutoffs and the budget, never on earlier calls.
+        A term whose bound B (`term_bound`) is under 2^budget m (`_budget`)
+        is added as [-B, B] and not computed.  log2 B is read in floats from
+        log2 of the arguments: that decides only which terms are computed,
+        and the B added is exact.  Computed terms are kept per class and j,
+        so the sum is rebuilt from them and the bounds on every call, and
+        depends only on the cutoffs and the budget, never on earlier calls.
         The terms add exactly (`exact_add`), so the sum takes the scale of
         its finest term and a tiny sum keeps the relative width of its
         terms.  Once per call it is divided by m, floor below and ceiling
         above (under one unit of that scale), and rounded outward to the
-        precision.  `tally`, if given, counts [bounded, computed] terms."""
+        precision.  `tally` counts [bounded, computed] terms."""
         _, m, c_elt, modulus = cls
         m, key = Fraction(m), modulus.key()
         entry = self._terms.get(key)
-        if budget is not None:
-            bases = entry[:2] if entry else self._arg_bases(c_elt)
-            budget += (math.log2(m.numerator) - math.log2(m.denominator)
-                       - math.log2(modulus.norm()))
-            l1, l2 = (math.log2(b[1]) - b[2] for b in bases)
-            n, la, lf = self.k - 1, self._log2_a, self._log2_fact
+        bases = entry[:2] if entry else self._arg_bases(c_elt)
+        budget += (math.log2(m.numerator) - math.log2(m.denominator)
+                   - math.log2(modulus.norm()))
+        l1, l2 = (math.log2(b[1]) - b[2] for b in bases)
+        n, la, lf = self.k - 1, self._log2_a, self._log2_fact
         done = entry[2] if entry else {}
         acc, bounded = (0, 0, 0), 0
         for j in range(-M, M + 1):
             # log2 of the envelopes at b1 A^j and b2 A^-j, an estimate of
             # log2(B/N(m)) that decides only whether to bound
-            if budget is not None and (min(n * (l1 + j * la - 1) - lf, 0)
-                                       + min(n * (l2 - j * la - 1) - lf, 0)) < budget:
+            if (min(n * (l1 + j * la - 1) - lf, 0)
+                    + min(n * (l2 - j * la - 1) - lf, 0)) < budget:
                 acc = exact_add(acc, self.term_bound(cls, j, bases))
                 bounded += 1
                 continue
@@ -412,9 +410,8 @@ class CoefficientEvaluator:
                 done = self._terms[key][2]       # `term` made the entry
                 done[j] = t
             acc = exact_add(acc, done[j])
-        if tally is not None:
-            tally[0] += bounded
-            tally[1] += 2 * M + 1 - bounded
+        tally[0] += bounded
+        tally[1] += 2 * M + 1 - bounded
         return quotient_iv(acc, m, self.precision)
 
     def _budget(self, tail):

@@ -3,7 +3,8 @@
 These deliberately avoid the package's interval/cyclotomic code paths:
 rational-arithmetic Bessel series, mpmath high-precision reference values,
 a direct floating summation of the truncated Poincare coefficient sum, an
-exhaustive search for the fundamental unit, Kloosterman membership by
+exhaustive search for the fundamental unit, principality by a search of
+the box that a balanced generator lies in, Kloosterman membership by
 fractional-ideal arithmetic, the HNF of an ideal generated by field
 elements from 2x2 minors and a Bezout combination, Kloosterman slopes
 from Fraction traces, Z[zeta_M] values reduced modulo the cyclotomic
@@ -181,21 +182,57 @@ def pell_search_fundamental_unit(d: int):
     """(a, b, norm) of the smallest unit a + b*omega > 1 of Q(sqrt d).
 
     For each b >= 1 the two unit norms force a^2 (resp. s^2 = (2a + b)^2)
-    to one of two integers; the first b admitting a solution gives the
-    fundamental unit, taking the smaller root when both norms admit one.
+    to one of two integers, d*b^2 -+ t with t = 1 (resp. 4); the first b
+    admitting a solution gives the fundamental unit, taking the smaller root
+    when both norms admit one.  A b is skipped only when neither integer is
+    a square modulo L = 55440, so the search stays exhaustive.
     """
-    for b in range(1, 10**6):
-        n = d * b * b
-        if d % 4 != 1:
-            for s2, nrm in ((n - 1, -1), (n + 1, 1)):
-                if math.isqrt(s2) ** 2 == s2:
-                    return math.isqrt(s2), b, nrm
-        else:
-            for s2, nrm in ((n - 4, -1), (n + 4, 1)):
+    t, L = (4 if d % 4 == 1 else 1), 55440
+    squares = {x * x % L for x in range(L)}
+    passing = [r for r in range(L) if (d * r * r - t) % L in squares
+               or (d * r * r + t) % L in squares]
+    for base in range(0, 10**8, L):
+        for b in (base + r for r in passing if base + r):
+            n = d * b * b
+            for s2, nrm in ((n - t, -1), (n + t, 1)):
                 s = math.isqrt(s2)
-                if s * s == s2 and (s - b) % 2 == 0:
-                    return (s - b) // 2, b, nrm
-    raise AssertionError(f"no unit with b < 10^6 for d = {d}")
+                if s * s == s2 and (t == 1 or (s - b) % 2 == 0):
+                    return (s if t == 1 else (s - b) // 2), b, nrm
+    raise AssertionError(f"no unit with b < 10^8 for d = {d}")
+
+
+# -- principality: the box in which a balanced generator must lie ---------------
+
+def norm_equation_box(x: IdealHNF) -> int:
+    """vmax with |v| <= vmax for some generator u + v*omega of x, if any.
+
+    A balanced generator g has |sigma_1(g)/sigma_2(g)| in [1/eps_plus,
+    eps_plus], so |sigma_i(g)| <= A sqrt(N(x)) with A^2 = sigma_1(eps_plus),
+    and |v| sqrt(D) = |sigma_1(g) - sigma_2(g)| <= 2 A sqrt(N(x))."""
+    F, e = x.field, x.field.eps_plus
+    with mpmath.workprec(128):
+        root = mp.sqrt(F.d)
+        w1 = (1 + root) / 2 if F.d % 4 == 1 else root
+        return int(mp.floor(2 * mp.sqrt((e.a + e.b * w1) / e.den * x.norm() / F.D))) + 1
+
+
+def norm_equation_search(x: IdealHNF):
+    """A generator of x from the box of `norm_equation_box`, or None when the
+    box has none.  For each v, |N(u + v*omega)| = N(x) fixes
+    (2u + v*c1)^2 = v^2 D +- 4 N(x)."""
+    F, n = x.field, x.norm()
+    vmax = norm_equation_box(x)
+    for v in range(-vmax, vmax + 1):
+        for s2 in (v * v * F.D + 4 * n, v * v * F.D - 4 * n):
+            s = math.isqrt(max(s2, 0))
+            if s * s != s2:
+                continue
+            for root in {s, -s}:
+                if (root - v * F.c1) % 2 == 0:
+                    g = F.elt((root - v * F.c1) // 2, v)
+                    if x.contains(g):
+                        return g
+    return None
 
 
 # -- balanced exponent: minimize |log|s1/s2|| in high-precision floats ----------

@@ -28,6 +28,14 @@ def test_field_info():
     assert json.loads(r2.output)["delta"] == {"a": "4", "b": "2"}
 
 
+def test_field_info_with_a_large_unit():
+    # h+ = 1 decided by the cycle walk, where eps_plus is about 10^13
+    r = run(["field-info", "--d", "193"])
+    assert r.exit_code == 0
+    doc = json.loads(r.output)
+    assert doc["narrow_h1"] is True and doc["fu_norm"] == -1
+
+
 def test_field_info_not_squarefree():
     r = CliRunner().invoke(main, ["field-info", "--d", "12"])
     assert r.exit_code == 2

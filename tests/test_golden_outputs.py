@@ -44,7 +44,11 @@ EXTRA_COMMANDS = (
         "--max-x", "300", "--max-m", "6"]]
     # the full Selberg grid, and a sweep that skips most of its triples
     + [["selberg-check", "--d", "13", "--max-norm-q", "60", "--grid", "full"],
-       ["selberg-check", "--d", "10", "--max-norm-q", "30", "--grid", "full"]])
+       ["selberg-check", "--d", "10", "--max-norm-q", "30", "--grid", "full"]]
+    # units too large for a search of the generators' box
+    + [["field-info", "--d", str(d)] for d in (193, 241)]
+    + [["certify", "--d", "193", "--k", "8", "--mu", "1", "--max-x", "300",
+        "--max-m", "4"]])
 
 
 def _commands():

@@ -17,14 +17,17 @@ from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, chi0,
                                     prime_splitting, principal_ideal,
                                     splitting_type, unit_ideal, valuation_elt,
                                     valuation_ideal, wide_class_number_is_one)
-from hilbertpoincare.arith import is_prime
+from hilbertpoincare.arith import is_prime, is_squarefree
 
-from oracles import af_sieve, ideal_from_elements, kronecker_symbol, z_basis
+from oracles import (af_sieve, ideal_from_elements, kronecker_symbol,
+                     norm_equation_box, norm_equation_search, z_basis)
 
 # between them these fields make 2 ramified (2, 3), inert (5, 13) and split (17)
 SPLITTING_FIELDS = (2, 3, 5, 13, 17)
 # both integral bases, narrow class number 1 (2, 5, 13, 17) and not (3, 6, 7)
 KERNEL_FIELDS = (2, 3, 5, 6, 7, 13, 17)
+# small and large units, wide class number 2 (10) and fu_norm = +1 (3)
+PRINCIPALITY_FIELDS = (2, 3, 5, 10, 13, 193, 997)
 
 
 def rand_ideal(F, rng, span=9):
@@ -127,6 +130,29 @@ def test_principality(F5):
     assert wide_class_number_is_one(F5)
     assert F5.narrow_h1 and make_field(2).narrow_h1
     assert not make_field(3).narrow_h1  # fundamental unit has norm +1
+
+
+def test_narrow_h1_returns_for_every_squarefree_d_below_1000():
+    # the cycle walk has no budget: fields with a large unit decide too
+    verdicts = {d: make_field(d).narrow_h1 for d in range(2, 1000) if is_squarefree(d)}
+    assert len(verdicts) == 607
+    assert all(verdicts[d] for d in (2, 5, 13, 193, 241, 281, 313))
+    assert not any(verdicts[d] for d in (3, 10, 394))
+
+
+@pytest.mark.parametrize("d", PRINCIPALITY_FIELDS)
+def test_is_principal_against_the_box_search(d):
+    # every generator reproduces its ideal's HNF; every verdict agrees with
+    # the box search of the oracle wherever the box has <= 10^5 candidates
+    F = make_field(d)
+    for n in range(1, 201):
+        for x in ideals_of_norm(F, n):
+            fresh = IdealHNF(F, x.a, x.b, x.c)
+            g = is_principal(fresh)
+            if g is not None:
+                assert principal_ideal(g) == x and fresh.gen is not None, (d, x)
+            if 2 * norm_equation_box(x) + 1 <= 10**5:
+                assert (norm_equation_search(x) is None) == (g is None), (d, x)
 
 
 def test_a_unit_generates_o_with_generator_one(F5, F2):

@@ -158,9 +158,9 @@ def test_src_reads_no_environment():
     assert found == []
 
 
-# the estimates that may read ESTIMATE_PREC: a bound read once per field and
-# the Bessel envelope.  An exact choice is never decided from a float estimate.
-ESTIMATE_READERS = {"field.RealQuadraticField.A_hi", "bessel.envelope"}
+# the estimate that may read ESTIMATE_PREC: the Bessel envelope.  An exact
+# choice is never decided from a float estimate.
+ESTIMATE_READERS = {"bessel.envelope"}
 
 
 def _estimate_readers():

@@ -111,7 +111,7 @@ def _check_terms(ev, X, M, monkeypatch):
     for cls in ev.classes_upto(X):
         del terms[:]
         with prec_guard(p):
-            got = ev._class_sum(cls, M, {})
+            got = ev._class_sum(cls, M, {}, -math.inf, [0, 0])   # no term bounded
         assert sorted(j for j, _, _ in terms) == list(range(-M, M + 1))
         total = Fraction(0)
         for j, t, ((ax1, v1), (ax2, v2)) in terms:
