@@ -173,13 +173,19 @@ class Elt:
         return self.sign_at(1) > 0 and self.sign_at(2) > 0
 
     def embeddings(self, precision: int):
-        """Pair of intervals enclosing (sigma_1(x), sigma_2(x))."""
+        """Pair of intervals enclosing (sigma_1(x), sigma_2(x)).  When A and
+        B have opposite signs, (A^2 - d B^2)/(q (A - B sqrt d)) cancels nothing
+        (sigma_2(2 eps_plus^40) ~ 10^-17 is lost to A + B sqrt 5 at 64 bits)."""
         with prec_guard(precision):
             sq = iv.sqrt(iv.mpf(self.field.d))
             out = []
             for emb in (1, 2):
                 A, B, q = self.sqrt_form(emb)
-                out.append((iv.mpf(A) + iv.mpf(B) * sq) / iv.mpf(q))
+                if A * B < 0:
+                    out.append(iv.mpf(A * A - self.field.d * B * B)
+                               / ((iv.mpf(A) - iv.mpf(B) * sq) * q))
+                else:
+                    out.append((iv.mpf(A) + iv.mpf(B) * sq) / iv.mpf(q))
             return tuple(out)
 
     def to_json(self):
@@ -306,11 +312,14 @@ class RealQuadraticField:
     def balanced_representative(self, x: Elt):
         """(y, m) with y = x * eps_plus^m minimizing |log |sigma1(y)/sigma2(y)||.
 
-        Ties are broken toward smaller |m|, then smaller m.  With
-        q(m) = sigma1(x eps_plus^m)^2 / |N(x)|, |log q(m)| <= |log q(m+1)|
-        exactly when sigma1(x^2 eps_plus^(2m+1)) >= |N(x)|, one exact sign
-        test that is monotone in m.  The least m passing it is the answer
-        (m + 1 on equality with m < 0); doubling and bisection find it.
+        With q(m) = sigma1(x eps_plus^m)^2 / |N(x)| = |sigma1/sigma2|(x
+        eps_plus^m), |log q(m)| <= |log q(m+1)| exactly when
+        sigma1(x^2 eps_plus^(2m+1)) >= |N(x)|, one exact sign test that is
+        monotone in m.  The least m passing it is the answer, found by
+        doubling and bisection, unless it passes with equality: then q(m)
+        q(m+1) = 1, and as q increases with m, q(m) < 1 < q(m+1).  Such a tie
+        goes to m + 1, the y with |sigma1(y)| > |sigma2(y)|, so y depends only
+        on the orbit x eps_plus^Z, not on which member x is.
         """
         if x.is_zero():
             raise ZeroElement("cannot balance 0")
@@ -328,7 +337,7 @@ class RealQuadraticField:
         while hi_m - lo_m > 1:
             mid = (lo_m + hi_m) // 2
             lo_m, hi_m = (lo_m, mid) if excess(mid) >= 0 else (mid, hi_m)
-        m = hi_m + 1 if hi_m < 0 and excess(hi_m) == 0 else hi_m
+        m = hi_m + 1 if excess(hi_m) == 0 else hi_m
         return x * eps ** m, m
 
     # -- narrow class number ----------------------------------------------------

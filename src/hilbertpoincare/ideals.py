@@ -7,8 +7,7 @@ so ideals can be used as dict keys.
 
 Sums, products and conjugates are the HNFs of integer Z-basis vectors: the
 sum and the product of two O-modules are again O-modules, spanned over Z by
-the union and by the four products of their Z-bases.  A known generator is
-carried as its coordinate pair (u, v) of u + v*omega.
+the union and by the four products of their Z-bases.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from .field import Elt, cf_walk
 
 
 class IdealHNF:
-    __slots__ = ("field", "a", "b", "c", "gen")
+    __slots__ = ("field", "a", "b", "c")
 
-    def __init__(self, field, a, b, c, gen=None):
+    def __init__(self, field, a, b, c):
         if a <= 0 or c <= 0:
             raise ZeroIdeal("HNF entries must be positive")
         b %= a
@@ -40,7 +39,6 @@ class IdealHNF:
         self.a = a
         self.b = b
         self.c = c
-        self.gen = gen  # coordinates of a known generator, or None (not identity)
 
     # -- structure ----------------------------------------------------------
     def norm(self) -> int:
@@ -109,11 +107,7 @@ def ideal_from_generators(gens) -> IdealHNF:
         if not g.is_integral():
             raise NotIntegral(f"generator {g} is not integral")
         vecs += ((g.a, g.b), (g.b * F.c0, g.a + g.b * F.c1))   # g and g*omega
-    a, b, c = _hnf_from_vectors(vecs)
-    gen = None
-    if len(gens) == 1:   # O keeps the generator 1, whichever unit generated it
-        gen = (1, 0) if a == c == 1 else (gens[0].a, gens[0].b)
-    return IdealHNF(F, a, b, c, gen)
+    return IdealHNF(F, *_hnf_from_vectors(vecs))
 
 
 def principal_ideal(g: Elt) -> IdealHNF:
@@ -121,7 +115,7 @@ def principal_ideal(g: Elt) -> IdealHNF:
 
 
 def unit_ideal(field) -> IdealHNF:
-    return IdealHNF(field, 1, 0, 1, gen=(1, 0))
+    return IdealHNF(field, 1, 0, 1)
 
 
 def different_ideal(field) -> IdealHNF:
@@ -136,21 +130,15 @@ def ideal_sum(x: IdealHNF, y: IdealHNF) -> IdealHNF:
 
 def ideal_product(x: IdealHNF, y: IdealHNF) -> IdealHNF:
     F = x.field
-    a, b, c = _hnf_from_vectors((
+    return IdealHNF(F, *_hnf_from_vectors((
         (x.a * y.a, 0), (x.a * y.b, x.a * y.c), (x.b * y.a, x.c * y.a),
-        F.mul_coords(x.b, x.c, y.b, y.c)))
-    gen = None
-    if x.gen is not None and y.gen is not None:
-        gen = F.mul_coords(*x.gen, *y.gen)
-    return IdealHNF(F, a, b, c, gen)
+        F.mul_coords(x.b, x.c, y.b, y.c))))
 
 
 def ideal_conj(x: IdealHNF) -> IdealHNF:
     """conj(b + c*omega) = (b + c*c1) - c*omega, so the conjugate's HNF is
     (a, -(b + c*c1) mod a, c)."""
-    c1 = x.field.c1
-    gen = None if x.gen is None else (x.gen[0] + x.gen[1] * c1, -x.gen[1])
-    return IdealHNF(x.field, x.a, -(x.b + x.c * c1), x.c, gen)
+    return IdealHNF(x.field, x.a, -(x.b + x.c * x.field.c1), x.c)
 
 
 def ideal_divides(y: IdealHNF, x: IdealHNF) -> bool:
@@ -317,13 +305,16 @@ def N_nu_mu(m: IdealHNF, nu, mu) -> Fraction:
 
     nu, mu are field elements; a zero argument contributes +infinity to the
     min.  The result is an exact rational (negative exponents can occur for
-    fractional arguments).
+    fractional arguments).  The different has norm D and is divisible
+    exactly by the ramified primes, those above the p | D, each of norm p;
+    so at a prime above p it has valuation v_p(D), read off D.
     """
-    F = m.field
-    dd = different_ideal(F)
     out = Fraction(1)
     for pr, e in factor_ideal(m):
-        cand = [e - valuation_ideal(dd, pr)]
+        p, D = pr.a, m.field.D   # pr.a is the rational prime below pr
+        while D % p == 0:
+            D, e = D // p, e - 1
+        cand = [e]
         for t in (nu, mu):
             if t is not None and not t.is_zero():
                 cand.append(valuation_elt(t, pr))
@@ -349,22 +340,18 @@ def is_principal(x: IdealHNF):
     omega, so its walk would have entered O's cycle.
     """
     F = x.field
-    if x.gen is not None:
-        g = F.elt(*x.gen)
-    else:
-        a, b = x.a // x.c, x.b // x.c
-        P, Q = F.omega_pq
-        seen = set()
-        for state, (u, v) in cf_walk(F.d, Q * b + P, Q * a):
-            if state in F.principal_cycle:
-                break
-            if state in seen:
-                return None
-            seen.add(state)
-        g = F.elt(x.c * (u * a + v * b), x.c * v) / F.principal_cycle[state]
-        if not g.is_integral() or principal_ideal(g) != x:
-            raise AssertionError(f"the walk's generator {g} does not generate {x}")
-        x.gen = (g.a, g.b)
+    a, b = x.a // x.c, x.b // x.c
+    P, Q = F.omega_pq
+    seen = set()
+    for state, (u, v) in cf_walk(F.d, Q * b + P, Q * a):
+        if state in F.principal_cycle:
+            break
+        if state in seen:
+            return None
+        seen.add(state)
+    g = F.elt(x.c * (u * a + v * b), x.c * v) / F.principal_cycle[state]
+    if not g.is_integral() or principal_ideal(g) != x:
+        raise AssertionError(f"the walk's generator {g} does not generate {x}")
     return F.totally_positive_associate(g) or g
 
 

@@ -87,7 +87,7 @@ class PoincareParams:
         self._window_sums: dict = {}       # precision -> prefix sums of m^-(k-1)/2
 
     def norm_cd(self) -> Fraction:
-        return self.cideal.norm() * different_ideal(self.field).norm()
+        return self.cideal.norm() * self.field.D   # N(different) = D
 
     def norm_cnd(self) -> Fraction:
         return self.norm_cd() * self.level.norm()
@@ -806,7 +806,7 @@ def effective_constants(field, eta: Fraction = DEFAULT_ETA) -> ConstantsLedger:
         f2 = 1 / (two_pi_e * two_pi_e)
         # max of ln(k-1)/(k-1/2) over even k >= 4 is at k = 4
         f3 = 1 / iv_pow_frac(iv.mpf(3), Fraction(2, 7) * eta)
-        nd = Fraction(different_ideal(field).norm())
+        nd = field.D   # N(different) = D
         f4 = iv_pow_frac(iv_from_fraction(nd), Fraction(2, 7) * (3 - eta))
         c_final = f1 * f2 * f3 * f4
         ledger = ConstantsLedger(field, eta, A, c1, c2, c3, c4, c5, c6, c7,

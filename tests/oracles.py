@@ -239,7 +239,8 @@ def norm_equation_search(x: IdealHNF):
 
 def balanced_exponent_oracle(field, x, candidates=None):
     """The m minimizing |log|s1(y)/s2(y)|| for y = x * eps_plus^m, ties to
-    smaller |m| then smaller m, from mpmath logs of the embeddings.
+    the larger m (the y with |s1(y)| > |s2(y)|), from mpmath logs of the
+    embeddings.
 
     The precision grows with the coordinates, so the cancellation in
     a + b*omega_2 stays far inside it; qualities within 2^(-prec/2) count as
@@ -258,7 +259,7 @@ def balanced_exponent_oracle(field, x, candidates=None):
             candidates = range(m0 - 2, m0 + 3)
         tol = mp.mpf(2) ** (-mp.prec // 2)
         best = None
-        for m in sorted(candidates, key=lambda m: (abs(m), m)):
+        for m in sorted(candidates, reverse=True):
             q = abs(r + m * step)
             if best is None or q < best[1] - tol:
                 best = (m, q)

@@ -228,17 +228,37 @@ def test_recurrence_far_unit_window_exits_without_traceback():
     assert json.loads(r.output)["status"] in ("consistent", "inconclusive")
 
 
-@pytest.mark.parametrize("d, level", [
-    (5, "(28944668049352442,46833456696935370)"),   # 2 * eps_plus^40
-    (17, "(102559065442,-40037849280)"),            # 2 * eps_plus^-6
-])
-def test_certify_level_generator_does_not_change_the_output(d, level):
-    # an unbalanced generator of the level is balanced again in every class
-    args = ["certify", "--d", str(d), "--k", "8", "--mu", "1", "--max-x", "200",
-            "--max-m", "6", "--level"]
-    plain, far = run(args + ["2"]), run(args + [level])
-    assert plain.exit_code == far.exit_code == 0
-    assert far.output == plain.output
+# (d, mu, --max-x, --max-m, the level, another spelling of it)
+SPELLED_LEVELS = [
+    (5, "1", 200, 6, "2", "(28944668049352442,46833456696935370)"),   # 2 eps_plus^40
+    (17, "1", 200, 6, "2", "(102559065442,-40037849280)"),            # 2 eps_plus^-6
+    (5, "(3,-1)", 200, 6, "3", "3,0,3"),                              # the HNF of (3)
+    (5, "(3,-1)", 200, 6, "3", "(3,0)"),
+    # the one class, 11 delta, is as well balanced as 11 delta / eps_plus
+    (5, "(3,-1)", 2000, 4, "11", "11,0,11"),
+]
+
+
+@pytest.mark.parametrize("d, mu, max_x, max_m, plain_level, level", SPELLED_LEVELS,
+                         ids=[f"{case[0]}-{case[-1]}" for case in SPELLED_LEVELS])
+def test_certify_level_generator_does_not_change_the_output(d, mu, max_x, max_m,
+                                                            plain_level, level):
+    # the class representatives depend on the level's ideal alone: an
+    # unbalanced generator, or none (an HNF triple), gives the same bytes
+    args = ["certify", "--d", str(d), "--k", "8", "--mu", mu, "--max-x", str(max_x),
+            "--max-m", str(max_m), "--level"]
+    plain, other = run(args + [plain_level]), run(args + [level])
+    assert plain.exit_code == other.exit_code == 0
+    assert other.output == plain.output
+
+
+def test_certify_a_mu_with_a_tiny_second_embedding():
+    # mu = 2 eps_plus^40: the enclosure of sigma_2(mu^2) ~ 10^-33 once
+    # straddled 0 at the working precision, and its square root raised
+    mu = "(28944668049352442,46833456696935370)"
+    r = run(["certify", "--d", "5", "--k", "8", "--mu", mu, "--max-x", "64",
+             "--max-m", "2"])
+    assert r.exit_code in (0, 3) and "finite_part" in r.output
 
 
 def test_hecke_check_cli():

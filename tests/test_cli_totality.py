@@ -4,15 +4,19 @@ A property over argv drawn from a grammar of valid and malformed values for
 each of the eight commands:
   - d from squarefree fields (small and large units: 193, 241, 997) and
     from non-squarefree or too small values (4, 12, 1, 0, -5);
-  - elements, levels and moduli in every syntax of the CLI's grammar, and
-    malformed ones;
-  - weights, eta, cutoffs (small, so the property stays fast), seeds,
-    --format and a config file, valid or not.
+  - elements, levels and moduli in every syntax of the CLI's grammar, one
+    with 56-bit coordinates (2 eps_plus^40 over Q(sqrt 5)), and malformed
+    ones;
+  - weights up to 24, eta, cutoffs (small, so the property stays fast), a
+    residue budget small enough that certify and recurrence meet rings over
+    it, seeds, --format and a config file, valid or not.
 
 It asserts that the command raises nothing but SystemExit; that the exit
 code is 0, 1 or 3, or 2 with an "Error:" line and no traceback; that on
 well-formed input over a squarefree d an exit 2 never comes from a budget;
 and that every NONZERO certificate printed passes `audit_certificate`.
+A second property spells one level as an element and as its HNF triple, and
+asserts that certify prints the same bytes for both.
 """
 
 import json
@@ -24,14 +28,18 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from hilbertpoincare import cli
+from hilbertpoincare.field import make_field
 from hilbertpoincare.poincare import audit_certificate
+
+from oracles import ideal_from_elements
 
 FIELDS = (2, 5, 13, 193, 241, 997)
 NOT_FIELDS = (4, 12, 1, 0, -5)
+HUGE = "(28944668049352442,46833456696935370)"   # 2 eps_plus^40 over Q(sqrt 5)
 ELEMENTS = ("1", "3", "w", "-w", "1+2*w", "2*w", "(3,1)", "(2,-1)", "(1,1)/2",
-            "1/3", "delta", "1/delta")
+            "1/3", "delta", "1/delta", HUGE)
 BAD_ELEMENTS = ("x", "(1,", "1/0", "", "w*w")
-LEVELS = ("1", "2", "w", "3", "2,0,2", "(3,1)")
+LEVELS = ("1", "2", "w", "3", "2,0,2", "(3,1)", HUGE)
 BAD_LEVELS = ("3,1,1", "0", "-1,0,1", "q")
 CONFIGS = {"precision": {"precision": 80}, "format": {"format": "table"}}
 BAD_CONFIGS = {"unknown key": {"cache_dir": "x"}, "not an object": [1],
@@ -73,30 +81,35 @@ def invocations(draw, cmd):
     if cmd == "kloosterman":
         argv += ["--nu", pick(ELEMENTS, BAD_ELEMENTS), "--mu", pick(ELEMENTS),
                  "--c", pick(("1", "2", "w", "(2,1)", "3"), ("0",))]
-        if rng.random() < 1 / 2:
-            argv += ["--modulus", pick(LEVELS, BAD_LEVELS)]
+        if rng.random() < 1 / 2:   # HUGE is a modulus of norm ~10^33 off d = 5:
+            # its ring is over any residue budget, an exit 2 by design
+            argv += ["--modulus", pick(LEVELS[:-1], BAD_LEVELS)]
     elif cmd == "selberg-check":
         argv += ["--max-norm-q", pick((1, 4, 8), (0, -3)),
                  "--grid", pick(("small", "full"), ("huge",))]
     elif cmd == "weil-audit":
         argv += ["--samples", pick((1, 3), (0,)), "--seed", pick(range(100))]
     elif cmd == "certify":
-        argv += ["--k", pick((4, 8), (3, 0, -2)), "--mu", pick(ELEMENTS, BAD_ELEMENTS),
+        argv += ["--k", pick((4, 8, 24), (3, 0, -2)), "--mu", pick(ELEMENTS, BAD_ELEMENTS),
                  "--level", pick(LEVELS, BAD_LEVELS),
                  "--max-x", pick((16, 64), (0, -5)), "--max-m", pick((0, 2), (-1,))]
         if rng.random() < 1 / 2:
             argv += ["--eta", pick(("1/2", "1/3"), ("0", "1", "2", "1/0", "x"))]
+        if rng.random() < 1 / 2:
+            argv += ["--residue-budget", pick((4, 60), (0,))]
     elif cmd == "thresholds":
-        argv += ["--k", pick((4, 8, 12), (3, 0)), "--level", pick(LEVELS, BAD_LEVELS),
+        argv += ["--k", pick((4, 8, 12, 24), (3, 0)), "--level", pick(LEVELS, BAD_LEVELS),
                  "--eta", pick(("1/2", "1/3"), ("0", "3/2", "1/0")),
                  "--alpha", pick(("1", "(3,1)", "2"), ("-1", "x"))]
     elif cmd == "recurrence":
-        argv += ["--k", pick((4, 8), (5,)),
+        argv += ["--k", pick((4, 8, 24), (5,)),
                  "--p", pick(("2", "3", "7", "(3,1)", "w"), ("0", "x")),
-                 "--nu", pick(("1", "2")), "--mu", pick(("1", "(3,1)")),
+                 "--nu", pick(("1", "2")), "--mu", pick(("1", "(3,1)", HUGE)),
                  "--x", pick((16, 40), (-1,)), "--big-m", pick((0, 1), (-2,))]
+        if rng.random() < 1 / 2:
+            argv += ["--residue-budget", pick((4, 60), (0,))]
     elif cmd == "hecke-check":
-        argv += ["--k", pick((8,), (3,)), "--level", pick(LEVELS, BAD_LEVELS),
+        argv += ["--k", pick((8, 24), (3,)), "--level", pick(LEVELS, BAD_LEVELS),
                  "--samples", pick((1, 3), (0,)), "--seed", pick(range(100))]
     if rng.random() < 1 / 2:
         argv += ["--format", pick(("json", "csv", "table"), ("xml",))]
@@ -149,3 +162,20 @@ def test_certificates_audit(d, k, mu, level, max_m):
     # 12, mu = 1 or 2 over d = 2, 5 and 13 at X = 64, M = 2)
     _check(["certify", "--d", str(d), "--k", str(k), "--mu", mu, "--level", level,
             "--max-x", "64", "--max-m", str(max_m)], True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS), st.sampled_from((8, 24)),
+       st.sampled_from(("1", "2", "delta", HUGE)),
+       st.sampled_from(("2", "3", "w", "(3,1)", "1+2*w", "5", HUGE)),
+       st.sampled_from((0, 2)))
+def test_a_level_as_an_element_and_as_its_hnf_certifies_alike(d, k, mu, level, max_m):
+    # the class representatives depend on the level's ideal, not its spelling;
+    # the oracle's HNF makes the triple
+    x = ideal_from_elements([cli.parse_element(make_field(d), level)])
+    args = ["certify", "--d", str(d), "--k", str(k), "--mu", mu, "--max-x", "64",
+            "--max-m", str(max_m), "--level"]
+    as_element = CliRunner().invoke(cli.main, args + [level])
+    as_hnf = CliRunner().invoke(cli.main, args + [f"{x.a},{x.b},{x.c}"])
+    assert as_hnf.exception is None or isinstance(as_hnf.exception, SystemExit)
+    assert (as_hnf.exit_code, as_hnf.output) == (as_element.exit_code, as_element.output)

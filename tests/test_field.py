@@ -119,15 +119,39 @@ def test_balanced_exponent_matches_oracle(d):
 
 def test_balanced_ties_over_q_sqrt3(F3):
     # (1 + sqrt 3)^2 = 2 eps_plus, so x_j = (1 + sqrt 3) eps_plus^j is exactly
-    # as balanced at -j - 1 as at -j; the tie goes to the smaller |m|
+    # as balanced at -j - 1 as at -j; the tie goes to -j, where |s1| > |s2|
     x = F3.elt(1, 1)
     assert F3.balanced_representative(x) == (x, 0)
     assert F3.balanced_representative(x * F3.eps_plus ** 5) == (x, -5)
     for j in range(-6, 7):
         xj = x * F3.eps_plus ** j
-        expected = -j if j >= 0 else -j - 1
-        assert F3.balanced_representative(xj)[1] == expected
-        assert balanced_exponent_oracle(F3, xj) == expected
+        assert F3.balanced_representative(xj)[1] == -j
+        assert balanced_exponent_oracle(F3, xj) == -j
+
+
+@pytest.mark.parametrize("d, a, b", [(3, 1, 1), (5, 2, 1), (2, 8, 4)])
+def test_a_tied_orbit_has_one_representative(d, a, b):
+    # x and x / eps_plus are equally balanced; every member of the orbit
+    # x eps_plus^Z balances to the one with |s1| > |s2|, whichever is passed
+    F = make_field(d)
+    x = F.elt(a, b)
+    reps = {F.balanced_representative(x * F.eps_plus ** j)[0] for j in range(-6, 7)}
+    assert reps == {x}
+    s1, s2 = x.embeddings(64)
+    assert lo(abs(s1)) > hi(abs(s2))
+    assert balanced_exponent_oracle(F, x / F.eps_plus, range(-3, 4)) == 1
+
+
+def test_embeddings_of_an_unbalanced_element_keep_the_small_one(F5):
+    # sigma_2(2 eps_plus^40) ~ 3.8e-17 cancels out of A + B sqrt 5 at 64 bits
+    x = F5.elt(28944668049352442, 46833456696935370)
+    assert x == 2 * F5.eps_plus ** 40
+    for y in (x, -x, x.conj(), x / 7, -x.conj() / 3):
+        s1, s2 = y.embeddings(64)
+        for s, emb in ((s1, 1), (s2, 2)):
+            assert mpmath.sign(lo(s)) == mpmath.sign(hi(s)) == y.sign_at(emb)
+            assert hi(s) - lo(s) <= abs(lo(s)) * 2 ** -58
+        assert contains(s1 * s2, y.norm())
 
 
 def test_balanced_representative_of_a_far_unit(F5):

@@ -150,19 +150,37 @@ def test_is_principal_against_the_box_search(d):
             fresh = IdealHNF(F, x.a, x.b, x.c)
             g = is_principal(fresh)
             if g is not None:
-                assert principal_ideal(g) == x and fresh.gen is not None, (d, x)
+                assert principal_ideal(g) == x, (d, x)
             if 2 * norm_equation_box(x) + 1 <= 10**5:
                 assert (norm_equation_search(x) is None) == (g is None), (d, x)
 
 
 def test_a_unit_generates_o_with_generator_one(F5, F2):
-    # the HNF (1, 0, 1) decides it, not the norm of the generator
+    # the walk reads the generator off the HNF (1, 0, 1), not off the unit
     for F in (F5, F2):
         for u in (F.fundamental_unit, -F.fundamental_unit ** -1, F.eps_plus ** 3):
             x = principal_ideal(u)
-            assert x == unit_ideal(F) and x.gen == (1, 0)
-            assert is_principal(x) == F.one()
-    assert principal_ideal(F5.from_int(3)).gen == (3, 0)
+            assert x == unit_ideal(F) and is_principal(x) == F.one()
+    assert is_principal(principal_ideal(F5.from_int(3))) == 3
+
+
+def test_the_different_has_valuation_v_p_of_d():
+    # N_nu_mu reads v_P(different) = v_p(D) off D; with m = P^3 and no nu,
+    # mu it is N(P)^(3 - v_P(different)), here against the different's HNF
+    pairs = 0
+    for d in range(2, 400):
+        if not is_squarefree(d):
+            continue
+        F = make_field(d)
+        dd = different_ideal(F)
+        for p in range(2, 60):
+            if not is_prime(p):
+                continue
+            for pr in prime_splitting(F, p):
+                v = valuation_ideal(dd, pr)
+                assert N_nu_mu(ideal_pow(pr, 3), None, None) == pr.norm() ** (3 - v), (d, pr)
+                pairs += 1
+    assert pairs == 5930
 
 
 def test_fractional_ideals(F5):
