@@ -289,6 +289,9 @@ def cmd_weil_audit(d, samples, seed, **kw):
     rng = random.Random(seed)
     diff = different_ideal(F)
     lists = {n: ideals_of_norm(F, n) for n in range(2, 61)}
+    # per modulus drawn: the box m*d and its inverse, and its residue ring;
+    # per exact Weil bound: its interval
+    boxes, rings, bounds = {}, {}, {}
     max_ratio = mpmath.mpf(0)
     violations = 0
     done = 0
@@ -297,7 +300,11 @@ def cmd_weil_audit(d, samples, seed, **kw):
         if not opts:
             continue
         mod = rng.choice(opts)
-        box = ideal_product(mod, diff)
+        mkey = mod.key()
+        if mkey not in boxes:
+            box = ideal_product(mod, diff)
+            boxes[mkey] = box, FractionalIdeal(box).inverse()
+        box, box_inv = boxes[mkey]
         s, t = rng.randint(-4, 4), rng.randint(-4, 4)
         if s == 0 and t == 0:
             s = 1
@@ -306,16 +313,19 @@ def cmd_weil_audit(d, samples, seed, **kw):
             continue
         # nu, mu sampled as lattice points of c*(m d)^{-1}, so membership
         # holds by construction
-        dom = element_ideal(c_e) / FractionalIdeal(box)
+        dom = element_ideal(c_e) * box_inv
         def rand_in_dom():
             u, v = rng.randint(-8, 8), rng.randint(-8, 8)
             return F.elt(u * dom.num.a + v * dom.num.b, v * dom.num.c, dom.den)
         nu, mu = rand_in_dom(), rand_in_dom()
         q = KloostermanQuery(F, nu, mu, mod, c_e)
-        re_iv, im_iv = kloosterman_float(q, st.precision, st.residue_budget)
+        re_iv, im_iv = kloosterman_float(q, st.precision, st.residue_budget, rings)
+        wb = weil_bound(q)
+        bkey = (wb.coeff, wb.radicand)
+        if bkey not in bounds:
+            bounds[bkey] = wb.interval(st.precision)
         with prec_guard(st.precision):   # an upper bound on |S| / weil_bound
-            ratio = hi(iv.sqrt(re_iv ** 2 + im_iv ** 2)
-                       / weil_bound(q).interval(st.precision))
+            ratio = hi(iv.sqrt(re_iv ** 2 + im_iv ** 2) / bounds[bkey])
         if ratio > max_ratio:
             max_ratio = ratio
         if ratio > 1:

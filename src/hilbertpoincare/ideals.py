@@ -266,18 +266,6 @@ def valuation_ideal(x: IdealHNF, pr: IdealHNF) -> int:
     return v
 
 
-def valuation_elt(x: Elt, pr: IdealHNF) -> int:
-    """v_p of a nonzero field element (num minus den valuations)."""
-    if x.is_zero():
-        raise ZeroIdeal("valuation of 0 is +infinity")
-    F = x.field
-    num = principal_ideal(F.elt(x.a, x.b))
-    v = valuation_ideal(num, pr)
-    if x.den != 1:
-        v -= valuation_ideal(principal_ideal(F.from_int(x.den)), pr)
-    return v
-
-
 def divisors(x: IdealHNF):
     """All integral divisors, sorted by norm then canonical form; each is one
     ideal product of a smaller divisor and a prime."""
@@ -303,22 +291,45 @@ def pr_count(m: IdealHNF) -> int:
 def N_nu_mu(m: IdealHNF, nu, mu) -> Fraction:
     """prod over p | m of N(p)^min(v_p(nu), v_p(mu), v_p(m) - v_p(different)).
 
-    nu, mu are field elements; a zero argument contributes +infinity to the
-    min.  The result is an exact rational (negative exponents can occur for
-    fractional arguments).  The different has norm D and is divisible
-    exactly by the ramified primes, those above the p | D, each of norm p;
-    so at a prime above p it has valuation v_p(D), read off D.
+    nu, mu are field elements; a zero or None argument contributes +infinity
+    to the min.  The result is an exact rational (negative exponents can
+    occur for fractional arguments).  The different has norm D and is
+    divisible exactly by the ramified primes, those above the p | D, each of
+    norm p; so at a prime above p it has valuation v_p(D), read off D.
+
+    Only the valuations capped at the running minimum `cap` (starting at
+    v_p(m) - v_p(D), possibly <= 0) are needed, and they come from
+    membership tests.  Write t = num/den with num = a + b*omega integral and
+    den a positive integer.  Then v_p(den) = e_p * v_p(den as an integer),
+    with e_p = 2 at a ramified p and 1 otherwise, and
+    min(v_p(t), cap) = min(v_p(num), cap + v_p(den)) - v_p(den).  Since
+    v_p(num) >= k exactly when num lies in p^k, v_p(num) capped at
+    cap + v_p(den) is the number of powers p, p^2, ... that contain num,
+    counted up to the first miss or to the cap.  Each power is one
+    `ideal_product` of the previous one.
     """
     out = Fraction(1)
     for pr, e in factor_ideal(m):
         p, D = pr.a, m.field.D   # pr.a is the rational prime below pr
+        e_p = 1
         while D % p == 0:
-            D, e = D // p, e - 1
-        cand = [e]
+            D, e, e_p = D // p, e - 1, 2
+        cap, powers = e, [pr]
         for t in (nu, mu):
-            if t is not None and not t.is_zero():
-                cand.append(valuation_elt(t, pr))
-        out *= Fraction(pr.norm()) ** min(cand)
+            if t is None or t.is_zero():
+                continue
+            v_den, den = 0, t.den
+            while den % p == 0:
+                den, v_den = den // p, v_den + e_p
+            k = 0
+            while k < cap + v_den:
+                if k == len(powers):
+                    powers.append(ideal_product(powers[-1], pr))
+                if not powers[k]._has(t.a, t.b):
+                    break
+                k += 1
+            cap = min(cap, k - v_den)
+        out *= Fraction(pr.norm()) ** cap
     return out
 
 

@@ -124,9 +124,10 @@ def kloosterman_exact(q: KloostermanQuery,
 
 
 def kloosterman_float(q: KloostermanQuery, precision: int,
-                      enum_budget: int = DEFAULT_ENUM_BUDGET):
-    """(re, im) interval enclosure of the exact value."""
-    return kloosterman_exact(q, enum_budget).complex_interval(precision)
+                      enum_budget: int = DEFAULT_ENUM_BUDGET, rings=None):
+    """(re, im) interval enclosure of the exact value; `rings` is
+    `kloosterman_exact`'s."""
+    return kloosterman_exact(q, enum_budget, rings).complex_interval(precision)
 
 
 @dataclass

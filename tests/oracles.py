@@ -6,7 +6,8 @@ a direct floating summation of the truncated Poincare coefficient sum, an
 exhaustive search for the fundamental unit, principality by a search of
 the box that a balanced generator lies in, Kloosterman membership by
 fractional-ideal arithmetic, the HNF of an ideal generated by field
-elements from 2x2 minors and a Bezout combination, Kloosterman slopes
+elements from 2x2 minors and a Bezout combination, the valuation of an
+element by repeated exact division of its principal ideal, Kloosterman slopes
 from Fraction traces, Z[zeta_M] values reduced modulo the cyclotomic
 polynomial, ideal counts a_F(n) from a sieve over the prime powers with
 local counts read off a Kronecker symbol computed by quadratic reciprocity,
@@ -23,8 +24,10 @@ from functools import cache
 import mpmath
 from mpmath import iv, mp
 
+from hilbertpoincare.errors import NotDivisible
 from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, different_ideal,
-                                    element_ideal)
+                                    element_ideal, ideal_exact_divide,
+                                    principal_ideal)
 from hilbertpoincare.bessel import besselj_eval
 from hilbertpoincare.intervals import DEFAULT_PREC, from_fixed, hi, iv_pow_frac, prec_guard
 from hilbertpoincare.kloosterman import KloostermanQuery
@@ -302,6 +305,24 @@ def ideal_from_elements(gens) -> IdealHNF:
     b = sum(t * u for t, (u, _) in zip(s, vecs)) % a
     assert all((u - (v // c) * b) % a == 0 for u, v in vecs)
     return IdealHNF(F, a, b, c)
+
+
+def valuation_oracle(x, pr: IdealHNF) -> int:
+    """v_pr of a nonzero field element, uncapped: the valuation of its
+    numerator's principal ideal, by repeated exact division by pr, minus
+    that of its denominator's."""
+    F = x.field
+
+    def v(g):
+        y, k = principal_ideal(g), 0
+        while True:
+            try:
+                y = ideal_exact_divide(y, pr)
+            except NotDivisible:
+                return k
+            k += 1
+
+    return v(F.elt(x.a, x.b)) - v(F.from_int(x.den))
 
 
 def z_basis(x: IdealHNF):

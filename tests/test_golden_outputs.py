@@ -48,7 +48,11 @@ EXTRA_COMMANDS = (
     # units too large for a search of the generators' box
     + [["field-info", "--d", str(d)] for d in (193, 241)]
     + [["certify", "--d", "193", "--k", "8", "--mu", "1", "--max-x", "300",
-        "--max-m", "4"]])
+        "--max-m", "4"]]
+    # N_{nu,mu} over two ramified primes (d = 10), an inert 2 (d = 13) and
+    # caps <= 0 at the ramified prime above 2 (d = 2, 3)
+    + [["weil-audit", "--d", str(d), "--samples", "300", "--seed", seed]
+       for d, seed in ((10, "5"), (13, "5"), (2, "7"), (3, "7"))])
 
 
 def _commands():

@@ -15,12 +15,13 @@ from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, chi0,
                                     ideals_of_norm, is_principal,
                                     kronecker_prefix, N_nu_mu, pr_count,
                                     prime_splitting, principal_ideal,
-                                    splitting_type, unit_ideal, valuation_elt,
+                                    splitting_type, unit_ideal,
                                     valuation_ideal, wide_class_number_is_one)
 from hilbertpoincare.arith import is_prime, is_squarefree
 
 from oracles import (af_sieve, ideal_from_elements, kronecker_symbol,
-                     norm_equation_box, norm_equation_search, z_basis)
+                     norm_equation_box, norm_equation_search, valuation_oracle,
+                     z_basis)
 
 # between them these fields make 2 ramified (2, 3), inert (5, 13) and split (17)
 SPLITTING_FIELDS = (2, 3, 5, 13, 17)
@@ -118,8 +119,40 @@ def test_n_nu_mu_examples(F5):
     assert N_nu_mu(four, t, t) == 4
     # valuation oracle: exponents match direct valuations
     pr = factor_ideal(two)[0][0]
-    assert valuation_elt(t, pr) == 1
+    assert valuation_oracle(t, pr) == 1
     assert valuation_ideal(four, pr) == 2
+
+
+def _n_nu_mu_arguments(F):
+    """None, 0, 1, a generator 1/sqrt(D) of the inverse different, fractions
+    with denominators 2, 3 and 4, and 8*w, 27*(1 + w) and 64/sqrt(D), whose
+    valuations at the primes above 2 and 3 reach the caps at N(m) <= 40."""
+    w, one = F.omega(), F.one()
+    inv_diff = one / (2 * w - F.c1)   # (2w - Tr w)^2 = D
+    return [None, F.zero(), one, inv_diff, (one + w) / 2, w / 3, (3 - w) / 4,
+            F.from_int(3) / 4, 8 * w, 27 * (one + w), 64 * inv_diff]
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 10, 13))
+def test_n_nu_mu_matches_the_oracle_valuations(d):
+    # caps <= 0 at the ramified prime above 2 (v_2(D) = 3 for d = 2, 2 for
+    # d = 3) and two ramified primes for d = 10; every m with N(m) <= 40
+    F = make_field(d)
+    dd = different_ideal(F)
+    args = _n_nu_mu_arguments(F)
+    primes = [pr for p in range(2, 41) if is_prime(p) for pr in prime_splitting(F, p)]
+    val = {(i, pr): math.inf if t is None or t.is_zero() else valuation_oracle(t, pr)
+           for i, t in enumerate(args) for pr in primes}
+    moduli = [m for n in range(1, 41) for m in ideals_of_norm(F, n)]
+    for m in moduli:
+        caps = {pr: valuation_ideal(m, pr) - valuation_ideal(dd, pr)
+                for pr in primes if valuation_ideal(m, pr)}
+        for (i, nu), (j, mu) in itertools.product(enumerate(args), repeat=2):
+            want = Fraction(1)
+            for pr, cap in caps.items():
+                want *= Fraction(pr.norm()) ** min(cap, val[i, pr], val[j, pr])
+            assert N_nu_mu(m, nu, mu) == want, (d, m, nu, mu)
+    assert len(moduli) >= 16
 
 
 def test_principality(F5):

@@ -474,6 +474,49 @@ def test_cache_hit_builds_no_ring(F5, monkeypatch):
     assert len(built) == 1 and rings == {}
 
 
+def test_float_shares_the_callers_rings(F5, monkeypatch):
+    built = _count_ring_builds(monkeypatch)
+    c = F5.elt(3, 2)
+    q = KloostermanQuery(F5, F5.one() / F5.delta, F5.from_int(2) / F5.delta,
+                         principal_ideal(c), c)
+    rings = {}
+    shared = kloosterman_float(q, 64, 10**7, rings)
+    assert list(rings) == [q.modulus.key()] and built == [q.modulus.key()]
+    kloosterman._EXACT_CACHE.clear()
+    fresh = kloosterman_float(q, 64)
+    assert [(lo(x), hi(x)) for x in shared] == [(lo(x), hi(x)) for x in fresh]
+    assert len(built) == 2
+
+
+def test_weil_audit_builds_one_ring_per_modulus(monkeypatch):
+    # each modulus drawn gets one ring for the whole invocation; the bytes
+    # are those of a run without the spies
+    from click.testing import CliRunner
+
+    from hilbertpoincare import cli, residues
+    argv = ["weil-audit", "--d", "5", "--samples", "200"]
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    plain = CliRunner().invoke(cli.main, argv)
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    built, drawn = [], set()
+    init, query = residues.ResidueRing.__init__, cli.KloostermanQuery
+
+    def spy_init(ring, modulus, *args, **kwargs):
+        built.append(modulus.key())
+        init(ring, modulus, *args, **kwargs)
+
+    def spy_query(F, nu, mu, modulus, c):
+        drawn.add(modulus.key())
+        return query(F, nu, mu, modulus, c)
+
+    monkeypatch.setattr(residues.ResidueRing, "__init__", spy_init)
+    monkeypatch.setattr(cli, "KloostermanQuery", spy_query)
+    spied = CliRunner().invoke(cli.main, argv)
+    assert plain.exit_code == spied.exit_code == 0
+    assert spied.stdout == plain.stdout
+    assert len(drawn) > 10 and sorted(built) == sorted(drawn)
+
+
 def test_shared_ring_keeps_the_budget(F5, monkeypatch):
     # a ring already in the dict must not let a sum bypass a smaller budget
     _count_ring_builds(monkeypatch)
