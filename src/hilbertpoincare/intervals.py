@@ -2,11 +2,14 @@
 
 A rigorous real enclosure in this package is an mpmath ``iv.mpf`` value or,
 inside the integer kernels (the Bessel series, the cosine tables, the terms
-of a coefficient), integer bounds in fixed point (below).  mpmath rounds
-interval endpoints outward, so any sequence of interval operations started
-from exact inputs yields a true enclosure; the fixed-point helpers round each
-end in its own direction.  These helpers centralize exact-rational
-conversion, endpoint extraction, the fixed-point formats and rendering.
+of a coefficient, the tail's sums of powers and zeta_F), integer bounds in
+fixed point (below).  mpmath rounds interval endpoints outward, so any
+sequence of interval operations started from exact inputs yields a true
+enclosure; the fixed-point helpers round each end in its own direction.
+Rational powers x^-s of rationals in fixed point come from one kernel,
+``inv_pow_fixed``: an integer root (``iroot``) of a scaled exact power, with
+no exp or log.  These helpers centralize exact-rational conversion, endpoint
+extraction, the fixed-point formats and rendering.
 
 mpmath keeps the working precision as process state, in two contexts: ``iv``
 for intervals and ``mp`` for the plain mpfs that endpoint arithmetic (``abs``,
@@ -20,6 +23,7 @@ a lower bound down and an upper bound up.
 from __future__ import annotations
 
 import decimal
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -143,6 +147,52 @@ def from_fixed(a: int, b: int, wp: int, precision: int):
     bits."""
     return iv.make_mpf((from_man_exp(a, -wp, precision, round_floor),
                         from_man_exp(b, -wp, precision, round_ceiling)))
+
+
+def iroot(n: int, b: int) -> int:
+    """floor(n^(1/b)) for integers n >= 0 and b >= 1, by Newton's method on
+    int from a float estimate.
+
+    One step y = floor(((b-1) x + floor(n / x^(b-1))) / b) from any x > 0
+    gives y >= floor(n^(1/b)): the two floors merge into one, and the mean
+    of b-1 copies of x and n / x^(b-1) is at least n^(1/b).  From such an x
+    the steps decrease strictly while x^b > n, so the first step that does
+    not decrease leaves x = floor(n^(1/b)).  The estimate only sets how few
+    steps that takes."""
+    if b == 1 or n < 2:
+        return n
+    if b == 2:
+        return math.isqrt(n)
+    drop = max(n.bit_length() - 64, 0)
+    e = (math.log2(n >> drop) + drop) / b          # log2 of the root, about
+    keep = max(int(e) - 52, 0)
+    x = max(int(2.0 ** (e - keep)), 1) << keep
+    x = ((b - 1) * x + n // x ** (b - 1)) // b
+    while True:
+        y = ((b - 1) * x + n // x ** (b - 1)) // b
+        if y >= x:
+            return x
+        x = y
+
+
+def inv_pow_fixed(x, s, wp: int):
+    """Integer bounds lo <= 2^wp x^-s <= hi with hi - lo <= 1, for a positive
+    rational x = P/Q and a rational s = a/b, b > 0.
+
+    With v = 2^wp x^-s, v^b = n = Q^a 2^(b wp) / P^a exactly (for a < 0,
+    P^-a 2^(b wp) / Q^-a), and t -> t^b is increasing on t >= 0.
+    lo = iroot(floor(n), b): lo^b <= floor(n) <= n, so lo <= v.
+    hi = lo when n = lo^b exactly (then lo = v), else lo + 1: the integer
+    (lo + 1)^b exceeds floor(n), so it is at least ceil(n) >= n, and
+    lo + 1 >= v.  This is the root of ceil(n) raised by one unless its b-th
+    power is ceil(n), from one root instead of two."""
+    P, Q = x.as_integer_ratio()
+    a, b = s.as_integer_ratio()
+    if a < 0:
+        P, Q, a = Q, P, -a
+    n_lo, n_hi = floor_ceil(Q ** a, b * wp, P ** a)
+    r = iroot(n_lo, b)
+    return r, (r if n_lo == n_hi and r ** b == n_lo else r + 1)
 
 
 # A scaled fixed-point value carries its scale: (lo, hi, w) bounds 2^w times

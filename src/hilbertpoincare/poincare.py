@@ -34,8 +34,8 @@ from .ideals import (FractionalIdeal, IdealHNF, different_ideal, element_ideal,
                      is_prime_element, is_principal, kronecker_prefix,
                      principal_ideal, unit_ideal)
 from .intervals import (DEFAULT_PREC, dec_str, exact_add, exact_mul, fixed_iv,
-                        fixed_mul, floor_ceil, from_fixed, hi, iv_ends,
-                        iv_from_fraction, iv_max, iv_min, iv_pow_frac,
+                        fixed_mul, floor_ceil, from_fixed, hi, inv_pow_fixed,
+                        iv_ends, iv_from_fraction, iv_max, iv_min, iv_pow_frac,
                         iv_sqrt_fraction, iv_str, lo, overlaps, prec_guard,
                         quotient_iv, scaled_div, scaled_iv, scaled_mul, sup_abs,
                         width)
@@ -55,6 +55,9 @@ ARG_GUARD = 64
 # value would skip more terms at a visible cost in width; at 30 the
 # recurrence at X = 2000, M = 3 still computes about a fifth of its terms.
 BUDGET_BITS = 30
+# bits beyond the precision at which the tail's sums over the omitted norms
+# are added (`CoefficientEvaluator._omitted_af_sum`)
+TAIL_GUARD = 8
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +87,7 @@ class PoincareParams:
             self.level = self.level.as_integral()
         self._classes: list = []           # [(t, m = N(cnd) t, c_elt, modulus)]
         self._tmax = 0                     # the table holds every t <= _tmax
-        self._window_sums: dict = {}       # precision -> prefix sums of m^-(k-1)/2
+        self._window_sums: dict = {}       # precision -> (wp, prefix sums of m^-(k-1)/2)
 
     def norm_cd(self) -> Fraction:
         return self.cideal.norm() * self.field.D   # N(different) = D
@@ -116,14 +119,16 @@ class PoincareParams:
 
     def window_sum(self, n: int, precision: int):
         """Sum of m^-(k-1)/2 over the first n classes of the table, enclosed
-        at `precision`: one list of prefix sums per precision, extended as
-        the table grows, each entry the last plus one interval term."""
-        sums = self._window_sums.setdefault(precision, [iv.mpf(0)])
-        with prec_guard(precision):
-            for (_t, m, _c, _mod) in self._classes[len(sums) - 1:n]:
-                sums.append(sums[-1] + 1 / iv_pow_frac(iv_from_fraction(Fraction(m)),
-                                                       Fraction(self.k - 1, 2)))
-        return sums[n]
+        at `precision`: one list of integer prefix sums of `inv_pow_fixed`
+        bounds per precision, at one scale 2^wp at which the least norm n_o
+        keeps about precision + TAIL_GUARD bits, extended as the table grows."""
+        s = Fraction(self.k - 1, 2)
+        wp, sums = self._window_sums.setdefault(precision, (
+            precision + TAIL_GUARD + math.ceil(s * math.log2(self.norm_cnd())), [(0, 0)]))
+        for (_t, m, _c, _mod) in self._classes[len(sums) - 1:n]:
+            p_lo, p_hi = inv_pow_fixed(m, s, wp)
+            sums.append((sums[-1][0] + p_lo, sums[-1][1] + p_hi))
+        return from_fixed(*sums[n], wp, precision)
 
     def to_json(self):
         return {"field": self.field.spec_string(), "k": self.k,
@@ -193,12 +198,14 @@ def chi_mu(nu: Elt, mu: Elt) -> int:
 # ---------------------------------------------------------------------------
 # the ideal counts a_F(t) beyond the last norm block
 
-def _af_tail(n_o, s: Fraction, T: int):
-    """Upper bound 2 n_o^-s T^(3/2-s)/(s - 3/2) on sum_{t > T} a_F(t) (n_o t)^-s,
-    for s > 3/2, from a_F(t) <= d(t) <= 2 sqrt(t)."""
-    return (2 * iv_pow_frac(iv_from_fraction(n_o), -s)
-            * iv_pow_frac(iv.mpf(T), Fraction(3, 2) - s)
-            / iv_from_fraction(s - Fraction(3, 2)))
+def _af_tail(n_o, s: Fraction, T: int, wp: int):
+    """Integer bounds at scale 2^wp on 2 n_o^-s T^(3/2-s)/(s - 3/2), an upper
+    bound on sum_{t > T} a_F(t) (n_o t)^-s for s > 3/2, from a_F(t) <= d(t)
+    <= 2 sqrt(t).  With s = a/b, n_o^-s T^(3/2-s) = (n_o^(2a) T^(2a-3b))^(-1/(2b))
+    is one `inv_pow_fixed`, and 2/(s - 3/2) = 4b/(2a - 3b)."""
+    a, b = s.as_integer_ratio()
+    r_lo, r_hi = inv_pow_fixed(n_o ** (2 * a) * T ** (2 * a - 3 * b), Fraction(1, 2 * b), wp)
+    return r_lo * 4 * b // (2 * a - 3 * b), -(-r_hi * 4 * b // (2 * a - 3 * b))
 
 
 def _log2(x) -> float:
@@ -423,6 +430,10 @@ class CoefficientEvaluator:
 
     # -- tail bound -------------------------------------------------------------
     def _tail_constants(self):
+        """The tail's factors that do not depend on the cutoffs, computed on
+        first use: the Kloosterman bound kt, the j = 0 envelope e0, the
+        class-count table, the interpolation grid as (theta, s, e1 * 2r/(1 - r))
+        over the thetas that give a bound, and r0 and e1_0 of the window."""
         if self._tc is not None:
             return self._tc
         with prec_guard(self.precision):
@@ -443,17 +454,40 @@ class CoefficientEvaluator:
                 iv_from_fraction(self.nu.norm() * self.mu.norm())), Fraction(k - 1))
                 / iv_from_fraction(fact * fact))
             base = 2 * iv.pi * gmax * A   # per-factor envelope base at |c_i| >= sqrt(m)/A
-            self._tc = (kt, e0, base, A, fact, prefix)
+            # j != 0 over the omitted norms: the large factor is interpolated
+            # with exponent theta, the small one decays like r^|j|
+            grid = []
+            for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                          Fraction(5, 6), 1 - Fraction(self.eta, k - 1)):
+                s = Fraction((k - 1)) * (1 + theta) / 2
+                if s <= Fraction(3, 2):
+                    continue
+                r = 1 / iv_pow_frac(A, Fraction(k - 1) * (1 - theta))
+                if hi(r) >= 1:
+                    continue
+                e1 = (iv_pow_frac(base, Fraction(k - 1) * (1 + theta))
+                      / iv_pow_frac(iv_from_fraction(fact), 1 + theta))
+                grid.append((theta, s, e1 * (2 * r / (1 - r))))
+            r0 = 1 / iv_pow_frac(A, Fraction(k - 1))
+            e1_0 = iv_pow_frac(base, Fraction(k - 1)) / iv_from_fraction(fact)
+            self._tc = (kt, e0, prefix, grid, r0, e1_0)
         return self._tc
 
     def _omitted_af_sum(self, s: Fraction, blocks, t0: int):
         """Upper bound on sum_{t > tx} a_F(t) (n_o t)^{-s}: each of `tail_bound`'s
         blocks (t, count) adds its count of ideals at its least norm
-        n_o (t + 1), and `_af_tail` bounds t > t0."""
-        total = iv.mpf(0)
+        n_o (t + 1), and `_af_tail` bounds t > t0.  The terms are integer
+        bounds (`inv_pow_fixed`) at one scale 2^wp, at which the first
+        block's power keeps about precision + TAIL_GUARD bits, added exactly
+        and converted once."""
+        n_o = self.n_o
+        least = n_o * ((blocks[0][0] if blocks else t0) + 1)
+        wp = self.precision + TAIL_GUARD + math.ceil(s * math.log2(least))
+        total_lo, total_hi = _af_tail(n_o, s, t0, wp)
         for t, cnt in blocks:
-            total += cnt / iv_pow_frac(iv_from_fraction(self.n_o * (t + 1)), s)
-        return total + _af_tail(self.n_o, s, t0)
+            p_lo, p_hi = inv_pow_fixed(n_o * (t + 1), s, wp)
+            total_lo, total_hi = total_lo + cnt * p_lo, total_hi + cnt * p_hi
+        return from_fixed(total_lo, total_hi, wp, self.precision)
 
     def tail_bound(self, X, M: int):
         """Upper bound on |prefactor * (all omitted terms)|, and its split.
@@ -471,7 +505,7 @@ class CoefficientEvaluator:
         """
         with prec_guard(self.precision):
             k = self.k
-            kt, e0, base, A, fact, prefix = self._tail_constants()
+            kt, e0, prefix, grid, r0, e1_0 = self._tail_constants()
             n_o = self.n_o
             tx = int(Fraction(X) / n_o)
             # blocks (t, number of ideals of norm in (t, t2]), the nonempty ones
@@ -489,25 +523,13 @@ class CoefficientEvaluator:
             nt = e0 * self._omitted_af_sum(Fraction(k - 1), blocks, t0)
             # j != 0: min over the interpolation grid.
             best = best_theta = None
-            for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
-                          Fraction(5, 6), 1 - Fraction(self.eta, k - 1)):
-                s = Fraction((k - 1)) * (1 + theta) / 2
-                if s <= Fraction(3, 2):
-                    continue
-                r = 1 / iv_pow_frac(A, Fraction(k - 1) * (1 - theta))
-                if hi(r) >= 1:
-                    continue
-                e1 = (iv_pow_frac(base, Fraction(k - 1) * (1 + theta))
-                      / iv_pow_frac(iv_from_fraction(fact), 1 + theta))
-                sa = 2 * r / (1 - r)
-                piece = e1 * sa * self._omitted_af_sum(s, blocks, t0)
+            for theta, s, weight in grid:
+                piece = weight * self._omitted_af_sum(s, blocks, t0)
                 if best is None or hi(piece) < hi(best):
                     best, best_theta = piece, theta
             nt0, nt = nt, nt + best
             # -- enumerated norms, |j| > M: small-factor bound only --------
-            r0 = 1 / iv_pow_frac(A, Fraction(k - 1))
             sa0 = 2 * iv_pow_frac(r0, M + 1) / (1 - r0)
-            e1_0 = iv_pow_frac(base, Fraction(k - 1)) / iv_from_fraction(fact)
             msum = self.params.window_sum(len(self.classes_upto(X)), self.precision)
             ut = e1_0 * sa0 * msum
             factor = self.prefactor() * kt
@@ -678,9 +700,9 @@ def zeta_F_enclosure(field, s: Fraction, precision: int):
     the remainder is least over J) the remainder is about (3/(pi e))^6N,
     nine bits per N, so N = precision/8 + 1 leaves room for its polynomial
     factor when s <= 4; a larger s shrinks X^(1-s) instead.  Everything but
-    the prime powers p^-s, pi and the final product is exact integer
-    arithmetic at scale 2^wp, each step rounded outward, with one guard bit
-    for each doubling of the number of terms.
+    pi and the final product is exact integer arithmetic at scale 2^wp, each
+    step rounded outward (the prime powers p^-s by `inv_pow_fixed`), with
+    one guard bit for each doubling of the number of terms.
     """
     s = Fraction(s)
     if s <= 1:
@@ -697,14 +719,13 @@ def zeta_F_enclosure(field, s: Fraction, precision: int):
         coef.append(floor_ceil(c.numerator, wp, c.denominator))
         if j < J:
             rising *= (s + 2 * j - 1) * (s + 2 * j)
-    # m^-s for m <= top: iv_pow_frac on primes, a product on composites
+    # m^-s for m <= top: inv_pow_fixed on primes, a product on composites
     spf, pw = arith.smallest_prime_factors(top), [None, (1 << wp, 1 << wp)]
+    for m in range(2, top + 1):
+        p = spf[m]
+        pw.append(inv_pow_fixed(m, s, wp) if p == m else fixed_mul(pw[p], pw[m // p], wp))
     with prec_guard(wp):
         rho = fixed_iv(4 * iv_from_fraction(rising) / (2 * iv.pi) ** (2 * J), wp)[1]
-        for m in range(2, top + 1):
-            p = spf[m]
-            pw.append(fixed_iv(iv_pow_frac(iv.mpf(m), -s), wp) if p == m
-                      else fixed_mul(pw[p], pw[m // p], wp))
     coef[-1] = (coef[-1][0] - rho, coef[-1][1] + rho)
     head = floor_ceil(s.denominator, wp, s.numerator - s.denominator)    # 1/(s-1)
 

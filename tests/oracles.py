@@ -11,8 +11,9 @@ element by repeated exact division of its principal ideal, Kloosterman slopes
 from Fraction traces, Z[zeta_M] values reduced modulo the cyclotomic
 polynomial, ideal counts a_F(n) from a sieve over the prime powers with
 local counts read off a Kronecker symbol computed by quadratic reciprocity,
-and zeta_F(s) from a_F partial sums or from mpmath's Hurwitz zeta with the
-same Kronecker symbol.
+zeta_F(s) from a_F partial sums or from mpmath's Hurwitz zeta with the
+same Kronecker symbol, and the tail bound's pieces summed by mpmath at 200
+bits.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, different_ideal,
 from hilbertpoincare.bessel import besselj_eval
 from hilbertpoincare.intervals import DEFAULT_PREC, from_fixed, hi, iv_pow_frac, prec_guard
 from hilbertpoincare.kloosterman import KloostermanQuery
-from hilbertpoincare.poincare import CoefficientEvaluator, _af_tail, chi_mu
+from hilbertpoincare.poincare import CoefficientEvaluator, chi_mu
 from hilbertpoincare.residues import residue_ring
 
 
@@ -449,14 +450,17 @@ def af_sieve(field, limit: int) -> list[int]:
 
 def zeta_F_partial_sum(field, s: Fraction, terms: int):
     """Enclosure of zeta_F(s), s > 3/2: sum_{t <= terms} a_F(t) t^-s plus
-    [0, tail] with the divisor-bound tail 2 terms^(3/2-s)/(s - 3/2)."""
+    [0, tail] with the divisor-bound tail 2 terms^(3/2-s)/(s - 3/2), from
+    a_F(t) <= d(t) <= 2 sqrt(t)."""
     a = af_sieve(field, terms)
     with prec_guard(DEFAULT_PREC):
         total = iv.mpf(0)
         for t in range(1, terms + 1):
             if a[t]:
                 total += a[t] / iv_pow_frac(iv.mpf(t), s)
-        return total + iv.mpf([0, hi(_af_tail(1, s, terms))])
+        tail = (2 * iv_pow_frac(iv.mpf(terms), Fraction(3, 2) - s)
+                / (iv.mpf(s.numerator) / s.denominator - 1.5))
+        return total + iv.mpf([0, hi(tail)])
 
 
 def kronecker_symbol(D: int, n: int) -> int:
@@ -490,3 +494,74 @@ def zeta_F_mpmath(field, s: Fraction, prec_bits: int = 200):
         L = mpmath.fsum(kronecker_symbol(D, a) * mpmath.zeta(s, mpmath.mpf(a) / D)
                         for a in range(1, D + 1))
         return +(mpmath.zeta(s) * L / mpmath.mpf(D) ** s)
+
+
+# -- the tail bound's formula, summed by mpmath at 200 bits ---------------------
+
+def tail_oracle(field, k: int, nu, mu, X, M: int, eta=Fraction(1, 2), prec_bits: int = 200):
+    """(tail, norms0, norms, window) of `CoefficientEvaluator.tail_bound` for
+    c = n = O, where N(cd) = N(cnd) = D, as plain mpfs at prec_bits.
+
+    The same bound, computed apart from the package's intervals and power
+    kernel: a_F from `af_sieve`, the embeddings from sqrt(d), C2 from the
+    Kronecker symbol and every power by mpmath.  The omitted norms t > X/D
+    are cut into the blocks of `tail_bound` (steps of max(1, int(0.42 t)) up
+    to t0 = max(32 tx, 4096)), each block's ideals counted at its least norm
+    D (t + 1), and t > t0 bounded by 2 D^-s t0^(3/2-s)/(s - 3/2).  Of the
+    interpolation grid the least piece is taken, so any theta the package
+    picks gives at least this value."""
+    D = field.D
+    with mpmath.workprec(prec_bits):
+        root = mp.sqrt(field.d)
+        w = ((1 + root) / 2, (1 - root) / 2) if field.d % 4 == 1 else (root, -root)
+
+        def sigma(x, i):
+            return (x.a + x.b * w[i]) / mp.mpf(x.den)
+
+        def real(q):
+            q = Fraction(q)
+            return mp.mpf(q.numerator) / q.denominator
+
+        def power(x, s):
+            return mp.power(x if isinstance(x, mp.mpf) else real(x), real(s))
+
+        tx = int(Fraction(X) / D)
+        t0 = max(32 * tx, 4096)
+        a = af_sieve(field, t0)
+        blocks, t = [], tx
+        while t < t0:
+            t2 = min(t + max(1, int(0.42 * t)), t0)
+            if sum(a[t + 1:t2 + 1]):
+                blocks.append((t, sum(a[t + 1:t2 + 1])))
+            t = t2
+
+        def omitted(s):
+            tail = 2 * power(D, -s) * power(t0, Fraction(3, 2) - s) / (real(s) - 1.5)
+            return mp.fsum(cnt * power(D * (t + 1), -s) for t, cnt in blocks) + tail
+
+        A = mp.sqrt(sigma(field.eps_plus, 0))
+        nu_mu = nu * mu
+        base = 2 * mp.pi * mp.sqrt(max(sigma(nu_mu, 0), sigma(nu_mu, 1))) * A
+        fact = math.factorial(k - 1)
+        f2 = 2 if field.d % 4 == 1 else 1
+        c2 = mp.sqrt(real(math.prod(Fraction(4, p) ** (1 + kronecker_symbol(D, p))
+                                    for p in (2, 3))))
+        n_nu, n_mu = Fraction(nu.norm()), Fraction(mu.norm())
+        weil = 2 ** (2 + mp.mpf(f2) / 2) * mp.sqrt(D) * mp.sqrt(real(abs(n_nu))) * c2 / D
+        factor = (power(n_nu / n_mu, Fraction(k - 1, 2)) * (2 * mp.pi) ** 2 * D / mp.sqrt(D)
+                  * min(mp.mpf(1) / D, weil))
+        e0 = ((2 * mp.pi) ** 2 * mp.sqrt(real(n_nu * n_mu))) ** (k - 1) / fact ** 2
+        norms0 = factor * e0 * omitted(Fraction(k - 1))
+        pieces = []
+        for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6),
+                      1 - Fraction(eta) / (k - 1)):
+            s = (k - 1) * (1 + theta) / 2
+            r = power(A, -(k - 1) * (1 - theta))
+            if s > Fraction(3, 2) and r < 1:
+                e1 = power(base, (k - 1) * (1 + theta)) / power(fact, 1 + theta)
+                pieces.append(e1 * 2 * r / (1 - r) * omitted(s))
+        norms = factor * min(pieces)
+        r0 = power(A, Fraction(1 - k))
+        msum = mp.fsum(a[t] * power(D * t, Fraction(1 - k, 2)) for t in range(1, tx + 1))
+        window = factor * base ** (k - 1) / fact * 2 * r0 ** (M + 1) / (1 - r0) * msum
+        return norms0 + norms + window, norms0, norms, window

@@ -30,8 +30,8 @@ from hilbertpoincare.poincare import (CertifyBudget, CoefficientEvaluator,
                                       threshold_cor33, threshold_thm32,
                                       threshold_thm35, zeta_F_enclosure)
 
-from oracles import (fixed_fractions, poincare_truncated_oracle, zeta_F_mpmath,
-                     zeta_F_partial_sum)
+from oracles import (fixed_fractions, poincare_truncated_oracle, tail_oracle,
+                     zeta_F_mpmath, zeta_F_partial_sum)
 
 
 def small_totally_positive(F, rng, bound=6):
@@ -518,15 +518,60 @@ def test_zeta_F_enclosure_contains_independent_oracles(d):
             zeta_F_enclosure(F, s, 96)
 
 
+def _tail_pieces(tail, split):
+    return tail, split.norms0, split.norms, split.window
+
+
 def test_a_f_tails_are_bit_identical(F5):
     # endpoints as (mantissa, exponent) at the change that gave the a_F tail
-    # bound 2 n_o^-s T^(3/2-s)/(s - 3/2) one helper; the sums must not move
+    # bound 2 n_o^-s T^(3/2-s)/(s - 3/2) one helper, summed in intervals
+    # there; summed in integers (`inv_pow_fixed`) since, each piece stays
+    # within 2^-88 of them and above the 200-bit oracle, and is pinned
     ev = CoefficientEvaluator(PoincareParams(F5, 8), F5.one(), F5.one())
     tail, split = ev.tail_bound(500, 3)
-    assert [v._mpf_[1:3] for v in (tail, split.norms0, split.norms, split.window)] == [
-        (33682629874127780659164879289, -106), (40241877804432010025990021097, -137),
-        (21115409609206701378335497685, -122), (16841153829903750433229018069, -105)]
+    got = _tail_pieces(tail, split)
+    parent = [(33682629874127780659164879289, -106), (40241877804432010025990021097, -137),
+              (21115409609206701378335497685, -122), (16841153829903750433229018069, -105)]
+    with mpmath.workprec(200):
+        oracle = tail_oracle(F5, 8, F5.one(), F5.one(), 500, 3)
+        for g, (man, exp), o in zip(got, parent, oracle):
+            ref = mpmath.ldexp(man, exp)
+            assert abs(g - ref) <= ref * mpmath.mpf(2) ** -88
+            assert g >= o
+    assert [v._mpf_[1:3] for v in got] == [
+        (33682629874127780659164879279, -106), (20120938902216005012995010547, -136),
+        (21115409609206701378335497665, -122), (1052572114368984402076813629, -101)]
     assert split.theta == Fraction(13, 14)
+
+
+@pytest.mark.parametrize("d", [2, 5, 13])
+@pytest.mark.parametrize("k", [6, 8, 12, 24])
+def test_tail_pieces_bound_the_oracle(d, k):
+    # every piece is an upper bound on the 200-bit value of its own formula,
+    # and at 96 bits loses under 2^-80 of it
+    F = make_field(d)
+    params = PoincareParams(F, k)
+    for X, nu, mu in ((60, 1, 1), (400, 2, 1), (1500, 1, 2)):
+        nu, mu = F.from_int(nu), F.from_int(mu)
+        got = _tail_pieces(*CoefficientEvaluator(params, nu, mu).tail_bound(X, 3))
+        with mpmath.workprec(200):
+            for g, o in zip(got, tail_oracle(F, k, nu, mu, X, 3)):
+                assert o <= g <= o * (1 + mpmath.mpf(2) ** -80), X
+
+
+def test_a_later_rung_tail_calls_no_exp_or_log(F5, monkeypatch):
+    # the constants of the tail come once per evaluator; a rung's sums are
+    # integer roots, so exp and log stay out of the per-rung tail
+    calls = Counter()
+    for name in ("exp", "log"):
+        monkeypatch.setattr(iv, name, lambda *a, _f=getattr(iv, name), _n=name, **kw:
+                            (calls.update([_n]), _f(*a, **kw))[1])
+    ev = CoefficientEvaluator(PoincareParams(F5, 8), F5.one(), F5.one())
+    ev.tail_bound(200, 2)
+    assert calls["exp"] and calls["log"]          # the theta grid's powers of A
+    calls.clear()
+    ev.tail_bound(800, 4)
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("k", [-4, 0, 1, 2, 3, 5])
