@@ -58,6 +58,9 @@ BUDGET_BITS = 30
 # bits beyond the precision at which the tail's sums over the omitted norms
 # are added (`CoefficientEvaluator._omitted_af_sum`)
 TAIL_GUARD = 8
+# steps per bit in which the tail's orbit weight reads log2 of a norm
+# (`_log2_floor`)
+LOG_STEPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +140,9 @@ class PoincareParams:
 
 @dataclass(frozen=True)
 class TailSplit:
-    """Upper bounds on the three pieces of the tail, in the tail's units."""
-    norms0: object               # mpf: omitted norms, j = 0
-    norms: object                # mpf: omitted norms, j != 0, at exponent theta
+    """Upper bounds on the two pieces of the tail, in the tail's units."""
+    norms: object                # mpf: omitted norms, every unit exponent
     window: object               # mpf: enumerated norms, |j| > M
-    theta: Fraction              # interpolation exponent chosen for `norms`
 
 
 @dataclass
@@ -206,6 +207,15 @@ def _af_tail(n_o, s: Fraction, T: int, wp: int):
     a, b = s.as_integer_ratio()
     r_lo, r_hi = inv_pow_fixed(n_o ** (2 * a) * T ** (2 * a - 3 * b), Fraction(1, 2 * b), wp)
     return r_lo * 4 * b // (2 * a - 3 * b), -(-r_hi * 4 * b // (2 * a - 3 * b))
+
+
+def _log2_floor(x) -> int:
+    """floor(LOG_STEPS log2 x) for a rational x > 0, exactly: with
+    x^LOG_STEPS = P/Q and e the bit length of P less that of Q, P/Q lies in
+    (2^(e-1), 2^(e+1)), so the floor is e when P >= 2^e Q and e - 1 otherwise."""
+    P, Q = (Fraction(x) ** LOG_STEPS).as_integer_ratio()
+    e = P.bit_length() - Q.bit_length()
+    return e if (P >= Q << e if e >= 0 else P << -e >= Q) else e - 1
 
 
 def _log2(x) -> float:
@@ -431,13 +441,16 @@ class CoefficientEvaluator:
     # -- tail bound -------------------------------------------------------------
     def _tail_constants(self):
         """The tail's factors that do not depend on the cutoffs, computed on
-        first use: the Kloosterman bound kt, the j = 0 envelope e0, the
-        class-count table, the interpolation grid as (theta, s, e1 * 2r/(1 - r))
-        over the thetas that give a bound, and r0 and e1_0 of the window."""
+        first use: the Kloosterman bound kt, the j = 0 envelope e0 =
+        ((2 pi)^2 sqrt(N(nu mu)))^n/(n!)^2 (n = k - 1), the class-count
+        table, r0 = A^-n and e1_0 of the window, and for the orbit weight
+        (`_omitted_af_sum`) integers p_lo <= LOG_STEPS log2 P0 <= p_hi,
+        P0 = e0^(1/n), and the factors ln 2/(LOG_STEPS ln A), 1 + 2/(1 - r0)
+        and 2/(e ln A)."""
         if self._tc is not None:
             return self._tc
         with prec_guard(self.precision):
-            F, k = self.F, self.k
+            F, n = self.F, self.k - 1
             A = F.A_interval(self.precision)
             nu_mu = self.nu * self.mu
             w1, w2 = nu_mu.embeddings(self.precision)
@@ -449,92 +462,117 @@ class CoefficientEvaluator:
                     * iv_sqrt_fraction(Fraction(F.D)) * iv_sqrt_fraction(nbar)
                     * c2_constant(prefix) / iv_from_fraction(self.n_b))
             kt = iv_min(iv_from_fraction(1 / self.n_b), weil)
-            fact = Fraction(math.factorial(k - 1))
+            fact = Fraction(self._fact)
             e0 = (iv_pow_frac((2 * iv.pi) ** 2 * iv.sqrt(
-                iv_from_fraction(self.nu.norm() * self.mu.norm())), Fraction(k - 1))
+                iv_from_fraction(self.nu.norm() * self.mu.norm())), Fraction(n))
                 / iv_from_fraction(fact * fact))
             base = 2 * iv.pi * gmax * A   # per-factor envelope base at |c_i| >= sqrt(m)/A
-            # j != 0 over the omitted norms: the large factor is interpolated
-            # with exponent theta, the small one decays like r^|j|
-            grid = []
-            for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
-                          Fraction(5, 6), 1 - Fraction(self.eta, k - 1)):
-                s = Fraction((k - 1)) * (1 + theta) / 2
-                if s <= Fraction(3, 2):
-                    continue
-                r = 1 / iv_pow_frac(A, Fraction(k - 1) * (1 - theta))
-                if hi(r) >= 1:
-                    continue
-                e1 = (iv_pow_frac(base, Fraction(k - 1) * (1 + theta))
-                      / iv_pow_frac(iv_from_fraction(fact), 1 + theta))
-                grid.append((theta, s, e1 * (2 * r / (1 - r))))
-            r0 = 1 / iv_pow_frac(A, Fraction(k - 1))
-            e1_0 = iv_pow_frac(base, Fraction(k - 1)) / iv_from_fraction(fact)
-            self._tc = (kt, e0, prefix, grid, r0, e1_0)
+            r0 = 1 / iv_pow_frac(A, Fraction(n))
+            e1_0 = iv_pow_frac(base, Fraction(n)) / iv_from_fraction(fact)
+            log_a, log_2 = iv.log(A), iv.log(2)
+            steps = LOG_STEPS * iv.log(e0) / (n * log_2)     # LOG_STEPS log2 P0
+            p0 = (int(mpmath.floor(lo(steps))), int(mpmath.ceil(hi(steps))))
+            weights = (log_2 / (LOG_STEPS * log_a), 1 + 2 / (1 - r0), 2 / (iv.e * log_a))
+            self._tc = (kt, e0, prefix, r0, e1_0, p0, weights)
         return self._tc
 
-    def _omitted_af_sum(self, s: Fraction, blocks, t0: int):
-        """Upper bound on sum_{t > tx} a_F(t) (n_o t)^{-s}: each of `tail_bound`'s
-        blocks (t, count) adds its count of ideals at its least norm
-        n_o (t + 1), and `_af_tail` bounds t > t0.  The terms are integer
+    def _log_weight(self, t: int, t2: int) -> int:
+        """An integer L >= LOG_STEPS |log2 rho| at every norm m = n_o t' with
+        t < t' <= t2, rho = P0/m: LOG_STEPS log2 rho lies in [p_lo - l - 1,
+        p_hi - l] with l = `_log2_floor(m)`, and l is least at the block's
+        least norm and greatest at its largest."""
+        p_lo, p_hi = self._tail_constants()[5]
+        return max(p_hi - _log2_floor(self.n_o * (t + 1)),
+                   _log2_floor(self.n_o * t2) + 1 - p_lo)
+
+    def _omitted_af_sum(self, blocks, t0: int):
+        """Upper bound on sum over the ideals of norm m = n_o t, t > tx, of
+        (n_o t)^-n (|log rho|/log A + 1 + 2/(1 - A^-n)), n = k - 1 (the orbit
+        weight of `tail_bound` without e0).
+
+        Each block (t, t2, count) of `tail_bound` adds its count at its least
+        norm n_o (t + 1), with |log rho|/log A <= L ln 2/(LOG_STEPS ln A),
+        L = `_log_weight(t, t2)`.  Beyond t0, |log rho(m)| - log m is
+        non-increasing in m (it is -log P0 for m >= P0, and falls for m <
+        P0), so |log rho| <= log m + f with f <= max(0, L0 - l0)
+        (ln 2)/LOG_STEPS at m0 = n_o t0 (l0 = `_log2_floor(m0)`, L0 its weight),
+        and log m <= (2/e) sqrt(m): `_af_tail` at s = n takes the constant
+        part and at s = n - 1/2 the sqrt(m) one.  The terms are integer
         bounds (`inv_pow_fixed`) at one scale 2^wp, at which the first
         block's power keeps about precision + TAIL_GUARD bits, added exactly
-        and converted once."""
-        n_o = self.n_o
+        in three sums (weighted by L, unweighted, sqrt(m)) and converted
+        once each."""
+        n_o, s = self.n_o, Fraction(self.k - 1)
+        inv_log, c2, c3 = self._tail_constants()[6]
         least = n_o * ((blocks[0][0] if blocks else t0) + 1)
         wp = self.precision + TAIL_GUARD + math.ceil(s * math.log2(least))
-        total_lo, total_hi = _af_tail(n_o, s, t0, wp)
-        for t, cnt in blocks:
-            p_lo, p_hi = inv_pow_fixed(n_o * (t + 1), s, wp)
-            total_lo, total_hi = total_lo + cnt * p_lo, total_hi + cnt * p_hi
-        return from_fixed(total_lo, total_hi, wp, self.precision)
+        ones = list(_af_tail(n_o, s, t0, wp))
+        f = max(0, self._log_weight(t0 - 1, t0) - _log2_floor(n_o * t0))
+        logs = [f * v for v in ones]
+        for t, t2, cnt in blocks:
+            w = self._log_weight(t, t2)
+            for i, v in enumerate(inv_pow_fixed(n_o * (t + 1), s, wp)):
+                ones[i] += cnt * v
+                logs[i] += cnt * w * v
+        half = _af_tail(n_o, s - Fraction(1, 2), t0, wp)
+        return (inv_log * from_fixed(*logs, wp, self.precision)
+                + c2 * from_fixed(*ones, wp, self.precision)
+                + c3 * from_fixed(*half, wp, self.precision))
 
     def tail_bound(self, X, M: int):
         """Upper bound on |prefactor * (all omitted terms)|, and its split.
 
-        Per-factor Bessel bound: |J_{k-1}(x)| <= min(1, (x/2)^(k-1)/(k-1)!).
-        For the omitted unit exponents (enumerated norms) only the small
-        embedding factor is used: it decays like A^{-(k-1)|j|}.  For the
-        omitted norms, the large factor is interpolated with an exponent
-        theta in (0,1) to trade unit-decay against norm-decay; every theta
-        gives a valid bound, so we take the best over a small grid.  All six
-        sums over the omitted norms share one list of block counts.
+        Per-factor Bessel bound (DLMF 10.14.1, 10.14.4): with n = k - 1 and
+        X0 = 2 (n!)^(1/n), |J_n(x)| <= min(1, (x/X0)^n).  A class c has the
+        arguments x1 A^j and x2 A^-j at the unit exponent j, with
+        x1 x2 = 16 pi^2 sqrt(N(nu mu))/N(c) whatever its representative.
+
+        Omitted norms, the whole unit orbit.  With u_j = x1 A^j/X0, v_j =
+        x2 A^-j/X0 and rho = u_j v_j = x1 x2/X0^2 for every j,
+          sum_j min(1, u_j^n) min(1, v_j^n)
+            <= rho^n (|log rho|/log A + 1 + 2/(1 - A^-n)).
+        If rho <= 1, the j with u_j <= 1 and v_j <= 1 form a run: j lies
+        between log(x2/X0)/log A and log(X0/x1)/log A, an interval of length
+        |log rho|/log A, so the run holds at most |log rho|/log A + 1
+        integers, each with the term rho^n exactly.  Above the run u_j > 1
+        (both cannot exceed 1), the term is v_j^n < (rho/u_j)^n <= rho^n and
+        falls by A^-n a step, so it sums to under rho^n/(1 - A^-n); below
+        the run the same holds with u and v swapped.  If rho > 1 (small
+        norms only), the run holds the j with u_j >= 1 and v_j >= 1, of the
+        same length, each term 1 <= rho^n; outside it one of u_j, v_j is
+        below 1 and the other above, so the term is that one's n-th power,
+        below 1 <= rho^n and falling by A^-n a step.  rho^n = e0 N(c)^-n,
+        the product of both envelopes at j = 0, and `_omitted_af_sum` sums
+        its weights over the omitted norms.
+
+        Omitted unit exponents of the enumerated norms: only the small
+        embedding factor is used, which decays like A^{-n|j|} at
+        |c_i| >= sqrt(m)/A.
 
         Returns (tail, TailSplit): the pieces are bounded from the same
         intervals as the tail itself.
         """
         with prec_guard(self.precision):
-            k = self.k
-            kt, e0, prefix, grid, r0, e1_0 = self._tail_constants()
+            kt, e0, prefix, r0, e1_0 = self._tail_constants()[:5]
             n_o = self.n_o
             tx = int(Fraction(X) / n_o)
-            # blocks (t, number of ideals of norm in (t, t2]), the nonempty ones
-            # of a partition of (tx, t0], at O(sqrt t0) each
+            # blocks (t, t2, number of ideals of norm in (t, t2]), the nonempty
+            # ones of a partition of (tx, t0], at O(sqrt t0) each
             t0 = max(32 * tx, 4096)
             blocks, t, below = [], tx, ideal_count_upto(prefix, tx)
             while t < t0:
                 t2 = min(t + max(1, int(0.42 * t)), t0)
                 upto = ideal_count_upto(prefix, t2)
                 if upto > below:
-                    blocks.append((t, upto - below))
+                    blocks.append((t, t2, upto - below))
                 t, below = t2, upto
-            # -- omitted norms (t > tx), all unit exponents ----------------
-            # j = 0: product of both factorial envelopes, exact norm m.
-            nt = e0 * self._omitted_af_sum(Fraction(k - 1), blocks, t0)
-            # j != 0: min over the interpolation grid.
-            best = best_theta = None
-            for theta, s, weight in grid:
-                piece = weight * self._omitted_af_sum(s, blocks, t0)
-                if best is None or hi(piece) < hi(best):
-                    best, best_theta = piece, theta
-            nt0, nt = nt, nt + best
+            nt = e0 * self._omitted_af_sum(blocks, t0)
             # -- enumerated norms, |j| > M: small-factor bound only --------
             sa0 = 2 * iv_pow_frac(r0, M + 1) / (1 - r0)
             msum = self.params.window_sum(len(self.classes_upto(X)), self.precision)
             ut = e1_0 * sa0 * msum
             factor = self.prefactor() * kt
-            split = TailSplit(hi(factor * nt0), hi(factor * best),
-                              hi(factor * ut), best_theta)
+            split = TailSplit(hi(factor * nt), hi(factor * ut))
             return hi(factor * (nt + ut)), split
 
     # -- main entry ----------------------------------------------------------
@@ -651,7 +689,7 @@ def certify_nonvanishing(params: PoincareParams, mu: Elt,
                                    "budget exhausted")
             split = val.tail_split
             if M >= budget.max_M or (X < budget.max_X
-                                     and split.norms0 + split.norms >= split.window):
+                                     and split.norms >= split.window):
                 X = min(2 * X, budget.max_X)
             else:
                 M = min(M + 2, budget.max_M)

@@ -12,8 +12,8 @@ from Fraction traces, Z[zeta_M] values reduced modulo the cyclotomic
 polynomial, ideal counts a_F(n) from a sieve over the prime powers with
 local counts read off a Kronecker symbol computed by quadratic reciprocity,
 zeta_F(s) from a_F partial sums or from mpmath's Hurwitz zeta with the
-same Kronecker symbol, and the tail bound's pieces summed by mpmath at 200
-bits.
+same Kronecker symbol, the tail bound's pieces summed by mpmath at 200
+bits, and the envelopes of one class's unit orbit summed term by term.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from hilbertpoincare.ideals import (FractionalIdeal, IdealHNF, different_ideal,
 from hilbertpoincare.bessel import besselj_eval
 from hilbertpoincare.intervals import DEFAULT_PREC, from_fixed, hi, iv_pow_frac, prec_guard
 from hilbertpoincare.kloosterman import KloostermanQuery
-from hilbertpoincare.poincare import CoefficientEvaluator, chi_mu
+from hilbertpoincare.poincare import LOG_STEPS, CoefficientEvaluator, chi_mu
 from hilbertpoincare.residues import residue_ring
 
 
@@ -498,32 +498,76 @@ def zeta_F_mpmath(field, s: Fraction, prec_bits: int = 200):
 
 # -- the tail bound's formula, summed by mpmath at 200 bits ---------------------
 
-def tail_oracle(field, k: int, nu, mu, X, M: int, eta=Fraction(1, 2), prec_bits: int = 200):
-    """(tail, norms0, norms, window) of `CoefficientEvaluator.tail_bound` for
+def _sigmas(field):
+    """The two embeddings x -> (sigma_1(x), sigma_2(x)) as mpfs, from sqrt(d)."""
+    root = mp.sqrt(field.d)
+    w = ((1 + root) / 2, (1 - root) / 2) if field.d % 4 == 1 else (root, -root)
+    return lambda x, i: (x.a + x.b * w[i]) / mp.mpf(x.den)
+
+
+def _real(q):
+    q = Fraction(q)
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def log2_floor_oracle(x) -> int:
+    """floor(LOG_STEPS log2 x) for a rational x > 0: mpmath's logarithm,
+    then settled by exact comparison of x^LOG_STEPS with powers of 2."""
+    x = Fraction(x) ** LOG_STEPS
+    e = int(mp.floor(mp.log(_real(x), 2)))
+    while Fraction(2) ** (e + 1) <= x:
+        e += 1
+    while Fraction(2) ** e > x:
+        e -= 1
+    return e
+
+
+def orbit_oracle(field, k: int, nu, mu, cs, J: int, prec_bits: int = 200):
+    """(A, [(orbit, rho) for c in cs]) at prec_bits, A = sqrt(sigma_1(eps_plus)).
+    For the class of c, orbit sums the factorial envelopes
+    min(1, (x1 A^j/X0)^n) min(1, (x2 A^-j/X0)^n) over |j| <= J one by one,
+    with n = k - 1, X0 = 2 (n!)^(1/n), x_i = 4 pi sqrt(sigma_i(nu mu))/
+    |sigma_i(c)|, and rho = x1 x2/X0^2."""
+    n = k - 1
+    with mpmath.workprec(prec_bits):
+        sigma = _sigmas(field)
+        A = mp.sqrt(sigma(field.eps_plus, 0))
+        pows = [A ** j for j in range(-J, J + 1)]
+        x0 = 2 * mp.root(math.factorial(n), n)
+        g = [4 * mp.pi * mp.sqrt(sigma(nu * mu, i)) / x0 for i in (0, 1)]
+        out = []
+        for c in cs:
+            u, v = (g[i] / abs(sigma(c, i)) for i in (0, 1))
+            orbit = mp.fsum(min(1, u * a) ** n * min(1, v / a) ** n for a in pows)
+            out.append((orbit, u * v))
+        return A, out
+
+
+def tail_oracle(field, k: int, nu, mu, X, M: int, prec_bits: int = 200):
+    """(tail, norms, window) of `CoefficientEvaluator.tail_bound` for
     c = n = O, where N(cd) = N(cnd) = D, as plain mpfs at prec_bits.
 
     The same bound, computed apart from the package's intervals and power
     kernel: a_F from `af_sieve`, the embeddings from sqrt(d), C2 from the
-    Kronecker symbol and every power by mpmath.  The omitted norms t > X/D
-    are cut into the blocks of `tail_bound` (steps of max(1, int(0.42 t)) up
-    to t0 = max(32 tx, 4096)), each block's ideals counted at its least norm
-    D (t + 1), and t > t0 bounded by 2 D^-s t0^(3/2-s)/(s - 3/2).  Of the
-    interpolation grid the least piece is taken, so any theta the package
-    picks gives at least this value."""
-    D = field.D
+    Kronecker symbol and every power and logarithm by mpmath.  The omitted
+    norms t > X/D are cut into the blocks of `tail_bound` (steps of
+    max(1, int(0.42 t)) up to t0 = max(32 tx, 4096)), each block's ideals
+    counted at its least norm D (t + 1) with the orbit weight
+    L ln 2/(LOG_STEPS ln A) + 1 + 2/(1 - A^-n), L = max(p_hi - l(D (t + 1)),
+    l(D t2) + 1 - p_lo), l = `log2_floor_oracle` and p_lo, p_hi the floor
+    and ceiling of LOG_STEPS log2 rho's numerator P0 = e0^(1/n).  For
+    t > t0 the sums of a_F(t) (D t)^-s are 2 D^-s t0^(3/2-s)/(s - 3/2), at
+    s = n with the weight's constant part (L at t0 less l(D t0)) and at
+    s = n - 1/2 with the factor 2/(e ln A)."""
+    D, n = field.D, k - 1
     with mpmath.workprec(prec_bits):
-        root = mp.sqrt(field.d)
-        w = ((1 + root) / 2, (1 - root) / 2) if field.d % 4 == 1 else (root, -root)
-
-        def sigma(x, i):
-            return (x.a + x.b * w[i]) / mp.mpf(x.den)
-
-        def real(q):
-            q = Fraction(q)
-            return mp.mpf(q.numerator) / q.denominator
+        sigma = _sigmas(field)
 
         def power(x, s):
-            return mp.power(x if isinstance(x, mp.mpf) else real(x), real(s))
+            return mp.power(x if isinstance(x, mp.mpf) else _real(x), _real(s))
+
+        def beyond(s):
+            return 2 * power(D, -s) * power(t0, Fraction(3, 2) - s) / (_real(s) - 1.5)
 
         tx = int(Fraction(X) / D)
         t0 = max(32 * tx, 4096)
@@ -532,36 +576,37 @@ def tail_oracle(field, k: int, nu, mu, X, M: int, eta=Fraction(1, 2), prec_bits:
         while t < t0:
             t2 = min(t + max(1, int(0.42 * t)), t0)
             if sum(a[t + 1:t2 + 1]):
-                blocks.append((t, sum(a[t + 1:t2 + 1])))
+                blocks.append((t, t2, sum(a[t + 1:t2 + 1])))
             t = t2
-
-        def omitted(s):
-            tail = 2 * power(D, -s) * power(t0, Fraction(3, 2) - s) / (real(s) - 1.5)
-            return mp.fsum(cnt * power(D * (t + 1), -s) for t, cnt in blocks) + tail
 
         A = mp.sqrt(sigma(field.eps_plus, 0))
         nu_mu = nu * mu
         base = 2 * mp.pi * mp.sqrt(max(sigma(nu_mu, 0), sigma(nu_mu, 1))) * A
-        fact = math.factorial(k - 1)
+        fact = math.factorial(n)
         f2 = 2 if field.d % 4 == 1 else 1
-        c2 = mp.sqrt(real(math.prod(Fraction(4, p) ** (1 + kronecker_symbol(D, p))
-                                    for p in (2, 3))))
+        c2 = mp.sqrt(_real(math.prod(Fraction(4, p) ** (1 + kronecker_symbol(D, p))
+                                     for p in (2, 3))))
         n_nu, n_mu = Fraction(nu.norm()), Fraction(mu.norm())
-        weil = 2 ** (2 + mp.mpf(f2) / 2) * mp.sqrt(D) * mp.sqrt(real(abs(n_nu))) * c2 / D
-        factor = (power(n_nu / n_mu, Fraction(k - 1, 2)) * (2 * mp.pi) ** 2 * D / mp.sqrt(D)
+        weil = 2 ** (2 + mp.mpf(f2) / 2) * mp.sqrt(D) * mp.sqrt(_real(abs(n_nu))) * c2 / D
+        factor = (power(n_nu / n_mu, Fraction(n, 2)) * (2 * mp.pi) ** 2 * D / mp.sqrt(D)
                   * min(mp.mpf(1) / D, weil))
-        e0 = ((2 * mp.pi) ** 2 * mp.sqrt(real(n_nu * n_mu))) ** (k - 1) / fact ** 2
-        norms0 = factor * e0 * omitted(Fraction(k - 1))
-        pieces = []
-        for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6),
-                      1 - Fraction(eta) / (k - 1)):
-            s = (k - 1) * (1 + theta) / 2
-            r = power(A, -(k - 1) * (1 - theta))
-            if s > Fraction(3, 2) and r < 1:
-                e1 = power(base, (k - 1) * (1 + theta)) / power(fact, 1 + theta)
-                pieces.append(e1 * 2 * r / (1 - r) * omitted(s))
-        norms = factor * min(pieces)
-        r0 = power(A, Fraction(1 - k))
-        msum = mp.fsum(a[t] * power(D * t, Fraction(1 - k, 2)) for t in range(1, tx + 1))
-        window = factor * base ** (k - 1) / fact * 2 * r0 ** (M + 1) / (1 - r0) * msum
-        return norms0 + norms + window, norms0, norms, window
+        e0 = ((2 * mp.pi) ** 2 * mp.sqrt(_real(n_nu * n_mu))) ** n / fact ** 2
+        p0 = LOG_STEPS * mp.log(e0, 2) / n
+        p_lo, p_hi = int(mp.floor(p0)), int(mp.ceil(p0))
+
+        def weight(t, t2):
+            return max(p_hi - log2_floor_oracle(D * (t + 1)),
+                       log2_floor_oracle(D * t2) + 1 - p_lo)
+
+        per_step = mp.log(2) / (LOG_STEPS * mp.log(A))
+        const = 1 + 2 / (1 - power(A, -n))
+        f = max(0, weight(t0 - 1, t0) - log2_floor_oracle(D * t0))
+        orbits = (mp.fsum(cnt * power(D * (t + 1), -n) * (weight(t, t2) * per_step + const)
+                          for t, t2, cnt in blocks)
+                  + beyond(n) * (f * per_step + const)
+                  + beyond(n - Fraction(1, 2)) * 2 / (mp.e * mp.log(A)))
+        norms = factor * e0 * orbits
+        r0 = power(A, -n)
+        msum = mp.fsum(a[t] * power(D * t, Fraction(-n, 2)) for t in range(1, tx + 1))
+        window = factor * base ** n / fact * 2 * r0 ** (M + 1) / (1 - r0) * msum
+        return norms + window, norms, window

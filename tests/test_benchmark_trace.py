@@ -4,7 +4,10 @@ The child runs in its own interpreter, so the tracer never patches this
 process.  Its outputs must pass `workloads.check` against `reference.json`,
 and its per-layer metrics must meet `predictions.json`: a wrapper that fires
 where a bypass is predicted, or stays silent where the workload exercises
-it, is a failed prediction.
+it, is a failed prediction.  Every per-layer metric that `BENCHMARK.json`
+declares must have a value (`check_predictions` passes over a None), except
+`trace.overhead_s`, which run.py computes from plain and traced runs
+together, and the tracer must report no unavailable wrapper.
 """
 
 import importlib
@@ -46,5 +49,11 @@ def test_traced_workload_is_correct_and_predicted(workload, bench):
     for op, res in zip(ops, rep["ops"]):
         outcome = workloads.check(op, res["exit"], res["stdout"], refs)
         assert outcome.failed == 0, outcome.problems
-    _, problems = run.check_predictions(workload, run.layer_metrics(rep))
+    assert rep["trace"]["unavailable"] == []
+    metrics = run.layer_metrics(rep)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    missing = [m["name"] for m in declared
+               if m["name"] != "trace.overhead_s" and metrics.get(m["name"]) is None]
+    assert missing == []
+    _, problems = run.check_predictions(workload, metrics)
     assert problems == []

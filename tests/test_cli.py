@@ -36,6 +36,18 @@ def test_field_info_with_a_large_unit():
     assert doc["narrow_h1"] is True and doc["fu_norm"] == -1
 
 
+def test_certify_over_a_field_with_a_large_unit():
+    # the omitted ideals' unit orbits are bounded whole, so the tail over
+    # Q(sqrt 193) is small at the first rung; the printed numbers alone
+    # show |c - 1| < 1
+    r = run(["certify", "--d", "193", "--k", "8", "--mu", "1"])
+    assert r.exit_code == 0
+    doc = json.loads(r.output)
+    assert doc["verdict"] == "NONZERO" and Fraction(doc["margin"]) > 0
+    dist = max(abs(doc["chi"] + Fraction(t) - 1) for t in doc["finite_part"])
+    assert dist + Fraction(doc["tail"]) < 1
+
+
 def test_field_info_not_squarefree():
     r = CliRunner().invoke(main, ["field-info", "--d", "12"])
     assert r.exit_code == 2

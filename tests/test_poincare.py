@@ -11,6 +11,7 @@ from mpmath import iv, mp
 from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from hilbertpoincare import kloosterman, poincare
+from hilbertpoincare.arith import is_squarefree
 from hilbertpoincare.bessel import BesselEval
 from hilbertpoincare.errors import MembershipViolated, PreconditionViolated
 from hilbertpoincare.field import RealQuadraticField, make_field
@@ -30,8 +31,9 @@ from hilbertpoincare.poincare import (CertifyBudget, CoefficientEvaluator,
                                       threshold_cor33, threshold_thm32,
                                       threshold_thm35, zeta_F_enclosure)
 
-from oracles import (fixed_fractions, poincare_truncated_oracle, tail_oracle,
-                     zeta_F_mpmath, zeta_F_partial_sum)
+from oracles import (fixed_fractions, log2_floor_oracle, orbit_oracle,
+                     poincare_truncated_oracle, tail_oracle, zeta_F_mpmath,
+                     zeta_F_partial_sum)
 
 
 def small_totally_positive(F, rng, bound=6):
@@ -180,18 +182,38 @@ def test_certify_stops_when_criterion_unreachable(F5):
     assert _oracle_in_enclosure(params, F5.one(), val)
 
 
-def test_certify_raises_the_dominant_cutoff(F5):
-    # the omitted norms dominate the tail on every rung before X = 512, so
-    # only X rises; raising M instead (or both) gives other cutoffs
+def test_certify_raises_the_dominant_cutoff(F5, monkeypatch):
+    # each rung raises the cutoff whose piece of the tail is the larger: X
+    # while the omitted norms bound at least the window |j| > M, else M; on
+    # this ladder both rise
     params = PoincareParams(F5, 8)
-    mu = F5.elt(3, -1)
+    mu = F5.elt(4, 1)
+    rungs, evaluate = [], CoefficientEvaluator.evaluate
+    monkeypatch.setattr(CoefficientEvaluator, "evaluate", lambda self, X, M:
+                        rungs.append(evaluate(self, X, M)) or rungs[-1])
     cert = certify_nonvanishing(params, mu)
     val = cert.coefficient
     assert cert.verdict == "NONZERO" and cert.reason is None
-    assert (val.X, val.M) == (512, 4)
+    assert [(r.X, r.M) for r in rungs] == [(64, 4), (128, 4), (256, 4), (256, 6), (512, 6)]
+    for r, up in zip(rungs, rungs[1:]):
+        x_rose = r.tail_split.norms >= r.tail_split.window
+        assert (up.X, up.M) == ((2 * r.X, r.M) if x_rose else (r.X, r.M + 2))
+    assert val is rungs[-1]
     assert cert.margin > 0 and audit_certificate(cert)
     assert "reason" not in cert.to_json()
     assert _oracle_in_enclosure(params, mu, val)
+
+
+def test_certify_c11_at_weight_8_over_every_small_field():
+    # the 75 fields with h+ = 1 and d < 1000, large units included
+    # (eps_plus of Q(sqrt 193) is about 10^13): the unit-orbit tail does not
+    # grow with the unit, so c_8(1, 1) certifies over each of them
+    fields = [F for F in (make_field(d) for d in range(2, 1000) if is_squarefree(d))
+              if F.narrow_h1]
+    assert len(fields) == 75
+    certified = [F.d for F in fields
+                 if certify_nonvanishing(PoincareParams(F, 8), F.one()).verdict == "NONZERO"]
+    assert len(certified) >= 70 and 193 in certified
 
 
 def test_certify_budget_exhausted(F5):
@@ -519,29 +541,22 @@ def test_zeta_F_enclosure_contains_independent_oracles(d):
 
 
 def _tail_pieces(tail, split):
-    return tail, split.norms0, split.norms, split.window
+    return tail, split.norms, split.window
 
 
 def test_a_f_tails_are_bit_identical(F5):
-    # endpoints as (mantissa, exponent) at the change that gave the a_F tail
-    # bound 2 n_o^-s T^(3/2-s)/(s - 3/2) one helper, summed in intervals
-    # there; summed in integers (`inv_pow_fixed`) since, each piece stays
-    # within 2^-88 of them and above the 200-bit oracle, and is pinned
+    # the pieces (tail, norms, window) as (mantissa, exponent) at 96 bits:
+    # each lies above the 200-bit oracle of its formula and within 2^-80 of
+    # it
     ev = CoefficientEvaluator(PoincareParams(F5, 8), F5.one(), F5.one())
-    tail, split = ev.tail_bound(500, 3)
-    got = _tail_pieces(tail, split)
-    parent = [(33682629874127780659164879289, -106), (40241877804432010025990021097, -137),
-              (21115409609206701378335497685, -122), (16841153829903750433229018069, -105)]
+    got = _tail_pieces(*ev.tail_bound(500, 3))
     with mpmath.workprec(200):
-        oracle = tail_oracle(F5, 8, F5.one(), F5.one(), 500, 3)
-        for g, (man, exp), o in zip(got, parent, oracle):
-            ref = mpmath.ldexp(man, exp)
-            assert abs(g - ref) <= ref * mpmath.mpf(2) ** -88
-            assert g >= o
+        for g, o in zip(got, tail_oracle(F5, 8, F5.one(), F5.one(), 500, 3)):
+            assert o <= g <= o * (1 + mpmath.mpf(2) ** -80)
+    # the window piece is the parent's, bit for bit
     assert [v._mpf_[1:3] for v in got] == [
-        (33682629874127780659164879279, -106), (20120938902216005012995010547, -136),
-        (21115409609206701378335497665, -122), (1052572114368984402076813629, -101)]
-    assert split.theta == Fraction(13, 14)
+        (16841153963734909812883798795, -105), (71850056590172616376099388423, -134),
+        (1052572114368984402076813629, -101)]
 
 
 @pytest.mark.parametrize("d", [2, 5, 13])
@@ -559,16 +574,52 @@ def test_tail_pieces_bound_the_oracle(d, k):
                 assert o <= g <= o * (1 + mpmath.mpf(2) ** -80), X
 
 
+@pytest.mark.parametrize("d", [2, 5, 13, 193])
+def test_orbit_weights_bound_the_brute_force_orbit(d):
+    # for every class whose ideal has norm N(c)/N(cnd) <= 300, the envelopes
+    # summed over |j| <= 40 at 200 bits stay below the j = 0 term rho^n
+    # times the orbit weight: the exact one, |log rho|/log A + 1 +
+    # 2/(1 - A^-n), and the package's, read from `_log_weight`
+    F = make_field(d)
+    for k in (6, 8, 12, 24):
+        n = k - 1
+        ev = CoefficientEvaluator(PoincareParams(F, k), F.one(), F.one())
+        classes = ev.classes_upto(300 * ev.n_o)
+        assert len(classes) >= 100
+        A, orbits = orbit_oracle(F, k, F.one(), F.one(), [cls[2] for cls in classes], 40)
+        with mpmath.workprec(200):
+            const = 1 + 2 / (1 - A ** -n)
+            for (_t, m, _c, _mod), (orbit, rho) in zip(classes, orbits):
+                t = m / ev.n_o
+                exact = rho ** n * (abs(mp.log(rho)) / mp.log(A) + const)
+                steps = ev._log_weight(t - 1, t)
+                assert steps >= abs(poincare.LOG_STEPS * mp.log(rho, 2)), (k, m)
+                package = rho ** n * (steps * mp.log(2) / (poincare.LOG_STEPS * mp.log(A))
+                                      + const)
+                assert orbit <= exact <= package, (k, m)
+
+
+def test_log2_floor_matches_the_oracle():
+    # exact floors of LOG_STEPS log2 x, at rationals on both sides of 1, at
+    # powers of 2 and next to them
+    xs = [Fraction(p, q) for p in range(1, 60) for q in range(1, 60)]
+    xs += [Fraction(2) ** e + delta for e in range(-30, 31)
+           for delta in (0, Fraction(1, 10 ** 9), -Fraction(1, 2 ** 40))]
+    for x in xs:
+        assert poincare._log2_floor(x) == log2_floor_oracle(x), x
+
+
 def test_a_later_rung_tail_calls_no_exp_or_log(F5, monkeypatch):
     # the constants of the tail come once per evaluator; a rung's sums are
-    # integer roots, so exp and log stay out of the per-rung tail
+    # integer roots and bit lengths, so exp and log stay out of the per-rung
+    # tail
     calls = Counter()
     for name in ("exp", "log"):
         monkeypatch.setattr(iv, name, lambda *a, _f=getattr(iv, name), _n=name, **kw:
                             (calls.update([_n]), _f(*a, **kw))[1])
     ev = CoefficientEvaluator(PoincareParams(F5, 8), F5.one(), F5.one())
     ev.tail_bound(200, 2)
-    assert calls["exp"] and calls["log"]          # the theta grid's powers of A
+    assert calls["log"]          # the orbit weight's logarithms of A, 2 and P0
     calls.clear()
     ev.tail_bound(800, 4)
     assert calls == Counter()
@@ -705,8 +756,8 @@ def test_bounded_terms_do_not_depend_on_the_ladder(d, k, ladder):
 @pytest.mark.parametrize("d, k, mu, X, M", [
     (5, 12, (1, 0), 150, 1),
     (5, 8, (1, 0), 150, 1),
-    (2, 8, (3, 1), 150, 2),
-    (13, 8, (1, 0), 150, 2),
+    (2, 8, (3, 1), 300, 2),
+    (13, 8, (1, 0), 600, 1),
 ])
 def test_bounded_terms_contain_the_oracle(d, k, mu, X, M):
     # at a small unit cutoff the window tail is large and some terms are
