@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from mpmath import iv
-
-from .intervals import ESTIMATE_PREC, floor_ceil, hi, iv_pow_frac, prec_guard
+from .intervals import floor_ceil
 
 # Beyond this the series is not attempted and [-1, 1] is returned: a huge
 # argument pairs with a negligible partner factor in a coefficient term.
@@ -87,23 +84,3 @@ def besselj_eval(order: int, x, precision: int) -> BesselEval:
                 return BesselEval((max(s_lo - pad, -one), min(s_hi + pad, one), wp),
                                   rem < tol)
 
-
-def envelope(k: int, x, eta=Fraction(0)) -> object:
-    """Upper bound (e*x/(2k-2))^(k-1-eta) for |J_{k-1}|, outward rounded.
-
-    x may be a number or interval; the bound is evaluated at its upper end,
-    where it is monotone increasing.
-    """
-    eta = Fraction(eta)
-    if not (0 <= eta < 1):
-        raise ValueError("eta must be in [0, 1)")
-    with prec_guard(ESTIMATE_PREC):
-        xh = hi(x if hasattr(x, "_mpi_") else iv.mpf(x))
-        if xh <= 0:
-            return iv.mpf(0)
-        base = iv.e * iv.mpf(xh) / iv.mpf(2 * k - 2)
-        return iv_pow_frac(base, Fraction(k - 1) - eta)
-
-
-def envelope_hi(k: int, x, eta=Fraction(0)):
-    return hi(envelope(k, x, eta))

@@ -351,11 +351,14 @@ def cmd_certify(d, k, level, mu_text, eta, max_x, max_m, **kw):
     F = make_field(d)
     params = PoincareParams(F, k, level=parse_ideal(F, level))
     mu = parse_element(F, mu_text)
+    # eta selects the printed ledger alone; built first, a bad eta exits 2
+    # before the ladder evaluates a coefficient
+    ledger = effective_constants(F, eta)
     cert = certify_nonvanishing(params, mu, CertifyBudget(max_x, max_m),
-                                eta, precision=st.precision,
+                                precision=st.precision,
                                 enum_budget=st.residue_budget)
     doc = cert.to_json()
-    doc["ledger"] = effective_constants(F, eta).to_json()
+    doc["ledger"] = ledger.to_json()
     emit(doc, st.format)
     if cert.verdict != "NONZERO":
         sys.exit(3)

@@ -32,9 +32,6 @@ from mpmath import iv
 from mpmath.libmp import from_man_exp, mpf_shift, round_ceiling, round_floor, to_int
 
 DEFAULT_PREC = 96
-# for estimates that an exact test decides afterwards, or bounds whose
-# tightness nothing relies on
-ESTIMATE_PREC = 64
 
 
 @contextmanager

@@ -61,6 +61,9 @@ TAIL_GUARD = 8
 # steps per bit in which the tail's orbit weight reads log2 of a norm
 # (`_log2_floor`)
 LOG_STEPS = 64
+# `recurrence_check_cor45` reads "consistent" only when both sides'
+# enclosures are narrower than REL_TOL times the identity's scale
+REL_TOL = Fraction(1, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +76,7 @@ def require_weight(k: int):
 
 
 class PoincareParams:
-    """Weight k, base fractional ideal c (with generator when principal),
-    integral level n."""
+    """Weight k, base fractional ideal c, integral level n."""
 
     def __init__(self, field: RealQuadraticField, k: int, cideal=None, level=None):
         require_weight(k)
@@ -152,7 +154,6 @@ class CoefficientValue:
     tail: object                 # mpf >= 0, bound on everything omitted
     X: object
     M: int
-    eta: Fraction
     tail_split: TailSplit        # the pieces of `tail`; not in to_json
     scale: Fraction = Fraction(1)   # N(mu)^(k-1) for the symmetric variant
     terms_bounded: int = 0       # terms added as [-B, B]; not in to_json
@@ -166,7 +167,7 @@ class CoefficientValue:
     def to_json(self):
         return {"chi": self.chi_term, "finite_part": iv_ends(self.finite_part),
                 "tail": dec_str(self.tail, True),
-                "cutoffs": {"X": str(self.X), "M": self.M, "eta": str(self.eta)}}
+                "cutoffs": {"X": str(self.X), "M": self.M}}
 
 
 @dataclass
@@ -235,8 +236,7 @@ class CoefficientEvaluator:
     """
 
     def __init__(self, params: PoincareParams, nu: Elt, mu: Elt,
-                 eta: Fraction = DEFAULT_ETA, precision: int = DEFAULT_PREC,
-                 enum_budget: int = DEFAULT_ENUM_BUDGET):
+                 precision: int = DEFAULT_PREC, enum_budget: int = DEFAULT_ENUM_BUDGET):
         F = params.field
         if not F.narrow_h1:
             raise PreconditionViolated(
@@ -246,13 +246,9 @@ class CoefficientEvaluator:
                 raise MembershipViolated(f"{name} must be totally positive")
             if not params.cideal.contains(t):
                 raise MembershipViolated(f"{name}={t} is not in the base ideal")
-        eta = Fraction(eta)
-        if not (0 < eta < 1):
-            raise PreconditionViolated("eta must lie in (0, 1)")
         self.params = params
         self.nu = nu
         self.mu = mu
-        self.eta = eta
         self.precision = precision
         self.enum_budget = enum_budget
         self.F = F
@@ -609,20 +605,20 @@ def evaluate_together(evaluators, X, M: int) -> list[CoefficientValue]:
             rings = {}
             for i, ev in enumerate(evaluators):
                 accs[i] += ev._class_sum(cls, M, rings, budgets[i], tallies[i])
-        return [CoefficientValue(ev.chi, ev.prefactor() * acc, tail, X, M, ev.eta, split,
+        return [CoefficientValue(ev.chi, ev.prefactor() * acc, tail, X, M, split,
                                  terms_bounded=n[0], terms_computed=n[1])
                 for ev, acc, (tail, split), n in zip(evaluators, accs, tails, tallies)]
 
 
 def coefficient(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
-                eta: Fraction = DEFAULT_ETA, **kw) -> CoefficientValue:
-    return CoefficientEvaluator(params, nu, mu, eta, **kw).evaluate(X, M)
+                **kw) -> CoefficientValue:
+    return CoefficientEvaluator(params, nu, mu, **kw).evaluate(X, M)
 
 
 def coefficient_tilde(params: PoincareParams, nu: Elt, mu: Elt, X, M: int,
-                      eta: Fraction = DEFAULT_ETA, **kw) -> CoefficientValue:
+                      **kw) -> CoefficientValue:
     """The symmetric variant N(mu)^(k-1) * c_k(nu, mu)."""
-    val = coefficient(params, nu, mu, X, M, eta, **kw)
+    val = coefficient(params, nu, mu, X, M, **kw)
     val.scale = Fraction(mu.norm()) ** (params.k - 1)
     return val
 
@@ -650,8 +646,7 @@ def criterion_unreachable(val: CoefficientValue) -> bool:
 
 
 def certify_nonvanishing(params: PoincareParams, mu: Elt,
-                         budget: CertifyBudget | None = None,
-                         eta: Fraction = DEFAULT_ETA, **kw) -> Certificate:
+                         budget: CertifyBudget | None = None, **kw) -> Certificate:
     """Raise the cutoffs until |c_k(mu,mu) - 1| < 1 is certified.
 
     Each rung reads its own result.  The ladder stops as soon as the
@@ -667,7 +662,7 @@ def certify_nonvanishing(params: PoincareParams, mu: Elt,
     it) or "budget exhausted" (it holds the rung of largest margin).
     """
     budget = budget or CertifyBudget()
-    ev = CoefficientEvaluator(params, mu, mu, eta, **kw)
+    ev = CoefficientEvaluator(params, mu, mu, **kw)
     X = min(max(64, int(8 * ev.n_o)), budget.max_X)
     M = min(4, budget.max_M)
     best = None
@@ -972,20 +967,18 @@ def _cor45_hypotheses(params: PoincareParams, p: Elt, exponents: dict,
 
 
 def recurrence_check_cor45(params: PoincareParams, nu: Elt, mu: Elt, p: Elt,
-                           m: int, n: int, X, M: int,
-                           eta: Fraction = DEFAULT_ETA, rel_tol=Fraction(1, 1000),
-                           **kw) -> RecurrenceReport:
+                           m: int, n: int, X, M: int, **kw) -> RecurrenceReport:
     """Check ct(nu p^m, mu p^n) = ct(nu, mu p^(m+n)) + N((p))^(k-1) ct(nu p^(m-1), mu p^(n-1)).
 
     All three symmetric coefficients are evaluated as enclosures at the given
     cutoffs; consistency means the left interval meets the right interval
-    sum.  Enclosures too wide relative to the identity's scale come back
-    "inconclusive" rather than a hollow "consistent".
+    sum.  Enclosures of width REL_TOL times the identity's scale or more come
+    back "inconclusive" rather than a hollow "consistent".
     """
     _cor45_hypotheses(params, p, {"m": m, "n": n}, {"nu": nu, "mu": mu})
     args = ((nu * p ** m, mu * p ** n), (nu, mu * p ** (m + n)),
             (nu * p ** (m - 1), mu * p ** (n - 1)))
-    evs = [CoefficientEvaluator(params, a, b, eta, **kw) for a, b in args]
+    evs = [CoefficientEvaluator(params, a, b, **kw) for a, b in args]
     lhs_v, t1, t2 = evaluate_together(evs, X, M)
     for val, (_, b) in zip((lhs_v, t1, t2), args):
         val.scale = Fraction(b.norm()) ** (params.k - 1)   # as coefficient_tilde
@@ -997,7 +990,8 @@ def recurrence_check_cor45(params: PoincareParams, nu: Elt, mu: Elt, p: Elt,
         scale = max(sup_abs(lhs), sup_abs(rhs), mpmath.mpf(1))
         if not overlaps(lhs, rhs):
             status = "inconsistent"
-        elif shared < mpmath.mpf(float(Fraction(rel_tol))) * scale:
+        elif (mpmath.fmul(shared, REL_TOL.denominator, exact=True)
+              < mpmath.fmul(scale, REL_TOL.numerator, exact=True)):
             status = "consistent"
         else:
             status = "inconclusive"

@@ -8,7 +8,7 @@ from mpmath.libmp import to_rational
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertpoincare.bessel import besselj_eval, envelope_hi
+from hilbertpoincare.bessel import besselj_eval
 from hilbertpoincare.intervals import hi, lo, prec_guard
 
 from oracles import (besselj_interval, besselj_rational, besselj_upward_recurrence,
@@ -43,25 +43,6 @@ def test_magnitude_bound_grid():
         for k in (4, 8, 12):
             v = besselJ(k - 1, iv.mpf(x), 64)
             assert lo(v) >= -1 and hi(v) <= 1
-
-
-def test_envelope_examples():
-    k = 8
-    e = envelope_hi(k, iv.mpf(2 * (k - 1)) / iv.e, Fraction(0))
-    assert abs(e - 1) < 1e-10
-    assert envelope_hi(k, iv.mpf(0), Fraction(1, 2)) == 0
-    # envelope dominates |J| for small x
-    mp.prec = 120
-    for x in (0.05, 0.3, 1.5):
-        truth = abs(mpmath.besselj(7, mpmath.mpf(x)))
-        assert truth <= envelope_hi(8, iv.mpf(x), Fraction(0)) + mpmath.mpf("1e-25")
-
-
-def test_envelope_monotone_eta():
-    # larger eta weakens the exponent, enlarging the bound when base < 1
-    e0 = envelope_hi(8, iv.mpf(1), Fraction(0))
-    e5 = envelope_hi(8, iv.mpf(1), Fraction(1, 2))
-    assert e5 >= e0
 
 
 def test_nj_examples():

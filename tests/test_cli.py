@@ -11,7 +11,7 @@ from hilbertpoincare.cli import main
 from hilbertpoincare.field import make_field
 from hilbertpoincare.intervals import (DEFAULT_PREC, dec_str, hi, iv_from_fraction,
                                        lo, prec_guard)
-from hilbertpoincare.poincare import audit_certificate
+from hilbertpoincare.poincare import CoefficientEvaluator, audit_certificate
 
 
 def run(args, **kw):
@@ -122,7 +122,7 @@ def test_certify_cli_and_exit_codes(tmp_path):
     doc = json.loads(r.output)
     assert doc["verdict"] == "NONZERO" and doc["schema"] == "v1"
     assert "ledger" in doc and "finite_part" in doc and "tail" in doc
-    assert set(doc["cutoffs"]) == {"X", "M", "eta"}
+    assert set(doc["cutoffs"]) == {"X", "M"}
     # an exhausted budget must exit 3
     r3 = CliRunner().invoke(main, ["certify", "--d", "5", "--k", "8",
                                    "--mu", "1", "--max-x", "1", "--max-m", "0"])
@@ -358,6 +358,24 @@ RECURRENCE = ["recurrence", "--d", "5", "--k", "8", "--p", "(3,2)", "--x", "200"
 def test_malformed_values_exit_2(args):
     # a value that does not parse is a usage error, not a traceback
     _usage_error(args)
+
+
+def test_eta_reaches_only_the_ledger(monkeypatch):
+    # eta is a parameter of Thm. 3.2's constants, not of a coefficient: two
+    # etas print the same certificate bytes once the ledger is taken out
+    args = ["certify", "--d", "5", "--k", "8", "--mu", "2"]
+    docs = [json.loads(run(args + ["--eta", eta]).output) for eta in ("1/3", "1/2")]
+    assert [d.pop("ledger")["eta"] for d in docs] == ["1/3", "1/2"]
+    assert json.dumps(docs[0]) == json.dumps(docs[1])
+    # an eta outside (0, 1) is refused before the ladder starts
+    ladders, rungs, certify = [], [], cli.certify_nonvanishing
+    monkeypatch.setattr(cli, "certify_nonvanishing",
+                        lambda *a, **kw: ladders.append(a) or certify(*a, **kw))
+    monkeypatch.setattr(CoefficientEvaluator, "evaluate",
+                        lambda self, X, M: rungs.append((X, M)))
+    for eta in ("0", "1"):
+        assert "eta" in _usage_error(CERTIFY + ["--eta", eta])
+    assert ladders == [] and rungs == []
 
 
 @pytest.mark.parametrize("doc", [{"precision": "x"}, {"residue_budget": "abc"},

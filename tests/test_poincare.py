@@ -63,8 +63,6 @@ def test_membership_preconditions(F5):
         coefficient(params, F5.omega(), F5.one(), 10, 1)  # omega not tot. pos.
     with pytest.raises(PreconditionViolated):
         PoincareParams(F5, 7)
-    with pytest.raises(PreconditionViolated):
-        coefficient(PoincareParams(F5, 8), F5.one(), F5.one(), 10, 1, Fraction(2))
 
 
 def test_oracle_containment_k8(F5):
@@ -243,8 +241,7 @@ def test_certify_budget_exhausted(F5):
     ("-1.02", "0.03", False),     # [-0.05, 0.01]
 ])
 def test_criterion_unreachable_boundary(finite, tail, unreachable):
-    val = CoefficientValue(1, iv.mpf(finite), mpmath.mpf(tail), 0, 0,
-                           Fraction(1, 2), None)
+    val = CoefficientValue(1, iv.mpf(finite), mpmath.mpf(tail), 0, 0, None)
     assert criterion_unreachable(val) == unreachable
 
 
@@ -696,8 +693,7 @@ def test_threshold_thm35(F5):
 def test_recurrence_small(F5):
     params = PoincareParams(F5, 8)
     p = F5.elt(3, 2)
-    rep = recurrence_check_cor45(params, F5.one(), F5.one(), p, 1, 1,
-                                 300, 3, rel_tol=Fraction(1))
+    rep = recurrence_check_cor45(params, F5.one(), F5.one(), p, 1, 1, 300, 3)
     assert rep.status in ("consistent", "inconclusive")
     assert lo(rep.lhs) <= hi(rep.rhs) and lo(rep.rhs) <= hi(rep.lhs)
     # coprimality precondition: level divisible by p

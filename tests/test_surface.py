@@ -26,8 +26,6 @@ KEEP = {
     "check_linear_relation": "the grid check of the paper's operator relation",
     "audit_certificate": "re-audits a certificate from its stored enclosure",
     "nonvanishing_relations_report": "the dichotomy report of Cor. 4.5",
-    "envelope": "the Bessel envelope bound that acceptance 10 reads",
-    "envelope_hi": "the Bessel envelope bound that acceptance 10 reads",
     "is_real": "CyclotomicInteger.is_real, an exact test on Z[zeta_M] values",
     "additive_character": "e(alpha) as an exact Z[zeta_M] value",
     "contains": "intervals.contains, the outward containment test of an exact "
@@ -104,10 +102,9 @@ def test_keep_lists_only_names_that_exist():
 
 
 # the position of the precision argument of each function that takes one
-PRECISION_ARG = {"prec_guard": 0, "embeddings": 0, "A_interval": 0, "besselJ": 2,
-                 "besselj_eval": 2, "real_interval": 0, "complex_interval": 0,
-                 "kloosterman_float": 1, "interval": 0, "zeta_F_enclosure": 2,
-                 "from_fixed": 3}
+PRECISION_ARG = {"prec_guard": 0, "embeddings": 0, "A_interval": 0, "besselj_eval": 2,
+                 "real_interval": 0, "complex_interval": 0, "kloosterman_float": 1,
+                 "interval": 0, "zeta_F_enclosure": 2, "from_fixed": 3}
 
 
 def _literal_precisions():
@@ -128,8 +125,8 @@ def _literal_precisions():
 
 
 def test_no_literal_precision_in_src():
-    # a precision is DEFAULT_PREC, ESTIMATE_PREC or the caller's argument,
-    # never a number that drifts apart from them
+    # a precision is DEFAULT_PREC or the caller's argument, never a number
+    # that drifts apart from it
     assert sorted(_literal_precisions()) == []
 
 
@@ -156,32 +153,6 @@ def test_src_reads_no_environment():
     found = [f"{module} (line {node.lineno})" for module, tree in _trees().items()
              for node in ast.walk(tree) if names(node) & env]
     assert found == []
-
-
-# the estimate that may read ESTIMATE_PREC: the Bessel envelope.  An exact
-# choice is never decided from a float estimate.
-ESTIMATE_READERS = {"bessel.envelope"}
-
-
-def _estimate_readers():
-    """module.qualname of each scope in src/ that reads ESTIMATE_PREC."""
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield from walk(child, scope + (child.name,))
-            elif ((isinstance(child, ast.Name) and child.id == "ESTIMATE_PREC"
-                   and isinstance(child.ctx, ast.Load))
-                  or (isinstance(child, ast.Attribute) and child.attr == "ESTIMATE_PREC")):
-                yield ".".join(scope)
-            else:
-                yield from walk(child, scope)
-
-    for module, tree in _trees().items():
-        yield from walk(tree, (module,))
-
-
-def test_estimate_precision_read_only_by_the_estimates():
-    assert sorted(set(_estimate_readers()) - ESTIMATE_READERS) == []
 
 
 # the module-level caches: state that outlives a command, each with the reason
