@@ -2,7 +2,9 @@
 
 Addition and multiplication act coefficientwise / by cyclic convolution with
 no basis choice.  Values of different orders are compared after lifting to
-the lcm order.
+the lcm order.  Equality compares the two coefficient vectors first, since
+equal vectors in Z[x]/(x^M - 1) are equal values, and falls back to the zero
+test of the difference only when they differ.
 
 The zero test is one projection.  For a prime p | M let T_p(w)[j] =
 sum_{i<p} w[(j + i M/p) mod M], multiplication by sum_i x^(i M/p).  Then
@@ -69,7 +71,9 @@ class CyclotomicInteger:
     @classmethod
     def combination(cls, terms):
         """sum of n * v over the pairs (n, v), in one coefficient list at the
-        lcm of the orders."""
+        lcm of the orders; a lone pair (1, v) is v itself."""
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
         M = math.lcm(*(v.order for _, v in terms))
         c = [0] * M
         for n, v in terms:
@@ -144,24 +148,23 @@ class CyclotomicInteger:
         return not any(self._projection())
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInteger.from_int(other)
-        if not isinstance(other, CyclotomicInteger):
+        if not isinstance(other, (int, CyclotomicInteger)):
             return NotImplemented
-        return (self - other).is_zero()
+        x, y = self._pair(other)
+        return x.coeffs == y.coeffs or (x - y).is_zero()
 
     def __hash__(self):
         raise TypeError("CyclotomicInteger is not hashable")
 
     def is_real(self) -> bool:
-        return (self - self.conjugate()).is_zero()
+        return self == self.conjugate()
 
     def as_int(self):
         """The value as an integer when it lies in Z, else None.  The
         projection of an integer n has constant term n * prod_{p | M} (p - 1)."""
         n, r = divmod(self._projection()[0],
                       math.prod(p - 1 for p in arith.factorint(self.order)))
-        return n if r == 0 and (self - n).is_zero() else None
+        return n if r == 0 and self == n else None
 
     def __repr__(self):
         return f"CycInt(order={self.order}, coeffs={self.coeffs})"

@@ -208,14 +208,17 @@ class SelbergTable:
 
     `divisors` are those of (q), sorted as `ideals.divisors` sorts them; the
     divisors of (nu, mu, q) are the ones containing nu and mu, in the same
-    order.  A divisor's generator g, q/g and quotient modulus (q)/d (the HNF
-    of (q/g)) are resolved the first time a triple needs them.  `rings` is
-    `kloosterman_exact`'s ring dict for (q) and its quotients, and the terms
-    S(1/delta, nu*mu/(g^2 delta); q/g) are memoized by (nu*mu, divisor).
+    order.  The indices of the divisors containing a grid element are found
+    once per element and memoized, so a pair (nu, mu) costs one filter of
+    nu's indices by mu's.  A divisor's generator g, q/g and quotient modulus
+    (q)/d (the HNF of (q/g)) are resolved the first time a triple needs
+    them.  `rings` is `kloosterman_exact`'s ring dict for (q) and its
+    quotients, and the terms S(1/delta, nu*mu/(g^2 delta); q/g) are memoized
+    by (nu*mu, divisor).
     """
 
     __slots__ = ("field", "q", "modulus", "divisors", "one_over_delta", "rings",
-                 "_resolved", "_terms")
+                 "_containing", "_resolved", "_terms")
 
     def __init__(self, field, q: Elt):
         delta = _require_delta(field)
@@ -227,13 +230,23 @@ class SelbergTable:
         self.divisors = divisors(self.modulus)
         self.one_over_delta = field.one() / delta
         self.rings = {}
+        self._containing = {}
         self._resolved = {}
         self._terms = {}
 
+    def containing(self, t: Elt) -> list[int]:
+        """Indices of the divisors of (q) that contain the integral t, in
+        divisor order."""
+        found = self._containing.get(t)
+        if found is None:
+            found = self._containing[t] = [i for i, dd in enumerate(self.divisors)
+                                           if dd.contains(t)]
+        return found
+
     def common_divisors(self, nu: Elt, mu: Elt) -> list[int]:
         """Indices of the divisors of (nu, mu, q), for integral nu and mu."""
-        return [i for i, dd in enumerate(self.divisors)
-                if dd.contains(nu) and dd.contains(mu)]
+        of_mu = self.containing(mu)
+        return [i for i in self.containing(nu) if i in of_mu]
 
     def divisor(self, i: int):
         """(N(d), g, q/g, (q)/d) for the i-th divisor d and a generator g of
@@ -272,7 +285,9 @@ def selberg_check(field, nu: Elt, mu: Elt, q: Elt, table: SelbergTable | None = 
     `table` is q's `SelbergTable`; a call without one builds its own.  The
     left-hand side is summed first: its modulus (q) has the largest norm, so
     it decides whether `enum_budget` refuses the triple before any memoized
-    term is read.
+    term is read.  The sides are compared by `CyclotomicInteger.__eq__`:
+    when nu or mu is prime to q they have equal vectors, and only the other
+    triples run the projection.
     """
     if table is None:
         table = SelbergTable(field, q)
@@ -291,7 +306,7 @@ def selberg_check(field, nu: Elt, mu: Elt, q: Elt, table: SelbergTable | None = 
                             enum_budget, table.rings)
     nu_mu = nu * mu
     rhs = CyclotomicInteger.combination([table.term(nu_mu, i, enum_budget) for i in common])
-    return IdentityReport((lhs - rhs).is_zero(), lhs, rhs, outside)
+    return IdentityReport(lhs == rhs, lhs, rhs, outside)
 
 
 def cor43_check(field, nu: Elt, mu: Elt, q: Elt, p: Elt, m: int, n: int,
@@ -319,14 +334,14 @@ def cor43_check(field, nu: Elt, mu: Elt, q: Elt, p: Elt, m: int, n: int,
     t1 = principal_kloosterman(field, nu, mu * p ** (m + n), q, **kw)
     t2 = principal_kloosterman(field, nu * p ** (m - 1), mu * p ** (n - 1), q / p, **kw)
     rhs = t1 + pid.norm() * t2
-    return IdentityReport((lhs - rhs).is_zero(), lhs, rhs)
+    return IdentityReport(lhs == rhs, lhs, rhs)
 
 
 def kloosterman_symmetry_check(q: KloostermanQuery, **kw) -> bool:
     """S_m(nu, mu; c) = S_m(mu, nu; c), via x -> x^{-1}."""
     a = kloosterman_exact(q, **kw)
     b = kloosterman_exact(KloostermanQuery(q.field, q.mu, q.nu, q.modulus, q.c), **kw)
-    return (a - b).is_zero()
+    return a == b
 
 
 def unit_twist_check(q: KloostermanQuery, eps: Elt, **kw) -> bool:
@@ -337,4 +352,4 @@ def unit_twist_check(q: KloostermanQuery, eps: Elt, **kw) -> bool:
                                            q.modulus, q.c), **kw)
     b = kloosterman_exact(KloostermanQuery(q.field, q.nu, q.mu,
                                            q.modulus, q.c / eps), **kw)
-    return (a - b).is_zero()
+    return a == b

@@ -8,9 +8,12 @@ from mpmath import iv
 
 from hilbertpoincare import cli
 from hilbertpoincare.cli import main
+from hilbertpoincare.cyclotomic import CyclotomicInteger
 from hilbertpoincare.field import make_field
+from hilbertpoincare.ideals import IdealHNF
 from hilbertpoincare.intervals import (DEFAULT_PREC, dec_str, hi, iv_from_fraction,
                                        lo, prec_guard)
+from hilbertpoincare.kloosterman import SelbergTable
 from hilbertpoincare.poincare import CoefficientEvaluator, audit_certificate
 
 
@@ -104,6 +107,39 @@ def test_selberg_check_cli_skips_non_principal_divisors(monkeypatch):
     assert doc["outside_hypotheses"] is True and doc["status"] == "all hold"
     assert doc["failures"] == 0 and doc["skipped"] > 0 and doc["checked"] > 0
     assert doc["checked"] + doc["skipped"] == len(calls)
+
+
+def test_selberg_check_cli_work_counts(monkeypatch):
+    # each grid element meets each divisor of (q) in at most one containment
+    # test, and the projection runs only for identities whose two sides
+    # differ as vectors
+    tables, asked, projected, differ = [], [], [], []
+    init, contains = SelbergTable.__init__, IdealHNF.contains
+    projection, check = CyclotomicInteger._projection, cli.selberg_check
+
+    def table_init(self, field, q):
+        init(self, field, q)
+        tables.append(self)
+        asked.append([])
+
+    def checked(*args, **kw):
+        rep = check(*args, **kw)
+        x, y = rep.lhs._pair(rep.rhs)
+        differ.append(x.coeffs != y.coeffs)
+        return rep
+
+    monkeypatch.setattr(SelbergTable, "__init__", table_init)
+    monkeypatch.setattr(IdealHNF, "contains",
+                        lambda self, x: asked[-1].append((self.key(), x)) or contains(self, x))
+    monkeypatch.setattr(CyclotomicInteger, "_projection",
+                        lambda v: projected.append(v) or projection(v))
+    monkeypatch.setattr(cli, "selberg_check", checked)
+    r = run(["selberg-check", "--d", "5", "--max-norm-q", "25"])
+    assert r.exit_code == 0 and json.loads(r.output)["checked"] == len(differ)
+    for table, calls in zip(tables, asked):
+        grid = cli._selberg_grid(table.field, table.q, "small")
+        assert len(calls) == len(set(calls)) <= len(set(grid)) * len(table.divisors)
+    assert len(projected) == sum(differ) < len(differ)
 
 
 def test_weil_audit_cli():

@@ -1,10 +1,13 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hilbertpoincare import arith
 from hilbertpoincare.cyclotomic import (CyclotomicInteger, _cos_table_fixed,
                                         additive_character)
 from hilbertpoincare.intervals import contains, from_fixed, lo, hi
@@ -72,6 +75,67 @@ def test_mixed_order_equality():
     assert zeta(6, 2) == zeta(3, 1)
     assert zeta(4, 2) == CyclotomicInteger.from_int(-1)
     assert zeta(8, 0) == 1
+
+
+def _vector(draw, M):
+    return CyclotomicInteger(M, draw(st.lists(st.integers(-3, 3), min_size=M, max_size=M)))
+
+
+def _plus_zero(draw, v):
+    """v plus multiples of sum_{i<p} x^(j + i M/p) for the primes p | M: the
+    same value written with another vector (when a multiple is nonzero)."""
+    M, c = v.order, list(v.coeffs)
+    for p in arith.factorint(M):
+        j, a = draw(st.integers(0, M - 1)), draw(st.integers(-3, 3))
+        for i in range(p):
+            c[(j + i * (M // p)) % M] += a
+    return CyclotomicInteger(M, c)
+
+
+@st.composite
+def _operands(draw):
+    """(x, y) with y a CyclotomicInteger or an int: identical vectors, equal
+    values with other vectors, unequal values, other orders, ints."""
+    M = draw(st.integers(1, 60))
+    x = _vector(draw, M)
+    kind = draw(st.sampled_from(("same", "equal", "unequal", "lifted", "order", "int")))
+    if kind == "same":
+        return x, CyclotomicInteger(M, x.coeffs)
+    if kind == "equal":
+        return x, _plus_zero(draw, x)
+    if kind == "unequal":
+        return x, _vector(draw, M)
+    if kind == "lifted":
+        return x, _plus_zero(draw, x.lift(M * draw(st.integers(2, 4))))
+    if kind == "order":
+        return x, _vector(draw, draw(st.integers(1, 60)))
+    n = draw(st.integers(-5, 5))
+    if draw(st.booleans()):
+        x = _plus_zero(draw, CyclotomicInteger.from_int(n).lift(M))
+    return x, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_operands())
+def test_equality_matches_the_projection_rule(pair):
+    # __eq__ compares vectors first; it must decide as the projection of the
+    # difference alone decides, whatever the operands' vectors and orders
+    x, y = pair
+    expected = not any((x - y)._projection())
+    assert (x == y) is expected and (y == x) is expected
+    assert (x != y) is not expected
+
+
+def test_combination():
+    # one coefficient list at the lcm order; a lone term with n = 1 is the
+    # term itself, any other lone term is scaled
+    v, w = zeta(6, 1) + 2, zeta(4, 3)
+    assert CyclotomicInteger.combination([(1, v)]) is v
+    for terms in ([(3, v)], [(-1, w)], [(0, v)], [(1, v), (4, w)], [(2, v), (1, v), (-3, w)]):
+        got = CyclotomicInteger.combination(terms)
+        total = sum((n * t for n, t in terms), CyclotomicInteger.zero())
+        assert got.order == math.lcm(*(t.order for _, t in terms))
+        assert got.coeffs == total.lift(got.order).coeffs
 
 
 def test_conjugation():

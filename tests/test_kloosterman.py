@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hilbertpoincare import kloosterman
+from hilbertpoincare.cyclotomic import CyclotomicInteger
 from hilbertpoincare.errors import (BudgetExceeded, MembershipViolated,
                                     PreconditionViolated)
 from hilbertpoincare.field import make_field
@@ -335,6 +336,38 @@ def test_lone_selberg_check_resolves_only_the_common_divisors(F5, monkeypatch):
     asked.clear()
     assert selberg_check(F10, two, two, two).holds is None
     assert [is_principal(x) is None for x in asked] == [False, True]
+
+
+def _zero_written_out(order):
+    """1 + x^(M/3) + x^(2M/3) at M = 3 * order: a vector for 0 that is not
+    the zero vector."""
+    M = 3 * order
+    return sum((CyclotomicInteger.root_of_unity(M, i * order) for i in range(3)),
+               CyclotomicInteger.zero(M))
+
+
+@pytest.mark.parametrize("nu, mu, q, n_common", [(1, 1, 2, 1), (2, 2, 2, 2), (6, 6, 12, 4)])
+def test_a_wrong_selberg_term_is_reported_wrong(F5, monkeypatch, nu, mu, q, n_common):
+    # the vector comparison must not hide a wrong right-hand side, whether
+    # it is one lone term or a combination; an equal value with another
+    # vector must still hold, by the projection
+    nu, mu, q = F5.from_int(nu), F5.from_int(mu), F5.from_int(q)
+    assert len(SelbergTable(F5, q).common_divisors(nu, mu)) == n_common
+    term, projection = SelbergTable.term, CyclotomicInteger._projection
+    projected = []
+    monkeypatch.setattr(CyclotomicInteger, "_projection",
+                        lambda v: projected.append(v) or projection(v))
+    for change, holds in ((lambda v: v + 1, False),
+                          (lambda v: v - CyclotomicInteger.root_of_unity(3 * v.order, 1), False),
+                          (lambda v: v.lift(3 * v.order) + _zero_written_out(v.order), True)):
+        def changed(self, nu_mu, i, enum_budget):
+            n, v = term(self, nu_mu, i, enum_budget)
+            return n, change(v) if i == 0 else v
+
+        monkeypatch.setattr(SelbergTable, "term", changed)
+        projected.clear()
+        rep = selberg_check(F5, nu, mu, q)
+        assert rep.holds is holds and len(projected) == 1
 
 
 def test_selberg_table_belongs_to_one_q(F5):
