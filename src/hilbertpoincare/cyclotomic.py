@@ -160,11 +160,19 @@ class CyclotomicInteger:
         return self == self.conjugate()
 
     def as_int(self):
-        """The value as an integer when it lies in Z, else None.  The
-        projection of an integer n has constant term n * prod_{p | M} (p - 1)."""
-        n, r = divmod(self._projection()[0],
-                      math.prod(p - 1 for p in arith.factorint(self.order)))
-        return n if r == 0 and self == n else None
+        """The value as an integer when it lies in Z, else None.
+
+        The value is n exactly when its projection is n times that of 1.  The
+        projection of 1 = x^0 has entry j equal to the product, over the
+        p^e || M, of p - 1 when p^e | j, -1 when p^(e-1) || j and 0
+        otherwise; its entry 0 is prod_{p | M} (p - 1), which fixes n."""
+        P, one = self._projection(), [1] * self.order
+        for p, e in arith.factorint(self.order).items():
+            pe = p ** e
+            one = [w * (p - 1 if j % pe == 0 else -1 if j % (pe // p) == 0 else 0)
+                   for j, w in enumerate(one)]
+        n, r = divmod(P[0], one[0])
+        return n if r == 0 and P == [n * w for w in one] else None
 
     def __repr__(self):
         return f"CycInt(order={self.order}, coeffs={self.coeffs})"

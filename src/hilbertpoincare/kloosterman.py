@@ -4,8 +4,10 @@ S_m(nu, mu; c) = sum over units x of O/m of e((nu*x + mu*x^{-1})/c), with
 e(t) = exp(2*pi*i*Tr(t)).  Every term is a root of unity whose order divides
 the lcm M of the trace denominators, so the sum lives in Z[zeta_M] and is
 evaluated exactly there.  x -> -x permutes the units and negates the trace,
-so the coefficient vector is symmetric and the sum is real: the float path
-is that value's complex enclosure, with an exact 0 as its imaginary part.
+so the residue ring lists one unit of each pair {x, -x} and each listed unit
+adds to the exponents k and -k: the coefficient vector is symmetric by
+construction and the sum is real.  The float path is that value's complex
+enclosure, with an exact 0 as its imaginary part.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class KloostermanQuery:
     a*r1 in Z and b*r1 + c*r2 in Z.  Since a*omega lies in m too, every
     slope denominator divides a, so the cyclotomic order is at most N(m).
     The traces are computed as integers over one denominator, from
-    Tr(t/c) = Tr(t*conj(c))/N(c); only the four reduced slopes are Fractions.
+    Tr(t/c) = Tr(t*conj(c))/N(c), and `slopes` holds the four reduced
+    slopes as (numerator, denominator) int pairs with 0 <= numerator <
+    denominator; no Fraction is built unless `trace_data` is asked for.
     """
 
     __slots__ = ("field", "nu", "mu", "modulus", "c", "slopes")
@@ -53,10 +57,14 @@ class KloostermanQuery:
             pa, pb = field.mul_coords(t.a, t.b, ca, cb)
             R1 = (2 * pa + pb * c1) * c.den
             R2 = (pa * c1 + pb * (c1 * c1 + 2 * c0)) * c.den
-            D = t.den * nc    # for D < 0, R % D lies in (D, 0], so (R % D)/D in [0, 1)
+            D = t.den * nc
             if (modulus.a * R1) % D or (modulus.b * R1 + modulus.c * R2) % D:
                 raise MembershipViolated(f"{name}={t} outside c*(m d)^(-1)")
-            slopes += (Fraction(R1 % D, D), Fraction(R2 % D, D))
+            if D < 0:
+                R1, R2, D = -R1, -R2, -D
+            for R in (R1 % D, R2 % D):
+                g = math.gcd(R, D)
+                slopes.append((R // g, D // g))
         self.field = field
         self.nu = nu
         self.mu = mu
@@ -65,12 +73,11 @@ class KloostermanQuery:
         self.slopes = tuple(slopes)
 
     def trace_data(self):
-        """The four slopes (r1, r2, s1, s2), each in [0, 1)."""
-        return self.slopes
+        """The four slopes (r1, r2, s1, s2) as Fractions, each in [0, 1)."""
+        return tuple(Fraction(n, d) for n, d in self.slopes)
 
     def cache_key(self):
-        return (self.field.d, self.modulus.key(),
-                *((t.numerator, t.denominator) for t in self.slopes))
+        return (self.field.d, self.modulus.key(), *self.slopes)
 
     def to_json(self):
         return {"field": self.field.spec_string(), "nu": self.nu.to_json(),
@@ -105,17 +112,21 @@ def kloosterman_exact(q: KloostermanQuery,
     hit = _EXACT_CACHE.get(key)
     if hit is not None:
         return hit
-    M = math.lcm(*(t.denominator for t in q.slopes))
+    M = math.lcm(*(d for _, d in q.slopes))
     if rings is None:
         rings = {}
     mkey = q.modulus.key()
     ring = rings.get(mkey)
     if ring is None:
         ring = rings[mkey] = residue_ring(q.modulus, enum_budget)
-    R1, R2, S1, S2 = (t.numerator * (M // t.denominator) for t in q.slopes)
+    R1, R2, S1, S2 = (r * (M // d) for r, d in q.slopes)
     coeffs = [0] * M
     for (u, v, ui, vi) in ring.unit_data():
-        coeffs[(R1 * u + R2 * v + S1 * ui + S2 * vi) % M] += 1
+        k = (R1 * u + R2 * v + S1 * ui + S2 * vi) % M
+        coeffs[k] += 1      # x
+        coeffs[-k] += 1     # -x: the exponent is linear in (u, v, ui, vi)
+    if not ring.paired:     # 2 in m: every unit listed, x = -x, so counted twice
+        coeffs = [w // 2 for w in coeffs]
     val = CyclotomicInteger(M, coeffs)
     if len(_EXACT_CACHE) >= _EXACT_CACHE_MAX:
         _EXACT_CACHE.clear()

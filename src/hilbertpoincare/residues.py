@@ -4,6 +4,14 @@ Coset representatives are the canonical box {u + v*omega : 0 <= u < a,
 0 <= v < c} determined by the HNF basis; there are exactly N(m) = a*c of
 them.  An inverse is conj(x) * N(x)^-1 when N(x) is invertible modulo N(m),
 and x^(phi(m) - 1) by Euler's theorem otherwise.
+
+The unit list holds one unit of each pair {x, -x}, with its inverse; the
+inverse of -x is -x^-1.  When 2 lies in m, -x = x and every unit is listed.
+Otherwise no unit is its own negative (2x in m for a unit x would put 2 in
+m), so the list holds phi(m)/2 units and the ring is `paired`.  The negative
+of u + v*omega lies in row (-v) mod c of the box, so rows 0 < v < c/2 are
+listed whole, rows v > c/2 are skipped, and in rows 0 and c/2, which hold
+both members of each pair, x is listed when its u is below that of -x.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ class ResidueRing:
         self.modulus = modulus
         self.field = modulus.field
         self.size = modulus.norm()
+        self.paired = not modulus.contains(modulus.field.from_int(2))
         self._prime_data = None
         self._unit_data = None
 
@@ -39,15 +48,21 @@ class ResidueRing:
         return True
 
     def unit_data(self):
-        """List of (u, v, ui, vi): unit coset reps with inverse coordinates."""
+        """List of (u, v, ui, vi): unit coset reps with inverse coordinates,
+        one of each pair {x, -x} (module docstring)."""
         if self._unit_data is None:
             if self.size == 1:
                 self._unit_data = [(0, 0, 0, 0)]
             else:
                 out = []
-                m = self.modulus
-                for v in range(m.c):
-                    for u in range(m.a):
+                a, b, c = self.modulus.a, self.modulus.b, self.modulus.c
+                for v in range(c // 2 + 1 if self.paired else c):
+                    # in rows 0 and c/2, -(u + v*omega) has u' = (shift - u) mod a
+                    shift = b if v else 0
+                    mirrored = self.paired and 2 * v % c == 0
+                    for u in range(a):
+                        if mirrored and (shift - u) % a <= u:
+                            continue
                         if self.is_invertible_coords(u, v):
                             ui, vi = self._inverse_coords(u, v)
                             out.append((u, v, ui, vi))

@@ -131,7 +131,9 @@ def poincare_truncated_oracle(params, nu, mu, X, M, prec_bits: int = 200):
     """chi + prefactor * truncated double sum, summed directly at high
     precision with mpmath (complex-exponential Kloosterman terms and
     mpmath.besselj); shares only the representative enumeration with the
-    package."""
+    package.  A paired ring lists one unit of each pair {x, -x}; -x has the
+    opposite trace and cos is even, so each listed unit is counted twice
+    there."""
     old = mp.prec
     mp.prec = prec_bits
     try:
@@ -158,11 +160,12 @@ def poincare_truncated_oracle(params, nu, mu, X, M, prec_bits: int = 200):
                 else:
                     q = KloostermanQuery(F, nu, eps * mu, modulus, c_elt)
                     r1, r2, s1, s2 = q.trace_data()
+                    weight = 2 if ring.paired else 1
                     s_val = mp.mpf(0)
                     for (u, v, ui, vi) in ring.unit_data():
                         tr = r1 * u + r2 * v + s1 * ui + s2 * vi
-                        s_val += mp.cos(2 * mp.pi * mp.mpf(tr.numerator)
-                                        / mp.mpf(tr.denominator))
+                        s_val += weight * mp.cos(2 * mp.pi * mp.mpf(tr.numerator)
+                                                 / mp.mpf(tr.denominator))
                 z = nu * eps * mu
                 x1 = 4 * mp.pi * mp.sqrt(emb(z, 1)) / c1a
                 x2 = 4 * mp.pi * mp.sqrt(emb(z, 2)) / c2a

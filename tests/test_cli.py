@@ -83,6 +83,24 @@ def test_selberg_check_cli():
     assert "outside_hypotheses" not in doc
 
 
+def test_selberg_check_builds_no_fraction_in_the_kloosterman_layer(monkeypatch):
+    # queries and enumerations work in integer slope pairs: with the layer's
+    # Fraction replaced by a stub that raises, the sweep prints the same bytes
+    from hilbertpoincare import kloosterman
+    argv = ["selberg-check", "--d", "5", "--max-norm-q", "25"]
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    plain = run(argv)
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built in the Kloosterman layer")
+
+    monkeypatch.setattr(kloosterman, "_EXACT_CACHE", {})
+    monkeypatch.setattr(kloosterman, "Fraction", no_fraction)
+    guarded = run(argv)
+    assert plain.exit_code == guarded.exit_code == 0
+    assert guarded.output == plain.output
+
+
 def test_selberg_check_cli_reports_fields_outside_the_hypotheses():
     # Q(sqrt 10) has class number 2: the identity is not claimed there
     r = run(["selberg-check", "--d", "10", "--max-norm-q", "3"])

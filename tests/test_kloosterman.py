@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pathlib
@@ -8,6 +9,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hilbertpoincare import kloosterman
 from hilbertpoincare.cyclotomic import CyclotomicInteger
@@ -69,8 +71,9 @@ def test_membership_matches_ideal_oracle():
                 outsiders += 1
             else:
                 assert expected, (d, nu, mu, mod, c)
-                assert mod.a % math.lcm(*(t.denominator for t in q.slopes)) == 0
-                assert all(0 <= t < 1 for t in q.trace_data())
+                slopes = q.trace_data()
+                assert mod.a % math.lcm(*(t.denominator for t in slopes)) == 0
+                assert all(0 <= t < 1 for t in slopes)
                 members += 1
             done += 1
     assert members >= 150 and outsiders >= 150, (members, outsiders)
@@ -137,6 +140,74 @@ def test_exact_examples(F5):
                                  F5.from_int(2)).as_int() == -1
     q = KloostermanQuery(F5, F5.one(), F5.one(), unit_ideal(F5), F5.one())
     assert kloosterman_exact(q).as_int() == 1
+
+
+@pytest.mark.parametrize("c", (2, 3, 7))
+def test_as_int_projects_once(F5, monkeypatch, c):
+    # -1 written with a non-constant vector: n and the check that the value
+    # is n come from one projection of that vector
+    val = principal_kloosterman(F5, F5.one() / F5.delta, F5.zero(), F5.from_int(c))
+    assert any(val.coeffs[1:])
+    projection, projected = CyclotomicInteger._projection, []
+    monkeypatch.setattr(CyclotomicInteger, "_projection",
+                        lambda v: projected.append(list(v.coeffs)) or projection(v))
+    assert val.as_int() == -1
+    assert projected == [val.coeffs]
+
+
+_FIELDS = (2, 3, 5, 13)
+
+
+@functools.cache
+def _moduli(d):
+    """(O, the moduli of d containing 2, every modulus of norm <= 60)."""
+    F = make_field(d)
+    every = [m for n in range(2, 61) for m in ideals_of_norm(F, n)]
+    return unit_ideal(F), [m for m in every if m.contains(F.from_int(2))], every
+
+
+@st.composite
+def _queries(draw):
+    """A KloostermanQuery over d in {2, 3, 5, 13}: modulus O, one containing
+    2 or any of norm <= 60, nu and mu drawn by `_domain_element`."""
+    d = draw(st.sampled_from(_FIELDS))
+    F = make_field(d)
+    unit, with_two, every = _moduli(d)
+    mod = draw(st.sampled_from(draw(st.sampled_from(([unit], with_two, every, every)))))
+    c = F.elt(draw(st.integers(-7, 7)), draw(st.integers(-7, 7)),
+              draw(st.sampled_from((1, 2, 3))))
+    assume(not c.is_zero())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nu, mu = (_domain_element(F, mod, c, rng) for _ in range(2))
+    return KloostermanQuery(F, nu, mu, mod, c)
+
+
+def _histogram(q):
+    """(M, w): w[k] counts the units x among all N(m) classes of the box
+    whose trace Tr((nu*x + mu*x^-1)/c) is k/M mod 1; inverses by a search of
+    the box, traces by Fractions."""
+    F, m = q.field, q.modulus
+    box = [(u, v) for v in range(m.c) for u in range(m.a)]
+    one = m.reduce_coords(1, 0)
+    slopes, _ = slopes_by_fractions(F, q.nu, q.mu, m, q.c)
+    M = math.lcm(*(t.denominator for t in slopes))
+    w = [0] * M
+    for x in box:
+        xi = next((y for y in box if m.reduce_coords(*F.mul_coords(*x, *y)) == one), None)
+        if xi is not None:
+            t = sum(r * e for r, e in zip(slopes, x + xi))
+            w[t.numerator * (M // t.denominator) % M] += 1
+    return M, w
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_queries())
+def test_enumeration_matches_a_brute_force_histogram(q):
+    # the paired enumeration (one unit of each {x, -x}, adding to k and -k;
+    # every unit when 2 is in m) against every unit of the box
+    kloosterman._EXACT_CACHE.pop(q.cache_key(), None)
+    val = kloosterman_exact(q)
+    assert (val.order, val.coeffs) == _histogram(q)
 
 
 def test_float_encloses_exact(F5):

@@ -24,13 +24,31 @@ def scan_inverse(ring, u, v):
     return None
 
 
+def _negative(ring, u, v):
+    return ring.modulus.reduce_coords(-u, -v)
+
+
+def _every_unit(ring):
+    """{x: x^-1} over every unit, from the listed units and their negatives
+    (-x has inverse -x^-1); the listed units and their negatives are
+    disjoint when the ring is paired and the same units otherwise."""
+    listed = {(u, v): (ui, vi) for (u, v, ui, vi) in ring.unit_data()}
+    negated = {_negative(ring, *x): _negative(ring, *xi) for x, xi in listed.items()}
+    if ring.paired:
+        assert not set(listed) & set(negated)
+    else:
+        assert negated == listed
+    return listed | negated
+
+
 def test_ring_examples(F5):
     r2 = residue_ring(principal_ideal(F5.from_int(2)))
-    assert r2.size == 4
+    assert r2.size == 4 and not r2.paired      # 2 in (2): x = -x, all 3 units listed
     assert {(u, v) for (u, v, _, _) in r2.unit_data()} == {(1, 0), (0, 1), (1, 1)}
     p5 = prime_splitting(F5, 5)[0]
     rp5 = residue_ring(p5)
-    assert rp5.size == 5 and len(rp5.unit_data()) == 4
+    assert rp5.size == 5 and rp5.paired and len(rp5.unit_data()) == 2
+    assert len(_every_unit(rp5)) == 4
     r1 = residue_ring(unit_ideal(F5))
     assert r1.size == 1
 
@@ -46,7 +64,8 @@ def test_inverse_examples(F5):
     r2 = residue_ring(principal_ideal(F5.from_int(2)))
     assert (0, 1, 1, 1) in r2.unit_data()          # omega^-1 = 1 + omega mod 2
     rp5 = residue_ring(prime_splitting(F5, 5)[0])
-    assert (2, 0, 3, 0) in rp5.unit_data()         # 2^-1 = 3 mod a prime of norm 5
+    # 2^-1 = 3 mod a prime of norm 5, and -2 = 3: one of the pair is listed
+    assert len({(2, 0, 3, 0), (3, 0, 2, 0)} & set(rp5.unit_data())) == 1
     with pytest.raises(NotInvertible):
         r2._inverse_coords(0, 0)
 
@@ -72,22 +91,30 @@ def _euler_phi(modulus):
 def test_unit_count_matches_phi(F5, F2):
     rng = random.Random(9)
     for F in (F5, F2):
-        done = 0
-        while done < 50:
-            n = rng.randint(2, 400)
-            opts = ideals_of_norm(F, n)
-            if not opts:
-                continue
-            ring = residue_ring(rng.choice(opts))
+        # the moduli containing 2 (the primes over 2 and (2)), then random ones
+        mods = ideals_of_norm(F, 2) + ideals_of_norm(F, 4)
+        assert any(m.contains(F.from_int(2)) for m in mods)
+        done, todo = 0, 50 + len(mods)
+        while done < todo:
+            if mods:
+                mod = mods.pop()
+            else:
+                opts = ideals_of_norm(F, rng.randint(2, 400))
+                if not opts:
+                    continue
+                mod = rng.choice(opts)
+            ring = residue_ring(mod)
             units = ring.unit_data()
-            assert len(units) == _euler_phi(ring.modulus)
-            # the units are the classes outside every prime over the modulus,
-            # and every other class has no inverse
+            phi = _euler_phi(ring.modulus)
+            assert ring.paired == (not mod.contains(F.from_int(2)))
+            assert len(units) == (phi // 2 if ring.paired else phi)
+            # the listed units and their negatives are the classes outside
+            # every prime over the modulus, and every other class has no inverse
             m = ring.modulus
             classes = [(u, v) for v in range(m.c) for u in range(m.a)]
             coprime = [x for x in classes
                        if not any(pr.contains(F.elt(*x)) for pr, _ in factor_ideal(m))]
-            assert [(u, v) for (u, v, _, _) in units] == coprime
+            assert sorted(_every_unit(ring), key=lambda x: (x[1], x[0])) == coprime
             for x in set(classes) - set(coprime):
                 with pytest.raises(NotInvertible):
                     ring._inverse_coords(*x)
@@ -104,7 +131,7 @@ def test_inverse_involution_and_oracle(F5):
         ring = residue_ring(mod)
         one = _reduce(ring, F5.one())
         units = ring.unit_data()
-        inverse = {(u, v): (ui, vi) for (u, v, ui, vi) in units}
+        inverse = _every_unit(ring)
         for (u, v), (ui, vi) in inverse.items():
             assert _reduce(ring, F5.elt(u, v) * F5.elt(ui, vi)) == one
             assert inverse[ui, vi] == (u, v)

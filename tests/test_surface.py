@@ -17,7 +17,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hilbertpoincare"
 
 KEEP = {
     "residue_ring": "a test seam: the ring-count tests monkeypatch it",
-    "trace_data": "benchmark/tracing.py wraps KloostermanQuery.trace_data",
+    "trace_data": "the four slopes as Fractions, built on demand: benchmark/tracing.py "
+                  "wraps it, and the slope tests and the Poincare oracle read it",
     "classes_upto": "benchmark/tracing.py wraps CoefficientEvaluator.classes_upto",
     "kloosterman_symmetry_check": "an identity checker of the paper (S symmetric in nu, mu)",
     "unit_twist_check": "an identity checker of the paper (unit twist of S)",
